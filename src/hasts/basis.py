@@ -339,17 +339,3 @@ class Space:
                 for fn in self.functions
             ]
         )
-
-
-def weight_function(space, weights, s, t):
-    """w(s,t) = sum_A w_A B_A(s,t)."""
-    return float(np.dot(np.asarray(weights, dtype=float), space.eval_all(s, t)))
-
-
-def rational_eval(space, weights, coeffs, s, t):
-    """Rational T-spline value sum_A c_A w_A B_A / w at a parametric point."""
-    b = space.eval_all(s, t)
-    w = np.asarray(weights, dtype=float)
-    num = np.asarray(coeffs, dtype=float).T @ (w * b)
-    den = float(np.dot(w, b))
-    return num / den

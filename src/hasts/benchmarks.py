@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import cos, hypot, pi, sin
 
 from .basis import GlobalKnots
-from .hierarchy import LevelMesh, build_hierarchy, refine_by_elements
+from .hierarchy import LevelMesh, build_hierarchy
 from .iga import Problem
 from .samples import tensor_mesh
 from .tmesh import MeshStructureError
@@ -33,23 +33,6 @@ def tensor_space(num_elements, p, q=None):
             )
         ]
     )
-
-
-def graded_space(num_elements, p, q=None, rings=1):
-    """Boundary-graded start: elements touching the outflow edges x=1, y=1
-    are pre-refined; a reconstruction of a locally graded initial mesh."""
-    space = tensor_space(num_elements, p, q)
-    for _ in range(rings):
-        band = 0.0
-        for e in space.elements:
-            band = max(band, float(e.param_rect[1] - e.param_rect[0]))
-        marked = [
-            e
-            for e in space.elements
-            if float(e.param_rect[1]) >= 1.0 - 1e-12 or float(e.param_rect[3]) >= 1.0 - 1e-12
-        ]
-        space = refine_by_elements(space, marked)
-    return space
 
 
 def skew45_problem(kappa=1e-6):

@@ -15,13 +15,11 @@ import sys
 
 from . import benchmarks, meshio
 from .basis import GlobalKnots
-from .extraction import dump_extraction, extract_all
+from .extraction import FMT, dump_extraction, extract_all
 from .hierarchy import HierarchicalSpace, LevelMesh, build_hierarchy
 from .iga import Discretization, adaptive_loop, sample_field
 from .meshio import ParseError
 from .tmesh import MeshStructureError
-
-FMT = "%.17g"
 
 DEFAULTS = {
     "p": 2,
@@ -31,7 +29,6 @@ DEFAULTS = {
     "max_levels": 8,
     "benchmark": "skew45",
     "out": ".",
-    "seed": 0,
     "elements": 16,
     "kappa": None,
     "iterations": 5,
@@ -57,7 +54,6 @@ def build_parser():
         p.add_argument("--max-levels", type=int, dest="max_levels", help="level cap, 1..16")
         p.add_argument("--benchmark", choices=("skew45", "manufactured", "none"))
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="seed for randomized generators")
         p.add_argument("--elements", type=int, help="initial elements per side")
         p.add_argument("--kappa", type=float, help="diffusivity override")
         p.add_argument("--iterations", type=int, help="adaptive iteration cap")
@@ -90,6 +86,8 @@ def resolve_config(args):
         raise MeshStructureError("max-levels must be in 1..16")
     if cfg["p"] < 1 or cfg["q"] < 1:
         raise MeshStructureError("degrees must be >= 1")
+    if cfg["iterations"] < 1:
+        raise MeshStructureError("iterations must be >= 1")
     return cfg
 
 

@@ -1,12 +1,15 @@
 """Nested mesh sequences and the hierarchical spline basis.
 
 A level is a mesh plus its global knots plus the parametric domain selected
-for that level (a union of parent-element closures).  Subdivision doubles the
-positive-area index grid, halving every knot span; the hierarchical basis
-keeps coarse functions whose support leaks out of the next level's domain and
-adopts fine functions fully inside it.
+for that level.  Subdivision doubles the positive-area index grid, halving
+every knot span; the hierarchical basis keeps coarse functions whose support
+leaks out of the next level's domain and adopts fine functions fully inside it.
 
-All domain and support tests are exact rational arithmetic.
+A level's domain must be a union of closures of the previous level's Bezier
+elements; any other domain is rejected.  Domain and support tests are exact
+integer arithmetic on knot-span indices: each level's domain becomes a mask
+over the level's knot-span grid, found from knot values by exact lookup, and
+a rectangle lies inside when the mask's summed-area table covers all of it.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ from .tmesh import MeshStructureError, TMesh
 @dataclass(frozen=True)
 class LevelMesh:
     """One hierarchy level.  ``domain`` is a tuple of closed parametric
-    rectangles (x1, x2, y1, y2); None means the whole parametric square
-    (level 1 only)."""
+    rectangles (x1, x2, y1, y2) whose union must be a union of closures of
+    the previous level's Bezier elements; None means the whole parametric
+    square (level 1 only)."""
 
     level: int
     mesh: TMesh
@@ -45,6 +49,73 @@ def _space_for(mesh, hknots, vknots):
     if key not in _space_cache:
         _space_cache[key] = Space(mesh, hknots, vknots)
     return _space_cache[key]
+
+
+# -- knot-span grids and domain masks -----------------------------------------
+
+
+def span_grid(hknots, vknots):
+    """Exact maps from the distinct horizontal and vertical knot values to
+    their lines on the knot-span grid, numbered from 0."""
+    return tuple(
+        {v: i for i, v in enumerate(sorted(set(knots.values)))} for knots in (hknots, vknots)
+    )
+
+
+def grid_lines(grid, hknots, vknots):
+    """Grid line of each index line of the knots (slot 0 unused); every knot
+    must be a value of ``grid``."""
+    try:
+        return tuple(
+            np.array([0] + [g[v] for v in knots.values])
+            for g, knots in zip(grid, (hknots, vknots))
+        )
+    except KeyError as exc:
+        raise MeshStructureError(f"knot {exc.args[0]} of a level is not a knot of the next level") from None
+
+
+def index_spans(rects, lines):
+    """(n, 4) grid rectangles of index-line rectangles (x1, x2, y1, y2)."""
+    r = np.array(rects, dtype=np.int64).reshape(-1, 4)
+    hl, vl = lines
+    return np.column_stack([hl[r[:, 0]], hl[r[:, 1]], vl[r[:, 2]], vl[r[:, 3]]])
+
+
+def _rect_text(rect):
+    return "(" + ", ".join(str(v) for v in rect) + ")"
+
+
+def param_spans(grid, rects, level):
+    """(n, 4) grid rectangles of level ``level``'s parametric rectangles."""
+    h, v = grid
+    out = []
+    for rect in rects:
+        x1, x2, y1, y2 = rect
+        if not (x1 in h and x2 in h and y1 in v and y2 in v):
+            raise MeshStructureError(
+                f"level {level} domain rectangle {_rect_text(rect)} is off the level {level} knot grid"
+            )
+        out.append((h[x1], h[x2], v[y1], v[y2]))
+    return np.array(out, dtype=np.int64).reshape(-1, 4)
+
+
+def summed_area(spans, grid):
+    """Summed-area table of the union of grid rectangles: entry (a, b) counts
+    the covered spans left of grid line a and below grid line b."""
+    mask = np.zeros((len(grid[0]) - 1, len(grid[1]) - 1), dtype=bool)
+    for a1, a2, b1, b2 in spans:
+        mask[a1:a2, b1:b2] = True
+    table = np.zeros((mask.shape[0] + 1, mask.shape[1] + 1), dtype=np.int64)
+    table[1:, 1:] = mask.cumsum(0).cumsum(1)
+    return table
+
+
+def in_domain(spans, table):
+    """Which grid rectangles of an (n, 4) array (a1, a2, b1, b2) lie inside
+    the domain whose summed-area table is ``table``."""
+    a1, a2, b1, b2 = spans.T
+    covered = table[a2, b2] - table[a1, b2] - table[a2, b1] + table[a1, b1]
+    return covered == (a2 - a1) * (b2 - b1)
 
 
 # -- subdivision --------------------------------------------------------------
@@ -72,12 +143,10 @@ def refine_knots(knots):
 
 def bezier_cells(mesh, hknots, vknots):
     """Positive-parametric-area cells of the extended mesh, as index rects."""
-    ext = mesh.extended()
-    return [
-        (x1, x2, y1, y2)
-        for x1, x2, y1, y2 in ext.cells
-        if hknots[x2] > hknots[x1] and vknots[y2] > vknots[y1]
-    ]
+    hl, vl = grid_lines(span_grid(hknots, vknots), hknots, vknots)
+    cells = np.array(mesh.extended().cells, dtype=np.int64).reshape(-1, 4)
+    keep = (hl[cells[:, 1]] > hl[cells[:, 0]]) & (vl[cells[:, 3]] > vl[cells[:, 2]])
+    return [tuple(c) for c in cells[keep].tolist()]
 
 
 def subdivide_level(parent: LevelMesh):
@@ -171,31 +240,6 @@ def subdivide_suitable(parent: LevelMesh):
     return LevelMesh(parent.level + 1, child, chk, cvk, domain=())
 
 
-# -- rectangle-union coverage (exact) -----------------------------------------
-
-
-def rect_covered(rect, rects):
-    """Closed rectangle ⊆ union of closed rectangles, exact rationals."""
-    x1, x2, y1, y2 = rect
-    if x1 >= x2 or y1 >= y2:
-        return any(r[0] <= x1 and x2 <= r[1] and r[2] <= y1 and y2 <= r[3] for r in rects)
-    xs = sorted({x1, x2} | {v for r in rects for v in r[:2] if x1 < v < x2})
-    ys = sorted({y1, y2} | {v for r in rects for v in r[2:] if y1 < v < y2})
-    for xa, xb in zip(xs, xs[1:]):
-        mx = (xa + xb) / 2
-        for ya, yb in zip(ys, ys[1:]):
-            my = (ya + yb) / 2
-            if not any(r[0] <= mx <= r[1] and r[2] <= my <= r[3] for r in rects):
-                return False
-    return True
-
-
-def in_domain(rect, domain):
-    if domain is None:
-        return True
-    return rect_covered(rect, domain)
-
-
 # -- hierarchical space -------------------------------------------------------
 
 
@@ -237,34 +281,51 @@ class HierarchicalSpace:
         self._build()
 
     def _build(self):
-        sp1 = self.spaces[0]
-        H = [HFunction(1, f) for f in sp1.functions]
-        E = [
-            HElement(1, rect, self._param_rect(0, rect))
-            for rect in bezier_cells(self.levels[0].mesh, self.levels[0].hknots, self.levels[0].vknots)
+        """A level-k function or element is active when it lies in Ω^k but not
+        in Ω^{k+1}.  As Ω^{k+1} ⊆ Ω^k, every active object below level k
+        already lies outside Ω^{k+1}, so each domain meets only level-k and
+        level-(k+1) objects."""
+        levels = self.levels
+        supports = [
+            [(f.h_indices[0], f.h_indices[-1], f.v_indices[0], f.v_indices[-1]) for f in sp.functions]
+            for sp in self.spaces
         ]
-        for k in range(1, len(self.levels)):
-            dom = self.levels[k].domain
-            for r in dom:
-                if not in_domain(r, self.levels[k - 1].domain):
-                    raise MeshStructureError(
-                        f"level {k + 1} domain rectangle {r} escapes level {k} domain"
-                    )
-            sp = self.spaces[k]
-            keep = [hf for hf in H if not in_domain(self._support(hf), dom)]
-            fine = [
-                HFunction(k + 1, f)
-                for f in sp.functions
-                if in_domain(tuple(sp.support(f)), dom)
-            ]
-            H = keep + fine
-            keep_e = [he for he in E if not in_domain(he.param_rect, dom)]
-            fine_e = [
-                HElement(k + 1, rect, self._param_rect(k, rect))
-                for rect in bezier_cells(self.levels[k].mesh, self.levels[k].hknots, self.levels[k].vknots)
-                if in_domain(self._param_rect(k, rect), dom)
-            ]
-            E = keep_e + fine_e
+        cells = [bezier_cells(lv.mesh, lv.hknots, lv.vknots) for lv in levels]
+        fn_on = [np.ones(len(supports[0]), dtype=bool)]
+        cell_on = [np.ones(len(cells[0]), dtype=bool)]
+        for k in range(1, len(levels)):
+            lv, up = levels[k], levels[k - 1]
+            grid = span_grid(lv.hknots, lv.vknots)
+            rects = param_spans(grid, lv.domain, k + 1)
+            table = summed_area(rects, grid)
+            coarse = grid_lines(grid, up.hknots, up.vknots)
+            fine = grid_lines(grid, lv.hknots, lv.vknots)
+            parents = index_spans(cells[k - 1], coarse)
+            below = in_domain(parents, table)
+            # the domain must be the union of the level-k elements of Ω^k it contains
+            kept = parents[below & cell_on[k - 1]]
+            if table[-1, -1] != ((kept[:, 1] - kept[:, 0]) * (kept[:, 3] - kept[:, 2])).sum():
+                bad = lv.domain[int(np.argmin(in_domain(rects, summed_area(kept, grid))))]
+                raise MeshStructureError(
+                    f"level {k + 1} domain rectangle {_rect_text(bad)} is not a union of "
+                    f"level {k} element closures inside the level {k} domain"
+                )
+            fn_on[k - 1] &= ~in_domain(index_spans(supports[k - 1], coarse), table)
+            cell_on[k - 1] &= ~below
+            fn_on.append(in_domain(index_spans(supports[k], fine), table))
+            cell_on.append(in_domain(index_spans(cells[k], fine), table))
+        H = [
+            HFunction(k + 1, f)
+            for k, sp in enumerate(self.spaces)
+            for f, on in zip(sp.functions, fn_on[k])
+            if on
+        ]
+        E = [
+            HElement(k + 1, rect, self._param_rect(k, rect))
+            for k in range(len(levels))
+            for rect, on in zip(cells[k], cell_on[k])
+            if on
+        ]
         self.functions = tuple(sorted(H, key=HFunction.sort_key))
         self.elements = tuple(sorted(E, key=HElement.sort_key))
         self.n_f = len(self.functions)
@@ -275,11 +336,8 @@ class HierarchicalSpace:
         lv = self.levels[k]
         return (lv.hknots[x1], lv.hknots[x2], lv.vknots[y1], lv.vknots[y2])
 
-    def _support(self, hf):
-        return tuple(self.spaces[hf.level - 1].support(hf.fn))
-
     def support(self, hf):
-        return self._support(hf)
+        return tuple(self.spaces[hf.level - 1].support(hf.fn))
 
     def eval_function(self, hf, s, t):
         return self.spaces[hf.level - 1].eval_function(hf.fn, s, t)
@@ -300,14 +358,6 @@ class HierarchicalSpace:
                 )
             )
         return np.array(out)
-
-    def check_element_support(self):
-        """Every basis function must be covered by HE element closures."""
-        rects = [he.param_rect for he in self.elements]
-        for hf in self.functions:
-            if not rect_covered(self._support(hf), rects):
-                return False
-        return True
 
 
 def build_hierarchy(levels):
@@ -492,8 +542,9 @@ def refine_by_elements(space: HierarchicalSpace, marked, max_levels=8):
         if tgt > len(levels):
             levels.append(subdivide_suitable(levels[-1]))
         lv = levels[tgt - 1]
-        new_rects = tuple(lv.domain) + tuple(
-            r for r in additions[tgt] if not in_domain(r, lv.domain)
-        )
+        grid = span_grid(lv.hknots, lv.vknots)
+        table = summed_area(param_spans(grid, lv.domain, tgt), grid)
+        inside = in_domain(param_spans(grid, additions[tgt], tgt), table)
+        new_rects = tuple(lv.domain) + tuple(r for r, i in zip(additions[tgt], inside) if not i)
         levels[tgt - 1] = replace(lv, domain=new_rects)
     return HierarchicalSpace(levels)

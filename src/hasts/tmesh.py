@@ -53,10 +53,6 @@ class RegionSplit:
     def contains_rect(self, xa, xb, ya, yb):
         return self.x1 <= xa and xb <= self.x2 and self.y1 <= ya and yb <= self.y2
 
-    def strictly_outside(self, x, y):
-        """True if (x, y) lies in the open frame region (not on the AR boundary)."""
-        return not self.contains(x, y)
-
 
 @dataclass(frozen=True)
 class TJunction:
@@ -366,7 +362,7 @@ class TMesh:
             report.append(Violation("region", (0, 0), str(exc)))
             return report
         for tj in self.t_junctions():
-            if rs.strictly_outside(tj.x, tj.y):
+            if not rs.contains(tj.x, tj.y):
                 report.append(Violation("frame-t-junction", (tj.x, tj.y), "T-junction inside frame region"))
         report.extend(self._check_frame_grid(rs))
         # exact area accounting
@@ -460,7 +456,12 @@ class TMesh:
         return (not bad, bad)
 
     def extended(self):
-        """The extended T-mesh: all extension segments materialized as edges."""
+        """The extended T-mesh: all extension segments materialized as edges.
+        Built once per mesh, which is immutable."""
+        return self._extended
+
+    @cached_property
+    def _extended(self):
         hseg = self.hseg.copy()
         vseg = self.vseg.copy()
         for e in self.extensions():
@@ -480,31 +481,3 @@ class TMesh:
         return bool(
             (other.hseg & ~self.hseg).sum() == 0 and (other.vseg & ~self.vseg).sum() == 0
         )
-
-
-def validate(mesh):
-    return mesh.validate()
-
-
-def region_split(mesh):
-    return mesh.region_split()
-
-
-def find_t_junctions(mesh):
-    return mesh.t_junctions()
-
-
-def compute_extensions(mesh):
-    return mesh.extensions()
-
-
-def is_analysis_suitable(mesh):
-    return mesh.is_analysis_suitable()
-
-
-def extended_tmesh(mesh):
-    return mesh.extended()
-
-
-def mesh_inclusion(coarse, fine):
-    return fine.includes(coarse)

@@ -145,12 +145,17 @@ def test_solve_rejects_bad_parameters(tmp_path, capsys):
     assert main(solve_args(tmp_path, "--tol", "-1")) == 1
     assert main(solve_args(tmp_path, "--max-levels", "0")) == 1
     assert main(["solve", "--benchmark", "none", "--out", str(tmp_path)]) == 1
+    capsys.readouterr()
+    assert main(solve_args(tmp_path, "--iterations", "0")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_config_unknown_key_exits_two(tmp_path, capsys):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"benchmark": "manufactured", "typo": 1}))
-    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    for key in ("typo", "seed"):
+        cfg.write_text(json.dumps({"benchmark": "manufactured", key: 1}))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     cfg.write_text("{not json")
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 

@@ -1,19 +1,25 @@
 """Hierarchy layer: dyadic subdivision, domain bookkeeping, nesting.
 
-The knot-insertion identity is verified numerically at random points; element
-counts are recomputed by an independent bookkeeping oracle.
+The knot-insertion identity is verified numerically at random points; H and
+HE are rebuilt by an independent oracle that tests every function and element
+against every level's domain rectangles with an exact rational sweep.
 """
 
+import os
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hasts import samples
+from hasts import meshio, samples
 from hasts.basis import Space, bspline_eval
 from hasts.benchmarks import tensor_space
+from hasts.cli import main
 from hasts.hierarchy import (
+    HElement,
+    HFunction,
     HierarchicalSpace,
     LevelMesh,
     bezier_cells,
@@ -21,12 +27,13 @@ from hasts.hierarchy import (
     in_domain,
     index_map,
     insert_knot,
-    rect_covered,
+    param_spans,
     refine_by_elements,
     refine_knots,
     represent_coarse_in_fine,
     represent_in_space,
     subdivide_suitable,
+    summed_area,
 )
 from hasts.tmesh import MeshStructureError
 
@@ -127,7 +134,66 @@ def test_insert_knot_identity_random():
                 assert got == pytest.approx(ref, abs=1e-12)
 
 
-# -- domain coverage predicates ------------------------------------------------
+# -- rational-sweep oracle ------------------------------------------------------
+
+
+def rect_covered(rect, rects):
+    """Closed rectangle ⊆ union of closed rectangles, exact rationals."""
+    x1, x2, y1, y2 = rect
+    if x1 >= x2 or y1 >= y2:
+        return any(r[0] <= x1 and x2 <= r[1] and r[2] <= y1 and y2 <= r[3] for r in rects)
+    xs = sorted({x1, x2} | {v for r in rects for v in r[:2] if x1 < v < x2})
+    ys = sorted({y1, y2} | {v for r in rects for v in r[2:] if y1 < v < y2})
+    for xa, xb in zip(xs, xs[1:]):
+        mx = (xa + xb) / 2
+        for ya, yb in zip(ys, ys[1:]):
+            my = (ya + yb) / 2
+            if not any(r[0] <= mx <= r[1] and r[2] <= my <= r[3] for r in rects):
+                return False
+    return True
+
+
+def covered(rect, domain):
+    return domain is None or rect_covered(rect, domain)
+
+
+def reference_cells(lv):
+    """Extended-mesh cells of positive parametric area, by rational comparison."""
+    return [
+        (x1, x2, y1, y2)
+        for x1, x2, y1, y2 in lv.mesh.extended().cells
+        if lv.hknots[x2] > lv.hknots[x1] and lv.vknots[y2] > lv.vknots[y1]
+    ]
+
+
+def reference_build(space):
+    """(functions, elements) of the space's levels, every object of H and HE
+    re-tested against each level's domain rectangles."""
+    levels, spaces = space.levels, space.spaces
+    H = [HFunction(1, f) for f in spaces[0].functions]
+    E = [HElement(1, rect, space._param_rect(0, rect)) for rect in reference_cells(levels[0])]
+    for k in range(1, len(levels)):
+        dom = levels[k].domain
+        assert all(covered(r, levels[k - 1].domain) for r in dom)
+        sp = spaces[k]
+        H = [hf for hf in H if not covered(space.support(hf), dom)] + [
+            HFunction(k + 1, f) for f in sp.functions if covered(tuple(sp.support(f)), dom)
+        ]
+        E = [he for he in E if not covered(he.param_rect, dom)] + [
+            HElement(k + 1, rect, space._param_rect(k, rect))
+            for rect in reference_cells(levels[k])
+            if covered(space._param_rect(k, rect), dom)
+        ]
+    return tuple(sorted(H, key=HFunction.sort_key)), tuple(sorted(E, key=HElement.sort_key))
+
+
+def random_refinement(seed, p, steps=20, max_levels=6):
+    rng = random.Random(seed)
+    space = tensor_space(4, p)
+    for _ in range(steps):
+        candidates = [e for e in space.elements if e.level < max_levels]
+        space = refine_by_elements(space, rng.sample(candidates, 3), max_levels=max_levels)
+    return space
 
 
 def test_rect_covered_exact():
@@ -142,8 +208,24 @@ def test_rect_covered_exact():
     assert rect_covered(unit, quarters)
     assert not rect_covered(unit, quarters[:3])
     assert rect_covered(quarters[0], [unit])
-    assert in_domain(unit, None)
-    assert not in_domain(unit, tuple(quarters[:2]))
+    assert covered(unit, None)
+    assert not covered(unit, tuple(quarters[:2]))
+    # the span-mask predicate agrees on the grid {0, 1/2, 1}
+    grid = ({Fraction(0): 0, h: 1, Fraction(1): 2},) * 2
+    spans = param_spans(grid, [unit] + quarters, 2)
+    for dom in (quarters, quarters[:3], quarters[:2], [unit]):
+        got = in_domain(spans, summed_area(param_spans(grid, dom, 2), grid))
+        assert list(got) == [rect_covered(r, dom) for r in [unit] + quarters]
+
+
+def test_build_matches_rational_sweep(hierarchies):
+    spaces = list(hierarchies)
+    path = os.path.join(os.path.dirname(__file__), "..", "samples", "two_level_p2.hier")
+    spaces.append(build_hierarchy(meshio.read_hierarchy(path)))
+    spaces += [random_refinement(seed, p) for seed in (1, 2, 3) for p in (2, 3)]
+    assert max(len(sp.levels) for sp in spaces) == 6
+    for space in spaces:
+        assert (space.functions, space.elements) == reference_build(space)
 
 
 # -- hierarchy construction ----------------------------------------------------
@@ -158,9 +240,9 @@ def recount_elements(space):
         nxt = space.levels[k + 1].domain if k + 1 < len(space.levels) else ()
         for rect in cells:
             pr = space._param_rect(k, rect)
-            if not in_domain(pr, lv.domain):
+            if not covered(pr, lv.domain):
                 continue
-            if nxt and in_domain(pr, nxt):
+            if nxt and covered(pr, nxt):
                 continue
             count += 1
     return count
@@ -169,7 +251,9 @@ def recount_elements(space):
 def test_element_count_matches_recount(hierarchies):
     for space in hierarchies:
         assert space.n_e == recount_elements(space)
-        assert space.check_element_support()
+        # every basis function is covered by HE element closures
+        rects = [he.param_rect for he in space.elements]
+        assert all(rect_covered(space.support(hf), rects) for hf in space.functions)
 
 
 def test_empty_mark_is_identity():
@@ -211,7 +295,7 @@ def test_level_cap_enforced():
             space = refine_by_elements(space, [deepest], max_levels=3)
 
 
-def test_levels_must_nest():
+def test_levels_must_nest(tmp_path, capsys):
     space = tensor_space(2, 2)
     refined = refine_by_elements(space, [space.elements[0]])
     lv2 = refined.levels[1]
@@ -221,11 +305,23 @@ def test_levels_must_nest():
     )
     # a level-3 domain escaping the level-2 domain must be rejected
     lv3 = subdivide_suitable(bad)
-    from dataclasses import replace
-
     lv3 = replace(lv3, domain=((Fraction(1, 2), Fraction(1), Fraction(0), Fraction(1, 2)),))
     with pytest.raises(MeshStructureError):
         HierarchicalSpace([refined.levels[0], refined.levels[1], lv3])
+    # a domain that cuts through parent elements: 3/8 is a level-2 knot but
+    # no level-1 element boundary
+    lv1 = tensor_space(4, 2).levels[0]
+    cut = Fraction(3, 8)
+    lv2 = replace(subdivide_suitable(lv1), domain=((Fraction(0), cut, Fraction(0), cut),))
+    with pytest.raises(MeshStructureError, match="3/8"):
+        HierarchicalSpace([lv1, lv2])
+    hier = tmp_path / "off_grid.hier"
+    hier.write_text(meshio.dump_hierarchy([lv1, lv2]))
+    capsys.readouterr()
+    assert main(["extract", "--mesh", str(hier), "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and len(out.err.splitlines()) == 1
+    assert out.err.startswith("error: ")
 
 
 # -- nesting -------------------------------------------------------------------

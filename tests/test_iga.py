@@ -234,6 +234,14 @@ def test_adaptive_loop_refines_near_layer():
     prob = skew45_problem()
     res = adaptive_loop(prob, tensor_space(8, 2), tol=5e-3, beta=3, max_iterations=3)
     assert len(res.history) == 3
+    # the exact history of this run, pinned so refactors must reproduce it
+    assert [(r.n_f, r.n_e, r.marked) for r in res.history] == [
+        (100, 64, 15), (147, 109, 24), (219, 181, 39)
+    ]
+    for rec, want in zip(
+        res.history, (0.16538757008126034, 0.11708934500897489, 0.08307488043270407)
+    ):
+        assert rec.total_estimate == pytest.approx(want, rel=1e-12)
     assert res.history[0].marked > 0
     assert res.history[-1].n_e > res.history[0].n_e
     # every refined element sits close to a sharp feature
