@@ -2,8 +2,13 @@
 operators for hierarchical spline bases, element connectivity, weights, and
 Bezier control points.
 
-Coefficients are computed by exact rational knot insertion and converted to
-floats only in the assembled element arrays.
+Each hierarchical function is a tensor product of two univariate
+B-splines, so each row of C^e is the product of two 1D Bernstein rows.  The
+1D rows are exact rationals from knot insertion (``bezier_coeffs_1d``); each
+entry of a 2D row is the exact product of two 1D entries, rounded to float
+once.  ``extract_all`` computes each distinct 1D row and each distinct pair
+of them once, in a row table keyed by integer index data that lives for one
+call, and gathers the element arrays from it.
 """
 
 from __future__ import annotations
@@ -88,29 +93,6 @@ def bezier_coeffs_1d(vals, p, a, b):
     return tuple(out)
 
 
-def bezier_coeffs_2d(hvals, vvals, p, q, rect):
-    """Bivariate Bernstein coefficients on one element, bern_index ordering."""
-    s1, s2, t1, t2 = rect
-    ch = bezier_coeffs_1d(tuple(hvals), p, s1, s2)
-    cv = bezier_coeffs_1d(tuple(vvals), q, t1, t2)
-    out = [Fraction(0)] * ((p + 1) * (q + 1))
-    for j in range(1, q + 2):
-        for i in range(1, p + 2):
-            out[bern_index(i, j, p) - 1] = ch[i - 1] * cv[j - 1]
-    return out
-
-
-@lru_cache(maxsize=None)
-def _bezier_coeffs_2d_float(hvals, vvals, p, q, rect):
-    return np.array([float(c) for c in bezier_coeffs_2d(hvals, vvals, p, q, rect)])
-
-
-def _overlaps(support, rect):
-    s1, s2, t1, t2 = support
-    e1, e2, f1, f2 = rect
-    return s1 < e2 and e1 < s2 and t1 < f2 and f1 < t2
-
-
 def _support_array(supports):
     return np.array([[float(v) for v in sup] for sup in supports])
 
@@ -149,47 +131,88 @@ def default_geometry(space: HierarchicalSpace):
     return weights, sp1.greville_points()
 
 
-def element_arrays(space, he, ien_row, weights=None, points=None, _geom_sup=None):
-    """(C^e, w^e, Q^e) for one hierarchical element."""
-    p, q = space.levels[0].mesh.p, space.levels[0].mesh.q
-    if weights is None or points is None:
-        weights, points = default_geometry(space)
-    n_b = (p + 1) * (q + 1)
-    C = np.empty((len(ien_row), n_b))
-    for r, a in enumerate(ien_row):
-        hf = space.functions[a]
-        sp = space.spaces[hf.level - 1]
-        C[r] = _bezier_coeffs_2d_float(
-            sp.h_values(hf.fn), sp.v_values(hf.fn), p, q, he.param_rect
-        )
-    sp1 = space.spaces[0]
-    if _geom_sup is None:
-        _geom_sup = _support_array(sp1.support(fn) for fn in sp1.functions)
-    wbf = np.zeros(n_b)
-    qb = np.zeros((n_b, points.shape[1]))
-    for g in _overlap_positions(_geom_sup, he.param_rect):
-        fn = sp1.functions[g]
-        cof = _bezier_coeffs_2d_float(
-            sp1.h_values(fn), sp1.v_values(fn), p, q, he.param_rect
-        )
-        wg = float(weights[g])
-        wbf += wg * cof
-        qb += np.outer(cof, points[g]) * wg
-    if (wbf <= 0).any():
-        raise MeshStructureError(f"nonpositive element Bezier weight on element {he}")
-    qb /= wbf[:, None]
-    return ElementData(he.level, he.param_rect, list(ien_row), C, wbf, qb)
+class _ExactRows:
+    """Exact 1D Bernstein rows of one parametric direction, numbered by value.
+
+    A row is looked up by plain ints: (function level, the function's index
+    lines in this direction, element level, the element's two index lines).
+    ``bezier_coeffs_1d`` runs only for a key not seen before."""
+
+    def __init__(self, knots, degree):
+        self.knots = knots  # GlobalKnots of this direction, per level
+        self.degree = degree
+        self.ids = {}
+        self.by_value = {}
+        self.rows = []
+
+    def id(self, level, indices, elevel, i1, i2):
+        key = (level, indices, elevel, i1, i2)
+        rid = self.ids.get(key)
+        if rid is None:
+            ek = self.knots[elevel - 1]
+            row = bezier_coeffs_1d(self.knots[level - 1].take(indices), self.degree, ek[i1], ek[i2])
+            rid = self.ids[key] = self.by_value.setdefault(row, len(self.by_value))
+            if rid == len(self.rows):
+                self.rows.append([(c.numerator, c.denominator) for c in row])
+        return rid
+
+
+def _rounded_product(ch, cv):
+    """float(ch[i] * cv[j]) in bern_index order, from (numerator,
+    denominator) pairs.  Int true division rounds correctly, so each entry
+    is the exact product rounded once."""
+    return [(an * bn) / (ad * bd) for bn, bd in cv for an, ad in ch]
 
 
 def extract_all(space, weights=None, points=None):
     """Element arrays for every element of the space, in canonical order."""
-    ien = build_ien(space)
+    p, q = space.levels[0].mesh.p, space.levels[0].mesh.q
+    if weights is None or points is None:
+        weights, points = default_geometry(space)
+    hrows = _ExactRows([lv.hknots for lv in space.levels], p)
+    vrows = _ExactRows([lv.vknots for lv in space.levels], q)
+    pair_ids = {}  # (h row id, v row id) -> row of ``products``
+    products = []
+
+    def row_id(level, fn, he):
+        x1, x2, y1, y2 = he.index_rect
+        key = (
+            hrows.id(level, fn.h_indices, he.level, x1, x2),
+            vrows.id(level, fn.v_indices, he.level, y1, y2),
+        )
+        r = pair_ids.get(key)
+        if r is None:
+            r = pair_ids[key] = len(products)
+            products.append(_rounded_product(hrows.rows[key[0]], vrows.rows[key[1]]))
+        return r
+
     sp1 = space.spaces[0]
     geom_sup = _support_array(sp1.support(fn) for fn in sp1.functions)
-    return [
-        element_arrays(space, he, row, weights, points, _geom_sup=geom_sup)
+    ien = build_ien(space)
+    geom = [_overlap_positions(geom_sup, he.param_rect) for he in space.elements]
+    c_ids = [
+        [row_id(space.functions[a].level, space.functions[a].fn, he) for a in row]
         for he, row in zip(space.elements, ien)
     ]
+    g_ids = [
+        [row_id(1, sp1.functions[g], he) for g in gs] for he, gs in zip(space.elements, geom)
+    ]
+    table = np.array(products).reshape(-1, (p + 1) * (q + 1))
+    w = np.asarray(weights, dtype=float)
+    P = np.asarray(points, dtype=float)
+    out = []
+    for he, row, gs, ci, gi in zip(space.elements, ien, geom, c_ids, g_ids):
+        G = table[gi]
+        wg = w[gs]
+        # a sequential sum from 0.0 in function order: bit-identical to adding
+        # one overlapping function at a time
+        wbf = (G * wg[:, None]).sum(0, initial=0.0)
+        if (wbf <= 0).any():
+            raise MeshStructureError(f"nonpositive element Bezier weight on element {he}")
+        qb = (G[:, :, None] * P[gs][:, None, :] * wg[:, None, None]).sum(0, initial=0.0)
+        qb /= wbf[:, None]
+        out.append(ElementData(he.level, he.param_rect, list(row), table[ci], wbf, qb))
+    return out
 
 
 def local_linear_independence(edata, tol=1e-10):

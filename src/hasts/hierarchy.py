@@ -544,7 +544,8 @@ def refine_by_elements(space: HierarchicalSpace, marked, max_levels=8):
         lv = levels[tgt - 1]
         grid = span_grid(lv.hknots, lv.vknots)
         table = summed_area(param_spans(grid, lv.domain, tgt), grid)
-        inside = in_domain(param_spans(grid, additions[tgt], tgt), table)
-        new_rects = tuple(lv.domain) + tuple(r for r, i in zip(additions[tgt], inside) if not i)
+        rects = list(dict.fromkeys(additions[tgt]))
+        inside = in_domain(param_spans(grid, rects, tgt), table)
+        new_rects = tuple(lv.domain) + tuple(r for r, i in zip(rects, inside) if not i)
         levels[tgt - 1] = replace(lv, domain=new_rects)
     return HierarchicalSpace(levels)

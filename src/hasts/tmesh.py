@@ -295,27 +295,36 @@ class TMesh:
         return ncomp, labels.reshape(mu, nu)
 
     @cached_property
+    def _cell_boxes(self):
+        """Per component, in label order: its bounding box (x1, x2, y1, y2)
+        in index lines and its size in unit cells."""
+        ncomp, labels = self._cell_labels
+        flat = labels.ravel()
+        order = np.argsort(flat, kind="stable")
+        # every label 0..ncomp-1 occurs, so the runs of the sorted labels start
+        # at strictly increasing positions
+        starts = np.searchsorted(flat[order], np.arange(ncomp))
+        xs, ys = np.divmod(order, labels.shape[1])
+        x1 = np.minimum.reduceat(xs, starts) + 1
+        x2 = np.maximum.reduceat(xs, starts) + 2
+        y1 = np.minimum.reduceat(ys, starts) + 1
+        y2 = np.maximum.reduceat(ys, starts) + 2
+        boxes = list(zip(x1.tolist(), x2.tolist(), y1.tolist(), y2.tolist()))
+        return boxes, np.diff(starts, append=flat.size)
+
+    @cached_property
     def cells(self):
         """Cells as (x1, x2, y1, y2) open rectangles, sorted; components that
         fail to be rectangles are reported by validate(), not here."""
-        ncomp, labels = self._cell_labels
-        out = []
-        for c in range(ncomp):
-            xs, ys = np.nonzero(labels == c)
-            x1, x2 = int(xs.min()) + 1, int(xs.max()) + 2
-            y1, y2 = int(ys.min()) + 1, int(ys.max()) + 2
-            out.append((x1, x2, y1, y2))
-        out.sort()
-        return out
+        return sorted(self._cell_boxes[0])
 
     def cell_components_rectangular(self):
-        ncomp, labels = self._cell_labels
-        bad = []
-        for c in range(ncomp):
-            xs, ys = np.nonzero(labels == c)
-            if (xs.max() - xs.min() + 1) * (ys.max() - ys.min() + 1) != len(xs):
-                bad.append((int(xs.min()) + 1, int(ys.min()) + 1))
-        return bad
+        """The lower-left corner (x1, y1) of the bounding box of each
+        component that does not fill its bounding box."""
+        boxes, sizes = self._cell_boxes
+        return [
+            (x1, y1) for (x1, x2, y1, y2), size in zip(boxes, sizes) if (x2 - x1) * (y2 - y1) != size
+        ]
 
     # -- regions --------------------------------------------------------------
 

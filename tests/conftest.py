@@ -4,7 +4,8 @@ import pytest
 
 from hasts import samples
 from hasts.benchmarks import tensor_space
-from hasts.hierarchy import refine_by_elements
+from hasts.basis import GlobalKnots
+from hasts.hierarchy import LevelMesh, build_hierarchy, refine_by_elements
 
 
 def as_mesh_corpus():
@@ -31,6 +32,21 @@ def as_mesh_corpus():
 @pytest.fixture(scope="session")
 def as_meshes():
     return as_mesh_corpus()
+
+
+def one_level(mesh):
+    """The single-level hierarchy of a mesh with uniform open knots."""
+    return build_hierarchy(
+        [
+            LevelMesh(
+                1,
+                mesh,
+                GlobalKnots.uniform_open(mesh.m, mesh.p),
+                GlobalKnots.uniform_open(mesh.n, mesh.q),
+                None,
+            )
+        ]
+    )
 
 
 def two_level_space(ne=4, p=2, marked_levels=(1,)):

@@ -21,9 +21,9 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from conftest import as_mesh_corpus, sample_hierarchies, two_level_space
+from conftest import as_mesh_corpus, one_level, sample_hierarchies, two_level_space
 from hasts import samples
-from hasts.basis import Anchor, GlobalKnots, Space, anchors, local_index_vectors
+from hasts.basis import Anchor, Space, anchors, local_index_vectors
 from hasts.benchmarks import (
     skew45_problem,
     skew45_rect_layer_distance,
@@ -35,8 +35,6 @@ from hasts.extraction import (
     local_linear_independence,
 )
 from hasts.hierarchy import (
-    LevelMesh,
-    build_hierarchy,
     refine_by_elements,
     represent_coarse_in_fine,
 )
@@ -46,20 +44,6 @@ from hasts.iga import Discretization, Problem, adaptive_loop, sample_field, solv
 def report(num, desc, ok):
     print(f"\n[criterion {num:2d}] {desc}: {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {num} ({desc}) failed"
-
-
-def one_level(mesh):
-    return build_hierarchy(
-        [
-            LevelMesh(
-                1,
-                mesh,
-                GlobalKnots.uniform_open(mesh.m, mesh.p),
-                GlobalKnots.uniform_open(mesh.n, mesh.q),
-                None,
-            )
-        ]
-    )
 
 
 # -- 1: golden local index vectors ---------------------------------------------

@@ -83,6 +83,18 @@ def test_extract_hierarchy_file(tmp_path, capsys):
     assert text.count("element ") == space.n_e
 
 
+def test_extract_matches_golden_dump(tmp_path, capsys):
+    """The export of the shipped hierarchy matches a committed copy byte for
+    byte, which pins every %.17g figure of C^e, weights and points."""
+    rc = main(["extract", "--mesh", sample("two_level_p2.hier"), "--out", str(tmp_path)])
+    assert rc == 0
+    golden = os.path.join(os.path.dirname(__file__), "data", "two_level_p2.extraction.txt")
+    with open(golden, "rb") as f:
+        want = f.read()
+    with open(tmp_path / "extraction.txt", "rb") as f:
+        assert f.read() == want
+
+
 def test_extract_rejects_unsuitable_mesh(tmp_path, capsys):
     rc = main(["extract", "--mesh", sample("extension_unsuitable.mesh"), "--out", str(tmp_path)])
     assert rc == 1

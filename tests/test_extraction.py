@@ -5,30 +5,29 @@ u = (xi+1)/2; extraction operators are checked by evaluating both sides of
 N_a = C^e B at Gauss points.
 """
 
+import random
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
 
-from hasts import samples
-from hasts.basis import Space, bspline_eval
+from conftest import as_mesh_corpus, one_level, sample_hierarchies
+from hasts.basis import bspline_eval
 from hasts.benchmarks import tensor_space
 from hasts.extraction import (
-    ElementData,
     bern_index,
     bernstein_deriv,
     bernstein_eval,
     bernstein_row,
     bezier_coeffs_1d,
-    bezier_coeffs_2d,
     build_ien,
     default_geometry,
     dump_extraction,
-    element_arrays,
     extract_all,
     local_linear_independence,
 )
+from hasts.hierarchy import refine_by_elements
 from hasts.tmesh import MeshStructureError
 
 
@@ -119,6 +118,19 @@ def test_bezier_coeffs_reject_interior_knot():
         )
 
 
+def bezier_coeffs_2d(hvals, vvals, p, q, rect):
+    """Bivariate Bernstein coefficients on one element, bern_index ordering:
+    the exact product of the two 1D rows, one Fraction per entry."""
+    s1, s2, t1, t2 = rect
+    ch = bezier_coeffs_1d(tuple(hvals), p, s1, s2)
+    cv = bezier_coeffs_1d(tuple(vvals), q, t1, t2)
+    out = [Fraction(0)] * ((p + 1) * (q + 1))
+    for j in range(1, q + 2):
+        for i in range(1, p + 2):
+            out[bern_index(i, j, p) - 1] = ch[i - 1] * cv[j - 1]
+    return out
+
+
 def test_bezier_coeffs_2d_is_tensor_product():
     hv = (Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1))
     vv = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(1))
@@ -171,49 +183,20 @@ def test_extraction_consistency_on_hierarchies(hierarchies):
 
 
 def test_extraction_consistency_on_t_meshes(as_meshes):
-    from hasts.basis import GlobalKnots
-    from hasts.hierarchy import LevelMesh, build_hierarchy
-
     for mesh in as_meshes[:6]:
-        space = build_hierarchy(
-            [
-                LevelMesh(
-                    1,
-                    mesh,
-                    GlobalKnots.uniform_open(mesh.m, mesh.p),
-                    GlobalKnots.uniform_open(mesh.n, mesh.q),
-                    None,
-                )
-            ]
-        )
+        space = one_level(mesh)
         elems = extract_all(space)
         assert consistency_error(space, elems, ng=3) < 1e-12
 
 
 def test_local_linear_independence_single_level(as_meshes):
-    from hasts.basis import GlobalKnots
-    from hasts.hierarchy import LevelMesh, build_hierarchy
-
     for mesh in as_meshes[:6]:
-        space = build_hierarchy(
-            [
-                LevelMesh(
-                    1,
-                    mesh,
-                    GlobalKnots.uniform_open(mesh.m, mesh.p),
-                    GlobalKnots.uniform_open(mesh.n, mesh.q),
-                    None,
-                )
-            ]
-        )
-        for ed in extract_all(space):
+        for ed in extract_all(one_level(mesh)):
             assert local_linear_independence(ed)
             assert len(ed.ien) <= ed.C.shape[1]
 
 
 def test_local_linear_independence_uniform_hierarchies():
-    from hasts.hierarchy import refine_by_elements
-
     for p in (2, 3):
         space = tensor_space(2, p)
         for _ in range(2):
@@ -275,3 +258,91 @@ def test_dump_extraction_deterministic(hierarchies):
     b = dump_extraction(space, extract_all(space))
     assert a == b
     assert a.startswith("hasts-extraction 1\n")
+
+
+# -- bit identity with the per-element path ------------------------------------
+
+
+def _overlaps(support, rect):
+    s1, s2, t1, t2 = support
+    e1, e2, f1, f2 = rect
+    return s1 < e2 and e1 < s2 and t1 < f2 and f1 < t2
+
+
+def reference_extract(space, weights, points):
+    """Extraction one element at a time: the exact 2D product of every
+    (function, element) pair converted entry by entry with float, and the
+    geometry summed one overlapping level-1 function at a time.  Returns
+    (ien, C, weights, points) per element."""
+    p, q = space.levels[0].mesh.p, space.levels[0].mesh.q
+    n_b = (p + 1) * (q + 1)
+    sp1 = space.spaces[0]
+
+    def row(sp, fn, rect):
+        c = bezier_coeffs_2d(sp.h_values(fn), sp.v_values(fn), p, q, rect)
+        return np.array([float(v) for v in c])
+
+    out = []
+    for he in space.elements:
+        rect = he.param_rect
+        ien = [a for a, hf in enumerate(space.functions) if _overlaps(space.support(hf), rect)]
+        C = np.array(
+            [row(space.spaces[space.functions[a].level - 1], space.functions[a].fn, rect) for a in ien]
+        ).reshape(-1, n_b)
+        wbf = np.zeros(n_b)
+        qb = np.zeros((n_b, points.shape[1]))
+        for g, fn in enumerate(sp1.functions):
+            if _overlaps(sp1.support(fn), rect):
+                cof = row(sp1, fn, rect)
+                wg = float(weights[g])
+                wbf += wg * cof
+                qb += np.outer(cof, points[g]) * wg
+        qb /= wbf[:, None]
+        out.append((ien, C, wbf, qb))
+    return out
+
+
+def extract_solve_space(seed, start=4):
+    """A bicubic hierarchy built like the extract-solve benchmark's: a random
+    half of the start elements refined, then a random half of level 2."""
+    rng = random.Random(seed)
+    space = tensor_space(start, 3)
+    space = refine_by_elements(space, rng.sample(list(space.elements), space.n_e // 2))
+    lv2 = [e for e in space.elements if e.level == 2]
+    return refine_by_elements(space, rng.sample(lv2, len(lv2) // 2))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_bit_identical(space, weights=None, points=None):
+    if weights is None or points is None:
+        weights, points = default_geometry(space)
+    got = extract_all(space, weights, points)
+    want = reference_extract(space, weights, points)
+    assert len(got) == len(want) == space.n_e
+    for ed, (ien, C, w, Q) in zip(got, want):
+        assert [int(a) for a in ed.ien] == ien
+        assert same_bits(ed.C, C)
+        assert same_bits(ed.weights, w)
+        assert same_bits(ed.points, Q)
+
+
+def test_extract_all_bit_identical_on_corpus():
+    for mesh in as_mesh_corpus():
+        assert_bit_identical(one_level(mesh))
+
+
+def test_extract_all_bit_identical_on_hierarchies():
+    for space in sample_hierarchies():
+        assert_bit_identical(space)
+    for seed in (1, 2, 3):
+        assert_bit_identical(extract_solve_space(seed))
+
+
+def test_extract_all_bit_identical_with_weights_and_3d_points():
+    space = sample_hierarchies()[1]
+    rng = np.random.default_rng(5)
+    n = len(space.spaces[0].functions)
+    assert_bit_identical(space, rng.uniform(0.5, 2.0, n), rng.normal(size=(n, 3)))

@@ -262,6 +262,15 @@ def test_empty_mark_is_identity():
     assert same.n_f == space.n_f and same.n_e == space.n_e
 
 
+def test_repeated_mark_is_one_mark():
+    space = tensor_space(4, 2)
+    e = space.elements[5]
+    once = refine_by_elements(space, [e])
+    twice = refine_by_elements(space, [e, e])
+    assert twice.levels[1].domain == once.levels[1].domain == (e.param_rect,)
+    assert meshio.dump_hierarchy(twice.levels) == meshio.dump_hierarchy(once.levels)
+
+
 def test_mark_all_equals_uniform_refinement():
     space = tensor_space(3, 2)
     refined = refine_by_elements(space, list(space.elements))

@@ -8,6 +8,7 @@ derivations.
 import numpy as np
 import pytest
 
+from conftest import as_mesh_corpus
 from hasts import samples
 from hasts.tmesh import (
     MISSING_LEFT,
@@ -260,3 +261,36 @@ def test_includes_detects_missing_segment():
     assert not sub.includes(mesh)
     with pytest.raises(MeshStructureError):
         mesh.includes(samples.tensor_mesh(5, 5, 2, 2))
+
+
+# -- cell components -----------------------------------------------------------
+
+
+def reference_cell_scan(mesh):
+    """(cells, cell_components_rectangular) by one mask scan per component."""
+    ncomp, labels = mesh._cell_labels
+    cells, bad = [], []
+    for c in range(ncomp):
+        xs, ys = np.nonzero(labels == c)
+        cells.append((int(xs.min()) + 1, int(xs.max()) + 2, int(ys.min()) + 1, int(ys.max()) + 2))
+        if (xs.max() - xs.min() + 1) * (ys.max() - ys.min() + 1) != len(xs):
+            bad.append((int(xs.min()) + 1, int(ys.min()) + 1))
+    return sorted(cells), bad
+
+
+def test_cell_scan_matches_reference():
+    meshes = as_mesh_corpus() + [samples.tensor_mesh(64, 64, 2, 2)]
+    meshes += [m.extended() for m in meshes]
+    # an L-shaped component: unit cell (i, j) joined to its right and upper
+    # neighbours by removing one vertical and one horizontal unit segment
+    mesh = samples.tensor_mesh(4, 4, 2, 2)
+    i, j = mesh.p + 2, mesh.q + 2
+    hseg, vseg = mesh.hseg.copy(), mesh.vseg.copy()
+    vseg[i + 1, j] = False
+    hseg[i, j + 1] = False
+    meshes.append(TMesh(mesh.m, mesh.n, mesh.p, mesh.q, hseg, vseg))
+    assert meshes[-1].cell_components_rectangular()
+    for mesh in meshes:
+        cells, bad = reference_cell_scan(mesh)
+        assert mesh.cells == cells
+        assert mesh.cell_components_rectangular() == bad
