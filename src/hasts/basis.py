@@ -1,9 +1,15 @@
-"""Spline spaces over a T-mesh: global knot vectors, anchors, local index
-vectors, and B-spline / blending-function evaluation.
+"""Spline spaces over a T-mesh: global knot vectors, anchors and local index
+vectors, plus the univariate primitives that every basis evaluation uses.
 
 Knot values are stored as exact ``fractions.Fraction`` so that equality and
-interval predicates never see rounding; floats appear only when a function is
-evaluated at a parametric point.
+interval predicates never see rounding.  A B-spline is evaluated one way
+only: on each knot span it is a polynomial whose exact Bernstein
+coefficients come from knot insertion (``bezier_coeffs_1d``), and floats
+appear only when such a row multiplies a table of Bernstein polynomials on
+[-1,1] (``bernstein``, ``bernstein_grid``).  ``bspline_eval`` locates the
+span of each point by bisection on the distinct knots; the element arrays of
+``extraction`` and the quadrature and sampling of ``iga`` apply the same
+rows and tables per element.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -106,38 +113,30 @@ class Anchor:
         return (self.vy1, self.hx1, self.vy2, self.hx2)
 
 
-def _minimal_h_edges(mesh):
-    """Minimal horizontal edges as (x1, x2, y), split at canonical vertices."""
-    out = []
+def minimal_edges(mesh, axis):
+    """Minimal edges split at canonical vertices: horizontal ones (axis "h")
+    as (x1, x2, y), vertical ones (axis "v") as (x, y1, y2)."""
     verts = mesh.canonical_vertices
-    for j in range(1, mesh.n + 1):
-        start = None
-        for i in range(1, mesh.m + 1):
-            at_vertex = (i, j) in verts
-            if start is not None and (at_vertex or not mesh.hseg[i, j]):
-                out.append((start, i, j))
-                start = None
-            if mesh.hseg[i, j] and (start is None):
-                start = i
-        if start is not None:
-            out.append((start, mesh.m, j))
-    return out
-
-
-def _minimal_v_edges(mesh):
+    if axis == "h":
+        seg, n_lines, n_pos = mesh.hseg, mesh.n, mesh.m
+        point = lambda line, pos: (pos, line)
+        edge = lambda line, a, b: (a, b, line)
+    else:
+        seg, n_lines, n_pos = mesh.vseg, mesh.m, mesh.n
+        point = lambda line, pos: (line, pos)
+        edge = lambda line, a, b: (line, a, b)
     out = []
-    verts = mesh.canonical_vertices
-    for i in range(1, mesh.m + 1):
+    for line in range(1, n_lines + 1):
         start = None
-        for j in range(1, mesh.n + 1):
-            at_vertex = (i, j) in verts
-            if start is not None and (at_vertex or not mesh.vseg[i, j]):
-                out.append((i, start, j))
+        for pos in range(1, n_pos + 1):
+            xy = point(line, pos)
+            if start is not None and (xy in verts or not seg[xy]):
+                out.append(edge(line, start, pos))
                 start = None
-            if mesh.vseg[i, j] and (start is None):
-                start = j
+            if seg[xy] and start is None:
+                start = pos
         if start is not None:
-            out.append((i, start, mesh.n))
+            out.append(edge(line, start, n_pos))
     return out
 
 
@@ -153,11 +152,11 @@ def anchors(mesh):
             if rs.contains(x, y):
                 out.append(Anchor(x, x, y, y))
     elif not p_odd and q_odd:
-        for (x1, x2, y) in _minimal_h_edges(mesh):
+        for (x1, x2, y) in minimal_edges(mesh, "h"):
             if rs.contains_rect(x1, x2, y, y):
                 out.append(Anchor(x1, x2, y, y))
     elif p_odd and not q_odd:
-        for (x, y1, y2) in _minimal_v_edges(mesh):
+        for (x, y1, y2) in minimal_edges(mesh, "v"):
             if rs.contains_rect(x, x, y1, y2):
                 out.append(Anchor(x, x, y1, y2))
     else:
@@ -207,66 +206,114 @@ def _march(mesh, anchor, horizontal):
     return tuple(found)
 
 
-# -- B-spline evaluation ------------------------------------------------------
+# -- univariate primitives: knot insertion, Bezier rows, Bernstein tables ------
 
 
-def bspline_eval(knots, p, x):
-    """B-spline N[knots](x) with local knot vector of length p+2.
+def insert_knot(vals, p, x):
+    """Split a single B-spline local knot vector at x: returns two
+    (coefficient, child vector) pairs with N[vals] = c1 N[w1] + c2 N[w2]."""
+    v = list(vals)
+    w = sorted(v + [x])
+    if x >= v[p] or v[p] == v[0]:
+        c1 = Fraction(1)
+    else:
+        c1 = Fraction(x - v[0]) / (v[p] - v[0])
+    if x <= v[1]:
+        c2 = Fraction(1)
+    else:
+        c2 = Fraction(v[p + 1] - x) / (v[p + 1] - v[1])
+    return (c1, tuple(w[: p + 2])), (c2, tuple(w[1 : p + 3]))
 
-    Intervals are half-open [v_i, v_{i+1}) except at the last knot, where the
-    function is closed so that the partition of unity holds at the domain end.
+
+@lru_cache(maxsize=None)
+def bezier_coeffs_1d(vals, p, a, b):
+    """Bernstein coefficients of the single B-spline N[vals] on the span
+    [a, b]: N[vals](s(xi)) = sum_j c_j B_{j,p}(xi) there.  Exact rationals.
+
+    The element must be a single span of the function: a knot strictly inside
+    (a, b) is an error.
     """
-    knots = [float(v) for v in knots]
-    assert len(knots) == p + 2
-    return _cox_de_boor(tuple(knots), 0, p, float(x), knots[-1])
+    vals = tuple(Fraction(v) for v in vals)
+    a, b = Fraction(a), Fraction(b)
+    if any(a < v < b for v in vals):
+        raise MeshStructureError(f"knot of {vals} lies strictly inside span ({a}, {b})")
+    out = [Fraction(0)] * (p + 1)
+    queue = [(Fraction(1), vals)]
+    guard = 0
+    while queue:
+        guard += 1
+        if guard > 10000:
+            raise MeshStructureError("knot insertion did not terminate")
+        c, v = queue.pop()
+        if c == 0 or v[0] == v[-1] or v[-1] <= a or v[0] >= b:
+            continue
+        if all(x == a or x == b for x in v):
+            j = sum(1 for x in v if x == b)
+            if 1 <= j <= p + 1:
+                out[j - 1] += c
+            continue
+        x = a if v[0] < a else b
+        for cc, child in insert_knot(v, p, x):
+            queue.append((c * cc, child))
+    return tuple(out)
 
 
-def _cox_de_boor(knots, i, p, x, closure):
+def _bernstein_1d(p, x, order):
+    """B_{1,p} .. B_{p+1,p} on [-1,1], or their derivatives of the given
+    order, at one xi, as Python floats: scalar pow, as numpy's array power
+    can differ from it in the last bit."""
+    if order == 0:
+        return [comb(p, i) * (1 - x) ** (p - i) * (1 + x) ** i / 2**p for i in range(p + 1)]
     if p == 0:
-        if knots[i] <= x < knots[i + 1]:
-            return 1.0
-        # right-closed at the end of the support so the last span is covered
-        if x == closure and knots[i] < knots[i + 1] and knots[i + 1] == closure:
-            return 1.0
-        return 0.0
-    left = 0.0
-    den = knots[i + p] - knots[i]
-    if den > 0.0:
-        left = (x - knots[i]) / den * _cox_de_boor(knots, i, p - 1, x, closure)
-    right = 0.0
-    den = knots[i + p + 1] - knots[i + 1]
-    if den > 0.0:
-        right = (knots[i + p + 1] - x) / den * _cox_de_boor(knots, i + 1, p - 1, x, closure)
-    return left + right
+        return [0.0]
+    low = _bernstein_1d(p - 1, x, order - 1)
+    return [
+        p * ((low[i - 1] if i >= 1 else 0.0) - (low[i] if i < p else 0.0)) / 2
+        for i in range(p + 1)
+    ]
 
 
-def bspline_derivative(knots, p, x, order=1):
-    """Derivative of N[knots] at x; terms with zero knot span are dropped."""
-    knots = [float(v) for v in knots]
-    assert len(knots) == p + 2
-    if order == 0:
-        return _cox_de_boor(tuple(knots), 0, p, float(x), knots[-1])
-    closure = knots[-1]
-    out = 0.0
-    den = knots[p] - knots[0]
-    if den > 0.0:
-        out += p / den * _deriv(tuple(knots[: p + 1]), p - 1, float(x), order - 1, closure)
-    den = knots[p + 1] - knots[1]
-    if den > 0.0:
-        out -= p / den * _deriv(tuple(knots[1:]), p - 1, float(x), order - 1, closure)
-    return out
+def bernstein(p, xs, order=0):
+    """(len(xs), p+1) table of the degree-p Bernstein polynomials on [-1,1],
+    or of their derivatives of the given order, at the points xs."""
+    rows = [_bernstein_1d(p, float(x), order) for x in xs]
+    return np.array(rows, dtype=float).reshape(len(rows), p + 1)
 
 
-def _deriv(knots, p, x, order, closure):
-    if order == 0:
-        return _cox_de_boor(knots, 0, p, x, closure)
-    out = 0.0
-    den = knots[p] - knots[0]
-    if den > 0.0:
-        out += p / den * _deriv(knots[: p + 1], p - 1, x, order - 1, closure)
-    den = knots[p + 1] - knots[1]
-    if den > 0.0:
-        out -= p / den * _deriv(knots[1:], p - 1, x, order - 1, closure)
+def bernstein_grid(p, q, xs, etas, dxi=0, deta=0):
+    """Bivariate Bernstein values (or mixed derivatives) on the tensor grid
+    xs x etas: one row per point, eta-major; column (p+1)(j-1) + i - 1 holds
+    B_i(xi) B_j(eta)."""
+    bu = bernstein(p, xs, dxi)
+    bv = bernstein(q, etas, deta)
+    return (bv[:, None, :, None] * bu[None, :, None, :]).reshape(
+        len(bv) * len(bu), (q + 1) * (p + 1)
+    )
+
+
+def bspline_eval(vals, p, xs):
+    """B-spline N[vals] at the points xs, with local knot vector of length
+    p+2: each point's span is found by bisection on the distinct knots and
+    evaluated from its exact Bezier row.
+
+    Spans are half-open [v_i, v_{i+1}) except the last, which is closed so
+    that the partition of unity holds at the domain end; outside the support
+    the value is 0.
+    """
+    assert len(vals) == p + 2
+    vals = tuple(Fraction(v) for v in vals)
+    knots = sorted(set(vals))
+    breaks = np.array([float(v) for v in knots])
+    xs = np.asarray(xs, dtype=float)
+    span = np.searchsorted(breaks, xs, side="right") - 1
+    span[xs == breaks[-1]] = len(knots) - 2
+    out = np.zeros(len(xs))
+    for k in np.unique(span[(span >= 0) & (span < len(knots) - 1)]):
+        at = span == k
+        a, b = breaks[k], breaks[k + 1]
+        xi = (2 * xs[at] - a - b) / (b - a)
+        row = np.array([float(c) for c in bezier_coeffs_1d(vals, p, knots[k], knots[k + 1])])
+        out[at] = bernstein(p, xi) @ row
     return out
 
 
@@ -322,14 +369,6 @@ class Space:
         hv = self.h_values(fn)
         vv = self.v_values(fn)
         return (hv[0], hv[-1], vv[0], vv[-1])
-
-    def eval_function(self, fn, s, t):
-        return bspline_eval(self.h_values(fn), self.mesh.p, s) * bspline_eval(
-            self.v_values(fn), self.mesh.q, t
-        )
-
-    def eval_all(self, s, t):
-        return np.array([self.eval_function(fn, s, t) for fn in self.functions])
 
     def greville_points(self):
         """Greville abscissae of every function, in function order."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import cos, hypot, pi, sin
 
 from .basis import GlobalKnots
-from .hierarchy import LevelMesh, build_hierarchy
+from .hierarchy import HierarchicalSpace, LevelMesh
 from .iga import Problem
 from .samples import tensor_mesh
 from .tmesh import MeshStructureError
@@ -23,7 +23,7 @@ def tensor_space(num_elements, p, q=None):
     """Hierarchical space over a plain tensor-product start."""
     q = p if q is None else q
     mesh = tensor_mesh(num_elements, num_elements, p, q)
-    return build_hierarchy(
+    return HierarchicalSpace(
         [
             LevelMesh(
                 1,

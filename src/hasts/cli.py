@@ -16,8 +16,8 @@ import sys
 from . import benchmarks, meshio
 from .basis import GlobalKnots
 from .extraction import FMT, dump_extraction, extract_all
-from .hierarchy import HierarchicalSpace, LevelMesh, build_hierarchy
-from .iga import Discretization, adaptive_loop, sample_field
+from .hierarchy import HierarchicalSpace, LevelMesh
+from .iga import adaptive_loop, sample_field
 from .meshio import ParseError
 from .tmesh import MeshStructureError
 
@@ -25,7 +25,6 @@ DEFAULTS = {
     "p": 2,
     "q": None,  # defaults to p
     "tol": 1e-3,
-    "beta": None,  # defaults to p+1
     "max_levels": 8,
     "benchmark": "skew45",
     "out": ".",
@@ -50,7 +49,6 @@ def build_parser():
         p.add_argument("--p", type=int, help="horizontal degree (benchmark runs)")
         p.add_argument("--q", type=int, help="vertical degree (defaults to --p)")
         p.add_argument("--tol", type=float, help="refinement tolerance (> 0)")
-        p.add_argument("--beta", type=float, help="marking exponent (defaults to p+1)")
         p.add_argument("--max-levels", type=int, dest="max_levels", help="level cap, 1..16")
         p.add_argument("--benchmark", choices=("skew45", "manufactured", "none"))
         p.add_argument("--out", help="output directory")
@@ -78,8 +76,6 @@ def resolve_config(args):
             cfg[key] = val
     if cfg["q"] is None:
         cfg["q"] = cfg["p"]
-    if cfg["beta"] is None:
-        cfg["beta"] = cfg["p"] + 1
     if cfg["tol"] <= 0:
         raise MeshStructureError("tol must be positive")
     if not 1 <= cfg["max_levels"] <= 16:
@@ -104,9 +100,9 @@ def _load_space(path):
     text = _read_text(path)
     head = text.lstrip().splitlines()[0] if text.strip() else ""
     if head == meshio.HIER_MAGIC:
-        return build_hierarchy(meshio.parse_hierarchy(text))
+        return HierarchicalSpace(meshio.parse_hierarchy(text))
     mesh, hk, vk = meshio.parse_mesh(text)
-    return build_hierarchy([LevelMesh(1, mesh, hk, vk)])
+    return HierarchicalSpace([LevelMesh(1, mesh, hk, vk)])
 
 
 def _outpath(cfg, name):
@@ -185,7 +181,6 @@ def run_solve(cfg):
         problem,
         space,
         tol=cfg["tol"],
-        beta=cfg["beta"],
         max_levels=cfg["max_levels"],
         max_iterations=cfg["iterations"],
         keep_iterations=True,

@@ -1,96 +1,27 @@
-"""Bezier extraction: Bernstein basis on [-1,1], per-element extraction
-operators for hierarchical spline bases, element connectivity, weights, and
-Bezier control points.
+"""Bezier extraction: per-element extraction operators for hierarchical
+spline bases, element connectivity, weights, and Bezier control points.
 
 Each hierarchical function is a tensor product of two univariate
-B-splines, so each row of C^e is the product of two 1D Bernstein rows.  The
-1D rows are exact rationals from knot insertion (``bezier_coeffs_1d``); each
-entry of a 2D row is the exact product of two 1D entries, rounded to float
-once.  ``extract_all`` computes each distinct 1D row and each distinct pair
-of them once, in a row table keyed by integer index data that lives for one
-call, and gathers the element arrays from it.
+B-splines, so each row of C^e is the product of two 1D Bezier rows.  The
+1D rows are exact rationals from knot insertion (``basis.bezier_coeffs_1d``,
+re-exported here with its cache); each entry of a 2D row is the exact
+product of two 1D entries, rounded to float once, in the column order of
+``basis.bernstein_grid``.  ``extract_all`` computes each distinct 1D row
+and each distinct pair of them once, in a row table keyed by integer index
+data that lives for one call, and gathers the element arrays from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from math import comb
 
 import numpy as np
 
-from .hierarchy import HierarchicalSpace, insert_knot
+from .basis import bezier_coeffs_1d
+from .hierarchy import HierarchicalSpace
 from .tmesh import MeshStructureError
 
 FMT = "%.17g"
-
-
-def bernstein_eval(p, i, xi):
-    """B_{i,p}(xi) on [-1,1], 1 <= i <= p+1."""
-    if not 1 <= i <= p + 1:
-        raise ValueError(f"Bernstein index {i} out of range for degree {p}")
-    return comb(p, i - 1) * (1 - xi) ** (p - i + 1) * (1 + xi) ** (i - 1) / 2**p
-
-
-def bernstein_deriv(p, i, xi, order=1):
-    """d^order/dxi^order of B_{i,p} on [-1,1]."""
-    if order == 0:
-        return bernstein_eval(p, i, xi)
-    if p == 0:
-        return 0.0
-    lo = bernstein_deriv(p - 1, i - 1, xi, order - 1) if i - 1 >= 1 else 0.0
-    hi = bernstein_deriv(p - 1, i, xi, order - 1) if i <= p else 0.0
-    return p * (lo - hi) / 2
-
-
-def bern_index(i, j, p):
-    """Bivariate Bernstein numbering a(i,j) = (p+1)(j-1) + i."""
-    return (p + 1) * (j - 1) + i
-
-
-def bernstein_row(p, q, xi, eta, dxi=0, deta=0):
-    """All n_b bivariate Bernstein values (or mixed derivatives) at one point."""
-    bu = [bernstein_deriv(p, i, xi, dxi) for i in range(1, p + 2)]
-    bv = [bernstein_deriv(q, j, eta, deta) for j in range(1, q + 2)]
-    out = np.empty((p + 1) * (q + 1))
-    for j in range(1, q + 2):
-        for i in range(1, p + 2):
-            out[bern_index(i, j, p) - 1] = bu[i - 1] * bv[j - 1]
-    return out
-
-
-@lru_cache(maxsize=None)
-def bezier_coeffs_1d(vals, p, a, b):
-    """Bernstein coefficients of the single B-spline N[vals] on the span
-    [a, b]: N[vals](s(xi)) = sum_j c_j B_{j,p}(xi) there.  Exact rationals.
-
-    The element must be a single span of the function: a knot strictly inside
-    (a, b) is an error.
-    """
-    vals = tuple(Fraction(v) for v in vals)
-    a, b = Fraction(a), Fraction(b)
-    if any(a < v < b for v in vals):
-        raise MeshStructureError(f"knot of {vals} lies strictly inside span ({a}, {b})")
-    out = [Fraction(0)] * (p + 1)
-    queue = [(Fraction(1), vals)]
-    guard = 0
-    while queue:
-        guard += 1
-        if guard > 10000:
-            raise MeshStructureError("knot insertion did not terminate")
-        c, v = queue.pop()
-        if c == 0 or v[0] == v[-1] or v[-1] <= a or v[0] >= b:
-            continue
-        if all(x == a or x == b for x in v):
-            j = sum(1 for x in v if x == b)
-            if 1 <= j <= p + 1:
-                out[j - 1] += c
-            continue
-        x = a if v[0] < a else b
-        for cc, child in insert_knot(v, p, x):
-            queue.append((c * cc, child))
-    return tuple(out)
 
 
 def _support_array(supports):
@@ -158,7 +89,7 @@ class _ExactRows:
 
 
 def _rounded_product(ch, cv):
-    """float(ch[i] * cv[j]) in bern_index order, from (numerator,
+    """float(ch[i] * cv[j]) in bivariate Bernstein order, from (numerator,
     denominator) pairs.  Int true division rounds correctly, so each entry
     is the exact product rounded once."""
     return [(an * bn) / (ad * bd) for bn, bd in cv for an, ad in ch]

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .basis import Anchor, GlobalKnots, Space, _march, bspline_eval
+from .basis import Anchor, GlobalKnots, Space, _march, bspline_eval, greville, insert_knot
 from .tmesh import MeshStructureError, TMesh
 
 
@@ -339,15 +339,7 @@ class HierarchicalSpace:
     def support(self, hf):
         return tuple(self.spaces[hf.level - 1].support(hf.fn))
 
-    def eval_function(self, hf, s, t):
-        return self.spaces[hf.level - 1].eval_function(hf.fn, s, t)
-
-    def eval_all(self, s, t):
-        return np.array([self.eval_function(hf, s, t) for hf in self.functions])
-
     def greville_points(self):
-        from .basis import greville
-
         out = []
         for hf in self.functions:
             sp = self.spaces[hf.level - 1]
@@ -360,27 +352,7 @@ class HierarchicalSpace:
         return np.array(out)
 
 
-def build_hierarchy(levels):
-    return HierarchicalSpace(levels)
-
-
 # -- representation of a coarse function on a finer level ---------------------
-
-
-def insert_knot(vals, p, x):
-    """Split a single B-spline local knot vector at x: returns two
-    (coefficient, child vector) pairs with N[vals] = c1 N[w1] + c2 N[w2]."""
-    v = list(vals)
-    w = sorted(v + [x])
-    if x >= v[p] or v[p] == v[0]:
-        c1 = Fraction(1)
-    else:
-        c1 = Fraction(x - v[0]) / (v[p] - v[0])
-    if x <= v[1]:
-        c2 = Fraction(1)
-    else:
-        c2 = Fraction(v[p + 1] - x) / (v[p + 1] - v[1])
-    return (c1, tuple(w[: p + 2])), (c2, tuple(w[1 : p + 3]))
 
 
 def _values_to_indices(knots, vals):
@@ -501,14 +473,19 @@ def _missing_value(marched_vals, vals):
 
 def _verify_representation(hvals, vvals, p, q, fine, coeffs, tol=1e-10, samples=20):
     rng = np.random.default_rng(12345)
-    pts = rng.random((samples, 2))
-    for s, t in pts:
-        ref = bspline_eval(hvals, p, s) * bspline_eval(vvals, q, t)
-        got = sum(float(c) * fine.eval_function(f, s, t) for f, c in coeffs.items())
-        if abs(ref - got) > tol:
-            raise MeshStructureError(
-                f"nesting violated: representation residual {abs(ref - got):.3e} at ({s}, {t})"
-            )
+    s, t = rng.random((samples, 2)).T
+    ref = bspline_eval(hvals, p, s) * bspline_eval(vvals, q, t)
+    got = np.zeros(samples)
+    for f, c in coeffs.items():
+        got += float(c) * (
+            bspline_eval(fine.h_values(f), p, s) * bspline_eval(fine.v_values(f), q, t)
+        )
+    err = np.abs(ref - got)
+    if (err > tol).any():
+        k = int(np.argmax(err > tol))
+        raise MeshStructureError(
+            f"nesting violated: representation residual {err[k]:.3e} at ({s[k]}, {t[k]})"
+        )
 
 
 def represent_coarse_in_fine(space: HierarchicalSpace, hf: HFunction, fine_level: int):

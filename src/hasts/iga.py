@@ -1,9 +1,11 @@
 """SUPG-stabilized solver for steady advection-diffusion on hierarchical
 spline spaces, with residual-based error estimation and adaptive refinement.
 
-All integration runs on the extracted Bezier elements: basis values come from
-C^e times Bernstein rows on [-1,1]^2, geometry from the element Bezier points
-and weights.  Second derivatives (needed by the strong residual) assume the
+All evaluation runs on the extracted Bezier elements: basis values come from
+C^e times a Bernstein table (``basis.bernstein_grid``) on a tensor grid of
+[-1,1]^2 (the Gauss points, the Gauss points of an edge, or the output
+points inside one element), geometry from the element Bezier points and
+weights.  Second derivatives (needed by the strong residual) assume the
 per-element geometric map is affine, which holds for the linear
 parameterizations used here.
 """
@@ -19,7 +21,8 @@ import numpy.polynomial.legendre as npleg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .extraction import bernstein_row, extract_all, build_ien, default_geometry
+from .basis import bernstein_grid
+from .extraction import extract_all, default_geometry
 from .hierarchy import HierarchicalSpace, refine_by_elements
 from .tmesh import MeshStructureError
 
@@ -49,15 +52,16 @@ def _gauss(n):
 
 @lru_cache(maxsize=None)
 def _bern_tables(p, q):
-    """Bernstein value/derivative rows at the (p+1) x (q+1) Gauss points."""
+    """Quadrature weights and Bernstein value/derivative tables at the
+    (p+1) x (q+1) Gauss points, eta-major."""
     gx, wx = _gauss(p + 1)
     gy, wy = _gauss(q + 1)
-    pts = [(xi, eta) for eta in gy for xi in gx]
     wts = np.array([a * b for b in wy for a in wx])
-    tabs = {}
-    for key in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
-        tabs[key] = np.array([bernstein_row(p, q, xi, eta, *key) for xi, eta in pts])
-    return pts, wts, tabs
+    tabs = {
+        key: bernstein_grid(p, q, gx, gy, *key)
+        for key in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+    }
+    return wts, tabs
 
 
 def tau_element(h, unorm, kappa):
@@ -95,12 +99,10 @@ class Discretization:
     def _element_quadrature(self, ed):
         """Per Gauss point: physical coords, jacobian factors, basis values,
         physical gradients and second derivatives of the element's functions."""
-        pts, wts, tabs = _bern_tables(self.p, self.q)
-        s1, s2, t1, t2 = [float(v) for v in ed.param_rect]
+        wts, tabs = _bern_tables(self.p, self.q)
         C = ed.C
         wb = ed.weights
         Qb = ed.points
-        n_g = len(pts)
         N = C @ tabs[(0, 0)].T        # n_loc x n_g
         Nxi = C @ tabs[(1, 0)].T
         Neta = C @ tabs[(0, 1)].T
@@ -205,27 +207,20 @@ def _edge_quadrature(disc, ed, side, ng):
     g, gw = _gauss(ng)
     p, q = disc.p, disc.q
     s1, s2, t1, t2 = [float(v) for v in ed.param_rect]
-    pts = []
     if side in ("s0", "s1"):
-        xi = -1.0 if side == "s0" else 1.0
-        par = [(xi, eta) for eta in g]
+        xs, etas, along = [-1.0 if side == "s0" else 1.0], g, (0, 1)
         jac = (t2 - t1) / 2
     else:
-        eta = -1.0 if side == "t0" else 1.0
-        par = [(xi, eta) for xi in g]
+        xs, etas, along = g, [-1.0 if side == "t0" else 1.0], (1, 0)
         jac = (s2 - s1) / 2
-    B = np.array([bernstein_row(p, q, xi, eta) for xi, eta in par])
-    Bs = np.array([bernstein_row(p, q, xi, eta, 1, 0) for xi, eta in par])
-    Bt = np.array([bernstein_row(p, q, xi, eta, 0, 1) for xi, eta in par])
+    B = bernstein_grid(p, q, xs, etas)
+    Bd = bernstein_grid(p, q, xs, etas, *along)
     w = B @ ed.weights
     N = ed.C @ B.T / w
     P = ed.points * ed.weights[:, None]
     x = (P.T @ B.T) / w
     # physical arc length element along the edge
-    if side in ("s0", "s1"):
-        dxd = (P.T @ Bt.T - x * (Bt @ ed.weights)) / w
-    else:
-        dxd = (P.T @ Bs.T - x * (Bs @ ed.weights)) / w
+    dxd = (P.T @ Bd.T - x * (Bd @ ed.weights)) / w
     arc = np.sqrt(dxd[0] ** 2 + dxd[1] ** 2) * jac
     return x, gw * arc, N
 
@@ -313,11 +308,10 @@ def estimate_error(problem, disc, coeffs):
     return out
 
 
-def mark_elements(estimates, tol, beta):
-    """Elements whose size ratio r = (tol/estimate)^(1/beta) falls below 1,
-    i.e. estimate > tol."""
-    if tol <= 0 or beta <= 0:
-        raise MeshStructureError("tol and beta must be positive")
+def mark_elements(estimates, tol):
+    """Elements whose estimate exceeds tol."""
+    if tol <= 0:
+        raise MeshStructureError("tol must be positive")
     return [k for k, est in enumerate(estimates) if est > tol]
 
 
@@ -345,7 +339,7 @@ class AdaptiveResult:
     iterations: list = field(default_factory=list)
 
 
-def adaptive_loop(problem, space, tol, beta, max_levels=8, max_iterations=20,
+def adaptive_loop(problem, space, tol, max_levels=8, max_iterations=20,
                   keep_iterations=False):
     """solve -> estimate -> mark -> refine until nothing is marked or the
     level cap stops refinement."""
@@ -356,7 +350,7 @@ def adaptive_loop(problem, space, tol, beta, max_levels=8, max_iterations=20,
         disc = Discretization(space, problem.weights, problem.points)
         coeffs = solve(problem, disc)
         estimates = estimate_error(problem, disc, coeffs)
-        marked = mark_elements(estimates, tol, beta)
+        marked = mark_elements(estimates, tol)
         # the level cap blocks subdividing elements already at the deepest level
         refinable = [k for k in marked if disc.space.elements[k].level < max_levels]
         history.append(
@@ -376,30 +370,33 @@ def adaptive_loop(problem, space, tol, beta, max_levels=8, max_iterations=20,
 
 
 def sample_field(disc, coeffs, nx=65, ny=65):
-    """phi on an nx x ny uniform parametric grid; returns (x, y, phi) arrays."""
+    """phi on an nx x ny uniform parametric grid; returns (x, y, phi) arrays.
+
+    Each element evaluates the grid points of its closed rectangle in one
+    batch.  Elements run in reverse canonical order, so a point on a shared
+    edge keeps the value of the first element that contains it."""
     ss = np.linspace(0.0, 1.0, nx)
     tt = np.linspace(0.0, 1.0, ny)
-    rects = [tuple(float(v) for v in ed.param_rect) for ed in disc.elems]
     X = np.zeros((ny, nx))
     Y = np.zeros((ny, nx))
     PHI = np.zeros((ny, nx))
-    for jy, t in enumerate(tt):
-        for jx, s in enumerate(ss):
-            k = _locate(rects, s, t)
-            ed = disc.elems[k]
-            s1, s2, t1, t2 = rects[k]
-            xi = (2 * s - s1 - s2) / (s2 - s1)
-            eta = (2 * t - t1 - t2) / (t2 - t1)
-            B = bernstein_row(disc.p, disc.q, xi, eta)
-            w = float(B @ ed.weights)
-            x = (ed.points * ed.weights[:, None]).T @ B / w
-            PHI[jy, jx] = float(coeffs[np.array(ed.ien)] @ (ed.C @ B)) / w
-            X[jy, jx], Y[jy, jx] = x
+    covered = np.zeros((ny, nx), dtype=bool)
+    for ed in reversed(disc.elems):
+        s1, s2, t1, t2 = [float(v) for v in ed.param_rect]
+        ix = slice(np.searchsorted(ss, s1, "left"), np.searchsorted(ss, s2, "right"))
+        iy = slice(np.searchsorted(tt, t1, "left"), np.searchsorted(tt, t2, "right"))
+        xi = (2 * ss[ix] - s1 - s2) / (s2 - s1)
+        eta = (2 * tt[iy] - t1 - t2) / (t2 - t1)
+        B = bernstein_grid(disc.p, disc.q, xi, eta)
+        w = B @ ed.weights
+        x = (ed.points * ed.weights[:, None]).T @ B.T / w
+        phi = coeffs[np.array(ed.ien, dtype=int)] @ (ed.C @ B.T) / w
+        shape = (len(eta), len(xi))
+        X[iy, ix] = x[0].reshape(shape)
+        Y[iy, ix] = x[1].reshape(shape)
+        PHI[iy, ix] = phi.reshape(shape)
+        covered[iy, ix] = True
+    if not covered.all():
+        jy, jx = np.argwhere(~covered)[0]
+        raise MeshStructureError(f"no element contains parametric point ({ss[jx]}, {tt[jy]})")
     return X, Y, PHI
-
-
-def _locate(rects, s, t):
-    for k, (s1, s2, t1, t2) in enumerate(rects):
-        if s1 <= s <= s2 and t1 <= t <= t2:
-            return k
-    raise MeshStructureError(f"no element contains parametric point ({s}, {t})")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .basis import GlobalKnots
+from .basis import GlobalKnots, minimal_edges
 from .tmesh import MeshStructureError, TMesh
 
 MESH_MAGIC = "hasts-tmesh 1"
@@ -69,10 +69,8 @@ class _Reader:
 
 def _edges_of(mesh):
     """Minimal edges as canonical-vertex pairs, sorted."""
-    from .basis import _minimal_h_edges, _minimal_v_edges
-
-    edges = [((x1, y), (x2, y)) for x1, x2, y in _minimal_h_edges(mesh)]
-    edges += [((x, y1), (x, y2)) for x, y1, y2 in _minimal_v_edges(mesh)]
+    edges = [((x1, y), (x2, y)) for x1, x2, y in minimal_edges(mesh, "h")]
+    edges += [((x, y1), (x, y2)) for x, y1, y2 in minimal_edges(mesh, "v")]
     edges.sort()
     return edges
 

@@ -1,7 +1,8 @@
 """Spline space layer: anchors, local index vectors, B-spline evaluation.
 
-The evaluation oracle is scipy.interpolate.BSpline on identical knot data;
-golden index vectors are the published values for the four shipped meshes.
+The evaluation oracles are scipy.interpolate.BSpline on identical knot data
+and the Cox-de Boor recursion; golden index vectors are the published values
+for the four shipped meshes.
 """
 
 from fractions import Fraction
@@ -10,16 +11,19 @@ import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
+from conftest import as_mesh_corpus, cox_de_boor, eval_all, eval_function
 from hasts import samples
 from hasts.basis import (
     Anchor,
     GlobalKnots,
     Space,
     anchors,
-    bspline_derivative,
+    bernstein,
+    bezier_coeffs_1d,
     bspline_eval,
     greville,
     local_index_vectors,
+    minimal_edges,
 )
 from hasts.tmesh import MeshStructureError
 
@@ -117,20 +121,43 @@ def test_bspline_eval_matches_scipy(p):
     for _ in range(30):
         interior = np.sort(rng.random(p))
         vals = tuple([0.0] + list(interior) + [1.0])
-        for x in rng.random(10):
-            assert bspline_eval(vals, p, x) == pytest.approx(
-                scipy_bspline(vals, p, x), abs=1e-12
-            )
+        xs = rng.random(10)
+        for x, got in zip(xs, bspline_eval(vals, p, xs)):
+            assert got == pytest.approx(scipy_bspline(vals, p, x), abs=1e-12)
 
 
 def test_bspline_eval_repeated_knots():
     # open end vector: value 1 at the end despite the half-open convention
-    assert bspline_eval((0, 0, 0, 1), 2, 0.0) == 1.0
-    assert bspline_eval((0, 1, 1, 1), 2, 1.0) == 1.0
-    assert bspline_eval((0, 0, 0, 1), 2, 1.0) == 0.0
-    assert bspline_eval((0, 0, 1, 2), 2, 0.5) == pytest.approx(
+    assert bspline_eval((0, 0, 0, 1), 2, [0.0])[0] == 1.0
+    assert bspline_eval((0, 1, 1, 1), 2, [1.0])[0] == 1.0
+    assert bspline_eval((0, 0, 0, 1), 2, [1.0])[0] == 0.0
+    assert bspline_eval((0, 0, 1, 2), 2, [0.5])[0] == pytest.approx(
         scipy_bspline((0, 0, 1, 2), 2, 0.5), abs=1e-14
     )
+
+
+def test_bspline_eval_matches_cox_de_boor():
+    """Random knot vectors on a coarse dyadic grid, so knots repeat; the
+    points include every knot and points outside the support."""
+    rng = np.random.default_rng(19)
+    for p in (1, 2, 3, 4):
+        for _ in range(50):
+            vals = tuple(sorted(Fraction(int(k), 8) for k in rng.integers(0, 9, p + 2)))
+            xs = np.concatenate([[float(v) for v in vals], rng.uniform(-0.25, 1.25, 20)])
+            want = [cox_de_boor(vals, p, x) for x in xs]
+            assert np.abs(bspline_eval(vals, p, xs) - want).max() <= 1e-14
+
+
+def bezier_derivative(vals, p, x, order):
+    """d^order N[vals]/ds^order at x from the Bezier row of x's span and the
+    Bernstein derivative table, as the solver differentiates."""
+    vals = tuple(Fraction(v) for v in vals)
+    knots = sorted(set(vals))
+    k = max(i for i in range(len(knots) - 1) if knots[i] <= x)
+    a, b = knots[k], knots[k + 1]
+    row = np.array([float(c) for c in bezier_coeffs_1d(vals, p, a, b)])
+    xi = (2 * x - float(a) - float(b)) / float(b - a)
+    return float(bernstein(p, [xi], order)[0] @ row) * (2 / float(b - a)) ** order
 
 
 @pytest.mark.parametrize("p,order", [(2, 1), (3, 1), (3, 2), (4, 2)])
@@ -140,13 +167,12 @@ def test_bspline_derivative_finite_difference(p, order):
     h = 1e-5
     for x in rng.uniform(0.1, 0.9, 10):
         if order == 1:
-            fd = (bspline_eval(vals, p, x + h) - bspline_eval(vals, p, x - h)) / (2 * h)
+            fd = (bspline_eval(vals, p, [x + h])[0] - bspline_eval(vals, p, [x - h])[0]) / (2 * h)
         else:
             fd = (
-                bspline_derivative(vals, p, x + h)
-                - bspline_derivative(vals, p, x - h)
+                bezier_derivative(vals, p, x + h, 1) - bezier_derivative(vals, p, x - h, 1)
             ) / (2 * h)
-        assert bspline_derivative(vals, p, x, order) == pytest.approx(fd, abs=1e-6, rel=1e-6)
+        assert bezier_derivative(vals, p, x, order) == pytest.approx(fd, abs=1e-6, rel=1e-6)
 
 
 def test_greville_is_knot_average():
@@ -163,7 +189,7 @@ def test_partition_of_unity(as_meshes):
         space = Space.uniform(mesh)
         for s in pts:
             for t in pts:
-                total = space.eval_all(s, t).sum()
+                total = eval_all(space, s, t).sum()
                 assert abs(total - 1.0) < 1e-12
 
 
@@ -174,7 +200,7 @@ def test_functions_vanish_outside_support(as_meshes):
         for fn in space.functions[:: max(1, len(space.functions) // 8)]:
             s1, s2, t1, t2 = (float(v) for v in space.support(fn))
             for s, t in rng.random((10, 2)):
-                val = space.eval_function(fn, s, t)
+                val = eval_function(space, fn, s, t)
                 if not (s1 <= s <= s2 and t1 <= t <= t2):
                     assert val == 0.0
                 else:
@@ -199,7 +225,7 @@ def test_tensor_space_matches_global_bsplines():
         vb = [
             scipy_bspline(vk[j : j + mesh.q + 2], mesh.q, t) for j in range(nv)
         ]
-        got = space.eval_all(s, t)
+        got = eval_all(space, s, t)
         want = np.array([hb[i] * vb[j] for j in range(nv) for i in range(nh)])
         assert np.allclose(got, want, atol=1e-12)
 
@@ -211,7 +237,7 @@ def test_greville_linear_precision():
     g = space.greville_points()
     rng = np.random.default_rng(9)
     for s, t in rng.random((20, 2)):
-        b = space.eval_all(s, t)
+        b = eval_all(space, s, t)
         assert b @ g[:, 0] == pytest.approx(s, abs=1e-12)
         assert b @ g[:, 1] == pytest.approx(t, abs=1e-12)
 
@@ -222,3 +248,53 @@ def test_space_rejects_mismatched_knots():
         Space(mesh, GlobalKnots.uniform_open(mesh.m + 1, 2), GlobalKnots.uniform_open(mesh.n, 2))
     with pytest.raises(MeshStructureError):
         Space(mesh, GlobalKnots.uniform_open(mesh.m, 3), GlobalKnots.uniform_open(mesh.n, 2))
+
+
+# -- minimal edges -------------------------------------------------------------
+
+
+def reference_minimal_h_edges(mesh):
+    """Minimal horizontal edges as (x1, x2, y), split at canonical vertices."""
+    out = []
+    verts = mesh.canonical_vertices
+    for j in range(1, mesh.n + 1):
+        start = None
+        for i in range(1, mesh.m + 1):
+            at_vertex = (i, j) in verts
+            if start is not None and (at_vertex or not mesh.hseg[i, j]):
+                out.append((start, i, j))
+                start = None
+            if mesh.hseg[i, j] and (start is None):
+                start = i
+        if start is not None:
+            out.append((start, mesh.m, j))
+    return out
+
+
+def reference_minimal_v_edges(mesh):
+    out = []
+    verts = mesh.canonical_vertices
+    for i in range(1, mesh.m + 1):
+        start = None
+        for j in range(1, mesh.n + 1):
+            at_vertex = (i, j) in verts
+            if start is not None and (at_vertex or not mesh.vseg[i, j]):
+                out.append((i, start, j))
+                start = None
+            if mesh.vseg[i, j] and (start is None):
+                start = j
+        if start is not None:
+            out.append((i, start, mesh.n))
+    return out
+
+
+def test_minimal_edges_match_reference():
+    meshes = as_mesh_corpus()
+    meshes += [samples.tensor_mesh(16, 16, p, q) for p, q in ((2, 2), (3, 3), (2, 3))]
+    meshes += [
+        samples.random_as_mesh(p, q, num_elements=8, removals=12, seed=seed)
+        for seed, (p, q) in enumerate(((2, 2), (3, 3), (2, 3), (3, 2)), start=11)
+    ]
+    for mesh in meshes:
+        assert minimal_edges(mesh, "h") == reference_minimal_h_edges(mesh)
+        assert minimal_edges(mesh, "v") == reference_minimal_v_edges(mesh)

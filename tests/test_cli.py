@@ -4,9 +4,11 @@ config-file handling."""
 import json
 import os
 
+import numpy as np
 import pytest
 
-from conftest import two_level_space
+import hasts.cli
+from conftest import sample_field, two_level_space
 from hasts import meshio, samples
 from hasts.basis import GlobalKnots
 from hasts.cli import main
@@ -134,6 +136,42 @@ def test_solve_deterministic_across_runs(tmp_path, capsys):
         assert read(out1 / name) == read(out2 / name)
 
 
+GOLDEN_SOLVES = {
+    "skew45_p2": ["--p", "2", "--elements", "8"],
+    "skew45_p3": ["--p", "3", "--elements", "4"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SOLVES))
+def test_solve_matches_golden_outputs(case, tmp_path, monkeypatch, capsys):
+    """Three adaptive iterations of the skew benchmark.  History, element and
+    Greville files match committed copies byte for byte; each field file
+    matches the one-point-at-a-time reference sampler to 1e-14."""
+    sampled = []
+
+    def recording_sample_field(disc, coeffs, *args):
+        sampled.append((disc, coeffs))
+        return real_sample_field(disc, coeffs, *args)
+
+    real_sample_field = hasts.cli.sample_field
+    monkeypatch.setattr(hasts.cli, "sample_field", recording_sample_field)
+    argv = ["solve", "--benchmark", "skew45", "--tol", "2e-3", "--iterations", "3"]
+    assert main(argv + GOLDEN_SOLVES[case] + ["--out", str(tmp_path)]) == 0
+    golden = os.path.join(os.path.dirname(__file__), "data", case)
+    names = sorted(os.listdir(golden))
+    assert len(names) == 7
+    for name in names:
+        with open(os.path.join(golden, name), "rb") as f:
+            want = f.read()
+        with open(tmp_path / name, "rb") as f:
+            assert f.read() == want, name
+    assert len(sampled) == 3
+    for k, (disc, coeffs) in enumerate(sampled, start=1):
+        got = np.loadtxt(tmp_path / f"field_{k:03d}.txt")
+        want = np.column_stack([a.ravel() for a in sample_field(disc, coeffs)])
+        assert np.abs(got - want).max() <= 1e-14
+
+
 def test_solve_config_file_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
@@ -165,7 +203,7 @@ def test_solve_rejects_bad_parameters(tmp_path, capsys):
 
 def test_config_unknown_key_exits_two(tmp_path, capsys):
     cfg = tmp_path / "run.json"
-    for key in ("typo", "seed"):
+    for key in ("typo", "seed", "beta"):
         cfg.write_text(json.dumps({"benchmark": "manufactured", key: 1}))
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     cfg.write_text("{not json")

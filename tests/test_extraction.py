@@ -1,8 +1,9 @@
 """Bezier extraction: Bernstein basis, element operators, connectivity.
 
-The Bernstein oracle is the closed-form polynomial in the mapped variable
-u = (xi+1)/2; extraction operators are checked by evaluating both sides of
-N_a = C^e B at Gauss points.
+The Bernstein oracles are the closed-form polynomial in the mapped variable
+u = (xi+1)/2 and the per-point rows of ``conftest.bernstein_row``;
+extraction operators are checked by evaluating both sides of N_a = C^e B at
+Gauss points, the left side by Cox-de Boor.
 """
 
 import random
@@ -12,14 +13,19 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import as_mesh_corpus, one_level, sample_hierarchies
-from hasts.basis import bspline_eval
+from conftest import (
+    as_mesh_corpus,
+    bern_index,
+    bernstein_row,
+    cox_de_boor,
+    eval_all,
+    eval_function,
+    one_level,
+    sample_hierarchies,
+)
+from hasts.basis import bernstein, bernstein_grid
 from hasts.benchmarks import tensor_space
 from hasts.extraction import (
-    bern_index,
-    bernstein_deriv,
-    bernstein_eval,
-    bernstein_row,
     bezier_coeffs_1d,
     build_ien,
     default_geometry,
@@ -47,38 +53,47 @@ def gauss_points(n):
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_bernstein_matches_closed_form(p):
     xs = np.linspace(-1, 1, 15)
+    B = bernstein(p, xs)
+    assert B.shape == (len(xs), p + 1)
     for i in range(1, p + 2):
-        for xi in xs:
-            assert bernstein_eval(p, i, xi) == pytest.approx(
-                bernstein_oracle(p, i, xi), abs=1e-14
-            )
+        for k, xi in enumerate(xs):
+            assert B[k, i - 1] == pytest.approx(bernstein_oracle(p, i, xi), abs=1e-14)
     # partition of unity on the reference interval
-    for xi in xs:
-        assert sum(bernstein_eval(p, i, xi) for i in range(1, p + 2)) == pytest.approx(
-            1.0, abs=1e-14
-        )
+    assert np.allclose(B.sum(1), 1.0, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("p,order", [(2, 1), (3, 1), (3, 2)])
 def test_bernstein_derivative_finite_difference(p, order):
     h = 1e-6
-    for i in range(1, p + 2):
-        for xi in np.linspace(-0.9, 0.9, 7):
-            fd = (
-                bernstein_deriv(p, i, xi + h, order - 1)
-                - bernstein_deriv(p, i, xi - h, order - 1)
-            ) / (2 * h)
-            assert bernstein_deriv(p, i, xi, order) == pytest.approx(fd, abs=1e-6)
+    xs = np.linspace(-0.9, 0.9, 7)
+    fd = (bernstein(p, xs + h, order - 1) - bernstein(p, xs - h, order - 1)) / (2 * h)
+    assert np.allclose(bernstein(p, xs, order), fd, rtol=0, atol=1e-6)
 
 
 def test_bernstein_index_numbering():
-    assert bern_index(1, 1, 2) == 1
-    assert bern_index(3, 1, 2) == 3
-    assert bern_index(1, 2, 2) == 4
-    assert bern_index(3, 3, 2) == 9
-    row = bernstein_row(2, 2, -1.0, -1.0)
+    """Rows run eta-major over the grid; column (p+1)(j-1) + i - 1 holds
+    B_i(xi) B_j(eta)."""
+    row = bernstein_grid(2, 2, [-1.0], [-1.0])[0]
     assert row[0] == pytest.approx(1.0)
     assert row[1:].sum() == pytest.approx(0.0, abs=1e-15)
+    xs, etas = [-0.5, 0.25, 1.0], [0.1, -0.7]
+    grid = bernstein_grid(2, 3, xs, etas)
+    bu, bv = bernstein(2, xs), bernstein(3, etas)
+    for k, l in np.ndindex(len(etas), len(xs)):
+        for j in range(1, 5):
+            for i in range(1, 4):
+                assert grid[k * len(xs) + l, bern_index(i, j, 2) - 1] == bu[l, i - 1] * bv[k, j - 1]
+
+
+def test_bernstein_grid_matches_bernstein_row():
+    """Bit for bit the one-point-at-a-time rows, ends of [-1,1] included."""
+    g, _ = np.polynomial.legendre.leggauss(5)
+    xs = np.concatenate([[-1.0, 1.0], g, np.linspace(-1, 1, 7)])
+    for p in (1, 2, 3, 4):
+        for q in (1, 2, 3):
+            for d in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
+                want = np.array([bernstein_row(p, q, xi, eta, *d) for eta in xs for xi in xs])
+                assert bernstein_grid(p, q, xs, xs, *d).tobytes() == want.tobytes()
 
 
 # -- 1D extraction coefficients ------------------------------------------------
@@ -95,9 +110,17 @@ def test_bezier_coeffs_1d_reproduce_function():
         assert len(coeffs) == p + 1
         for xi in np.linspace(-1, 1, 9):
             s = float(a) + (xi + 1) / 2 * float(b - a)
-            want = bspline_eval(vals, p, s) if s < float(vals[-1]) else bspline_eval(vals, p, s)
-            got = sum(float(c) * bernstein_eval(p, j + 1, xi) for j, c in enumerate(coeffs))
+            want = cox_de_boor(vals, p, s)
+            got = float(bernstein(p, [xi])[0] @ [float(c) for c in coeffs])
             assert got == pytest.approx(want, abs=1e-13)
+
+
+def test_bezier_coeffs_1d_is_one_cached_function():
+    import hasts.basis
+    import hasts.extraction
+
+    assert hasts.extraction.bezier_coeffs_1d is hasts.basis.bezier_coeffs_1d
+    assert hasattr(bezier_coeffs_1d, "cache_info")
 
 
 def test_bezier_coeffs_identity_on_single_span():
@@ -171,7 +194,7 @@ def consistency_error(space, elems, ng=5):
                 )
                 vals = ed.C @ B
                 for r, a in enumerate(ed.ien):
-                    ref = space.eval_function(space.functions[a], s, t)
+                    ref = eval_function(space, space.functions[a], s, t)
                     worst = max(worst, abs(vals[r] - ref))
     return worst
 
@@ -231,7 +254,7 @@ def test_ien_matches_pointwise_support(hierarchies):
             for _ in range(3):
                 s = rng.uniform(s1, s2)
                 t = rng.uniform(t1, t2)
-                vals = space.eval_all(s, t)
+                vals = eval_all(space, s, t)
                 nz = set(np.nonzero(np.abs(vals) > 1e-14)[0])
                 assert nz <= set(row)
 

@@ -13,8 +13,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import cox_de_boor, eval_all, eval_function
 from hasts import meshio, samples
-from hasts.basis import Space, bspline_eval
+from hasts.basis import Space, insert_knot
 from hasts.benchmarks import tensor_space
 from hasts.cli import main
 from hasts.hierarchy import (
@@ -22,11 +23,10 @@ from hasts.hierarchy import (
     HFunction,
     HierarchicalSpace,
     LevelMesh,
+    _verify_representation,
     bezier_cells,
-    build_hierarchy,
     in_domain,
     index_map,
-    insert_knot,
     param_spans,
     refine_by_elements,
     refine_knots,
@@ -129,8 +129,8 @@ def test_insert_knot_identity_random():
                 continue
             pieces = insert_knot(tuple(vals), p, x)
             for s in np.linspace(0.01, 0.99, 23):
-                ref = bspline_eval(vals, p, s)
-                got = sum(float(c) * bspline_eval(w, p, s) for c, w in pieces)
+                ref = cox_de_boor(vals, p, s)
+                got = sum(float(c) * cox_de_boor(w, p, s) for c, w in pieces)
                 assert got == pytest.approx(ref, abs=1e-12)
 
 
@@ -221,7 +221,7 @@ def test_rect_covered_exact():
 def test_build_matches_rational_sweep(hierarchies):
     spaces = list(hierarchies)
     path = os.path.join(os.path.dirname(__file__), "..", "samples", "two_level_p2.hier")
-    spaces.append(build_hierarchy(meshio.read_hierarchy(path)))
+    spaces.append(HierarchicalSpace(meshio.read_hierarchy(path)))
     spaces += [random_refinement(seed, p) for seed in (1, 2, 3) for p in (2, 3)]
     assert max(len(sp.levels) for sp in spaces) == 6
     for space in spaces:
@@ -346,9 +346,21 @@ def test_coarse_functions_nest_in_fine_space():
     for fn in sp1.functions[:: max(1, len(sp1.functions) // 6)]:
         coeffs = represent_in_space(sp1.h_values(fn), sp1.v_values(fn), fine, verify=False)
         for s, t in pts:
-            ref = sp1.eval_function(fn, s, t)
-            got = sum(float(c) * fine.eval_function(f, s, t) for f, c in coeffs.items())
+            ref = eval_function(sp1, fn, s, t)
+            got = sum(float(c) * eval_function(fine, f, s, t) for f, c in coeffs.items())
             assert abs(ref - got) < 1e-10
+
+
+def test_representation_check_rejects_wrong_coefficients():
+    space = tensor_space(3, 2)
+    space = refine_by_elements(space, list(space.elements)[:4])
+    sp1, fine = space.spaces[0], space.spaces[1]
+    fn = sp1.functions[12]  # the central function, supported on all of [0,1]^2
+    hv, vv = sp1.h_values(fn), sp1.v_values(fn)
+    coeffs = represent_in_space(hv, vv, fine)
+    wrong = {f: c * Fraction(1001, 1000) for f, c in coeffs.items()}
+    with pytest.raises(MeshStructureError, match="nesting violated"):
+        _verify_representation(hv, vv, 2, 2, fine, wrong)
 
 
 def test_nesting_across_randomized_refinements():
@@ -377,5 +389,5 @@ def test_hierarchical_basis_full_rank(hierarchies):
         g = space.greville_points()
         extra = rng.random((space.n_f // 2 + 5, 2))
         pts = np.vstack([g, extra])
-        A = np.array([space.eval_all(s, t) for s, t in pts])
+        A = np.array([eval_all(space, s, t) for s, t in pts])
         assert np.linalg.matrix_rank(A, tol=1e-10) == space.n_f

@@ -9,7 +9,7 @@ import pytest
 from hasts import samples
 from hasts.basis import GlobalKnots
 from hasts.benchmarks import tensor_space
-from hasts.hierarchy import build_hierarchy
+from hasts.hierarchy import HierarchicalSpace
 from hasts.meshio import (
     HIER_MAGIC,
     MESH_MAGIC,
@@ -58,7 +58,7 @@ def test_shipped_samples_parse_and_validate():
 def test_shipped_hierarchy_sample():
     path = os.path.join(SAMPLES_DIR, "two_level_p2.hier")
     levels = read_hierarchy(path)
-    space = build_hierarchy(levels)
+    space = HierarchicalSpace(levels)
     assert len(space.levels) == 2 and space.n_f > 0
     with open(path) as f:
         assert dump_hierarchy(space.levels) == f.read()
@@ -118,7 +118,7 @@ def test_hierarchy_round_trip(hierarchies):
     for space in hierarchies:
         text = dump_hierarchy(space.levels)
         levels = parse_hierarchy(text)
-        rebuilt = build_hierarchy(levels)
+        rebuilt = HierarchicalSpace(levels)
         assert rebuilt.n_f == space.n_f
         assert rebuilt.n_e == space.n_e
         assert [hf.sort_key() for hf in rebuilt.functions] == [
