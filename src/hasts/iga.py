@@ -5,9 +5,27 @@ All evaluation runs on the extracted Bezier elements: basis values come from
 C^e times a Bernstein table (``basis.bernstein_grid``) on a tensor grid of
 [-1,1]^2 (the Gauss points, the Gauss points of an edge, or the output
 points inside one element), geometry from the element Bezier points and
-weights.  Second derivatives (needed by the strong residual) assume the
-per-element geometric map is affine, which holds for the linear
-parameterizations used here.
+weights.
+
+Elements are evaluated in groups.  ``Discretization`` sorts the elements by
+their number of local functions n_loc, stacks the C^e, Bezier weights and
+points of the elements with one n_loc into 3-D arrays and
+computes the Gauss-point data of the whole stack at once (``ElementGroup``,
+element axis first).  Assembly, the estimator and the edge quadrature of the
+Dirichlet projection work on these stacks.  Each element's numbers equal
+those of a one-element loop bit for bit: the basis products are one 2-D
+product per stack, every product with a vector stays one vector product per
+element (a stacked ``matmul`` of shape (1, n) or (n, 1)), and every sum over
+elements (the COO triplets, F, the boundary mass matrix) runs in canonical
+element order.  ``problem.source`` and ``problem.dirichlet`` are called
+with Python floats; the source is evaluated once per ``Discretization``
+and shared by assembly and the estimator.
+
+Second derivatives, which the strong residual needs, take the element map
+to be affine.  ``Discretization`` enforces that: it raises
+``MeshStructureError`` for an element whose Bezier weights are not constant
+or whose Bezier points are not an affine image of the Bernstein control
+grid.
 """
 
 from __future__ import annotations
@@ -65,10 +83,15 @@ def _bern_tables(p, q):
 
 
 def tau_element(h, unorm, kappa):
-    """Streamline stabilization parameter (coth form); 0 without advection."""
+    """Streamline stabilization parameter (coth form); 0 without advection.
+
+    coth(pe) - 1/pe cancels catastrophically as pe -> 0, so below pe = 1e-3
+    it is replaced by its series, which is exact there to about 1 ulp."""
     if unorm == 0.0:
         return 0.0
     pe = unorm * h / (2.0 * kappa)
+    if pe < 1e-3:
+        return h / (2.0 * unorm) * (pe / 3 - pe**3 / 45 + 2 * pe**5 / 945)
     if pe > 50.0:
         coth = 1.0
     else:
@@ -76,8 +99,53 @@ def tau_element(h, unorm, kappa):
     return h / (2.0 * unorm) * (coth - 1.0 / pe)
 
 
+@dataclass
+class ElementGroup:
+    """Gauss-point data of the elements with one n_loc, stacked along axis 0
+    in canonical element order."""
+
+    pos: np.ndarray   # (E,) positions in Discretization.elems
+    ien: np.ndarray   # (E, n_loc) global function indices
+    x: np.ndarray     # (E, d, n_g) physical Gauss points
+    dvol: np.ndarray  # (E, 1, n_g) quadrature weight times jacobian
+    h: np.ndarray     # (E,) element size: square root of the physical area
+    R: np.ndarray     # (E, n_loc, n_g) basis values
+    Rx: np.ndarray    # (E, n_loc, n_g) physical gradient
+    Ry: np.ndarray
+    lap: np.ndarray   # (E, n_loc, n_g) physical laplacian
+
+
+def _t(a):
+    """Transpose of each matrix of a stack."""
+    return a.swapaxes(1, 2)
+
+
+def _check_affine(elems, wb, Qb, p, q):
+    """Constant Bezier weights to 1e-12 relative, and Bezier points on the
+    affine image of the Bernstein control grid fixed by three corners, to
+    1e-12 of the element size plus 1e-13 of the coordinates (the roundoff
+    of extracted points far from the origin)."""
+    u = np.tile(np.arange(p + 1) / p, q + 1)[:, None]  # i/p per Bernstein index
+    v = np.repeat(np.arange(q + 1) / q, p + 1)[:, None]
+    E = len(Qb)
+    o = Qb[:, :1]
+    eu = Qb[:, p:p + 1] - o
+    ev = Qb[:, (p + 1) * q:(p + 1) * q + 1] - o
+    off = np.abs(Qb - (o + u * eu + v * ev)).reshape(E, -1).max(axis=1)
+    size = (np.abs(eu) + np.abs(ev)).reshape(E, -1).max(axis=1)
+    tol = 1e-12 * size + 1e-13 * np.abs(Qb).reshape(E, -1).max(axis=1)
+    wdev = np.abs(wb - wb[:, :1]).max(axis=1)
+    bad = (off > tol) | (wdev > 1e-12 * np.abs(wb[:, 0]))
+    if bad.any():
+        raise MeshStructureError(
+            f"element {elems[bad.argmax()].param_rect}: the element map is not affine "
+            "(second derivatives assume constant Bezier weights and affine Bezier points)"
+        )
+
+
 class Discretization:
-    """Extracted element arrays plus cached quadrature data for one space."""
+    """Extracted element arrays plus their Gauss-point data in
+    ``ElementGroup`` stacks; ``groups`` covers every element once."""
 
     def __init__(self, space: HierarchicalSpace, weights=None, points=None):
         self.space = space
@@ -88,33 +156,41 @@ class Discretization:
         self.geom_weights = weights
         self.geom_points = points
         self.elems = extract_all(space, weights, points)
-        self._quad_cache = {}
+        n_loc = np.array([len(ed.ien) for ed in self.elems])
+        wb = np.array([ed.weights for ed in self.elems])      # n_e x n_b
+        Qb = np.array([ed.points for ed in self.elems])       # n_e x n_b x d
+        _check_affine(self.elems, wb, Qb, self.p, self.q)
+        self.groups = [
+            self._quadrature(pos, wb[pos], Qb[pos])
+            for pos in (np.flatnonzero(n_loc == n) for n in np.unique(n_loc))
+        ]
+        self._at_gauss = {}
 
-    def element_quadrature(self, ed):
-        key = id(ed)
-        if key not in self._quad_cache:
-            self._quad_cache[key] = self._element_quadrature(ed)
-        return self._quad_cache[key]
-
-    def _element_quadrature(self, ed):
-        """Per Gauss point: physical coords, jacobian factors, basis values,
-        physical gradients and second derivatives of the element's functions."""
+    def _quadrature(self, pos, wb, Qb):
+        """Per Gauss point of every element in ``pos`` (Bezier weights ``wb``
+        and points ``Qb``): physical coords, jacobian factors, basis values,
+        physical gradients and laplacians."""
         wts, tabs = _bern_tables(self.p, self.q)
-        C = ed.C
-        wb = ed.weights
-        Qb = ed.points
-        N = C @ tabs[(0, 0)].T        # n_loc x n_g
-        Nxi = C @ tabs[(1, 0)].T
-        Neta = C @ tabs[(0, 1)].T
-        Nxixi = C @ tabs[(2, 0)].T
-        Nxieta = C @ tabs[(1, 1)].T
-        Netaeta = C @ tabs[(0, 2)].T
-        w = wb @ tabs[(0, 0)].T       # n_g
-        wxi = wb @ tabs[(1, 0)].T
-        weta = wb @ tabs[(0, 1)].T
-        wxixi = wb @ tabs[(2, 0)].T
-        wxieta = wb @ tabs[(1, 1)].T
-        wetaeta = wb @ tabs[(0, 2)].T
+        T = {key: tab.T for key, tab in tabs.items()}  # n_b x n_g
+        elems = [self.elems[k] for k in pos]
+        C = np.array([ed.C for ed in elems])                # E x n_loc x n_b
+        # one 2-D product for the whole stack computes the same dot products,
+        # bit for bit, as one product per element
+        E, n_loc, n_b = C.shape
+        C2 = C.reshape(E * n_loc, n_b)
+        N, Nxi, Neta, Nxixi, Nxieta, Netaeta = (
+            (C2 @ T[key]).reshape(E, n_loc, -1)             # E x n_loc x n_g
+            for key in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+        )
+        # (E, 1, n_b) rows: a vector-matrix product per element, like the
+        # one-element loop's (a 2-D (E, n_b) product rounds differently)
+        wrow = wb[:, None, :]
+        w = wrow @ T[(0, 0)]                                # E x 1 x n_g
+        wxi = wrow @ T[(1, 0)]
+        weta = wrow @ T[(0, 1)]
+        wxixi = wrow @ T[(2, 0)]
+        wxieta = wrow @ T[(1, 1)]
+        wetaeta = wrow @ T[(0, 2)]
         # rational basis R = N / w by the quotient rule
         R = N / w
         Rxi = (Nxi - R * wxi) / w
@@ -123,32 +199,46 @@ class Discretization:
         Rxieta = (Nxieta - Rxi * weta - Reta * wxi - R * wxieta) / w
         Retaeta = (Netaeta - 2 * Reta * weta - R * wetaeta) / w
         # geometry map x = (Qb * wb) B / w
-        P = Qb * wb[:, None]          # n_b x d
-        x = (P.T @ tabs[(0, 0)].T) / w
-        x_xi = (P.T @ tabs[(1, 0)].T - x * wxi) / w
-        x_eta = (P.T @ tabs[(0, 1)].T - x * weta) / w
+        Pt = _t(Qb * wb[:, :, None])                        # E x d x n_b
+        x = (Pt @ T[(0, 0)]) / w                            # E x d x n_g
+        x_xi = (Pt @ T[(1, 0)] - x * wxi) / w
+        x_eta = (Pt @ T[(0, 1)] - x * weta) / w
         # 2x2 jacobian per point, inverse-transpose applied to gradients
-        det = x_xi[0] * x_eta[1] - x_xi[1] * x_eta[0]
+        xs, ys = slice(0, 1), slice(1, 2)  # keep the (E, 1, n_g) shape
+        det = x_xi[:, xs] * x_eta[:, ys] - x_xi[:, ys] * x_eta[:, xs]
         if (det <= 0).any():
-            raise MeshStructureError(f"singular element jacobian on element {ed.param_rect}")
+            k = pos[(det <= 0).any(axis=(1, 2)).argmax()]
+            raise MeshStructureError(f"singular element jacobian on element {self.elems[k].param_rect}")
         # grad_x = J^{-T} grad_xi with J columns (x_xi, x_eta)
-        Rx = (x_eta[1] * Rxi - x_xi[1] * Reta) / det
-        Ry = (-x_eta[0] * Rxi + x_xi[0] * Reta) / det
+        Rx = (x_eta[:, ys] * Rxi - x_xi[:, ys] * Reta) / det
+        Ry = (-x_eta[:, xs] * Rxi + x_xi[:, xs] * Reta) / det
         # second derivatives under an affine map: H_x = J^{-T} H_xi J^{-1}
-        a11 = x_eta[1] / det
-        a12 = -x_xi[1] / det
-        a21 = -x_eta[0] / det
-        a22 = x_xi[0] / det
+        a11 = x_eta[:, ys] / det
+        a12 = -x_xi[:, ys] / det
+        a21 = -x_eta[:, xs] / det
+        a22 = x_xi[:, xs] / det
         Rxx = a11 * (a11 * Rxixi + a12 * Rxieta) + a12 * (a11 * Rxieta + a12 * Retaeta)
         Ryy = a21 * (a21 * Rxixi + a22 * Rxieta) + a22 * (a21 * Rxieta + a22 * Retaeta)
-        lap = Rxx + Ryy
         dvol = wts * det
-        return x, dvol, R, Rx, Ry, lap
+        h = np.sqrt(dvol[:, 0].sum(axis=1))
+        ien = np.array([ed.ien for ed in elems], dtype=int)
+        return ElementGroup(pos, ien, x, dvol, h, R, Rx, Ry, Rxx + Ryy)
 
-    def element_size(self, ed):
-        """h^e: square root of the physical element area."""
-        _, dvol, *_ = self.element_quadrature(ed)
-        return sqrt(float(dvol.sum()))
+    def at_gauss_points(self, fn):
+        """fn(x, y) at the Gauss points of each group, (E, 1, n_g) per group.
+        Kept per function object: assembly and the estimator both need the
+        source there."""
+        vals = self._at_gauss.get(fn)
+        if vals is None:
+            vals = self._at_gauss[fn] = [_at_points(fn, g.x) for g in self.groups]
+        return vals
+
+
+def _at_points(fn, x):
+    """fn(x, y) at every point of a stack x (E, d, n_g), called with Python
+    floats; returns (E, 1, n_g)."""
+    pts = zip(x[:, 0].ravel().tolist(), x[:, 1].ravel().tolist())
+    return np.array([fn(px, py) for px, py in pts]).reshape(len(x), 1, -1)
 
 
 def assemble(problem: Problem, disc: Discretization, supg=True):
@@ -157,32 +247,32 @@ def assemble(problem: Problem, disc: Discretization, supg=True):
     unorm = sqrt(ux * ux + uy * uy)
     kappa = problem.kappa
     n = disc.space.n_f
-    rows, cols, vals = [], [], []
-    F = np.zeros(n)
-    for ed in disc.elems:
-        x, dvol, R, Rx, Ry, lap = disc.element_quadrature(ed)
-        adv = ux * Rx + uy * Ry
-        Ke = (kappa * (Rx * dvol) @ Rx.T + kappa * (Ry * dvol) @ Ry.T
-              + (R * dvol) @ adv.T)
-        Fe = np.zeros(len(ed.ien))
-        if problem.source is not None:
-            f = np.array([problem.source(px, py) for px, py in x.T])
-            Fe += (R * dvol) @ f
+    parts = [None] * len(disc.elems)  # per element: rows, cols, K entries, ien, F entries
+    source = [None] * len(disc.groups)
+    if problem.source is not None:
+        source = disc.at_gauss_points(problem.source)
+    for g, fg in zip(disc.groups, source):
+        adv = ux * g.Rx + uy * g.Ry
+        Ke = (kappa * (g.Rx * g.dvol) @ _t(g.Rx) + kappa * (g.Ry * g.dvol) @ _t(g.Ry)
+              + (g.R * g.dvol) @ _t(adv))
+        Fe = np.zeros(g.ien.shape)
+        if fg is not None:
+            f = _t(fg)                                      # E x n_g x 1
+            Fe += ((g.R * g.dvol) @ f)[:, :, 0]
         if supg and unorm > 0:
-            h = sqrt(float(dvol.sum()))
-            tau = tau_element(h, unorm, kappa)
-            Ke += tau * (adv * dvol) @ (adv - kappa * lap).T
-            if problem.source is not None:
-                Fe += tau * (adv * dvol) @ f
-        idx = np.array(ed.ien)
-        rows.append(np.repeat(idx, len(idx)))
-        cols.append(np.tile(idx, len(idx)))
-        vals.append(Ke.ravel())
-        F[idx] += Fe
-    K = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    ).tocsr()
-    return K, F
+            tau = np.array([tau_element(h, unorm, kappa) for h in g.h.tolist()])[:, None, None]
+            Ke += (tau * (adv * g.dvol)) @ _t(adv - kappa * g.lap)
+            if fg is not None:
+                Fe += ((tau * (adv * g.dvol)) @ f)[:, :, 0]
+        nl = g.ien.shape[1]
+        rows, cols = np.repeat(g.ien, nl, axis=1), np.tile(g.ien, (1, nl))
+        for k, *part in zip(g.pos.tolist(), rows, cols, Ke.reshape(len(Ke), -1), g.ien, Fe):
+            parts[k] = part
+    # triplets and load entries in canonical element order, so duplicate
+    # entries sum in the same order as one element at a time
+    r, c, v, i, f = (np.concatenate(col) for col in zip(*parts))
+    K = sp.coo_matrix((v, (r, c)), shape=(n, n)).tocsr()
+    return K, np.bincount(i, weights=f, minlength=n)
 
 
 # -- Dirichlet conditions -----------------------------------------------------
@@ -201,27 +291,36 @@ def boundary_functions(space: HierarchicalSpace):
     return sorted(out)
 
 
-def _edge_quadrature(disc, ed, side, ng):
-    """Gauss points along one element edge on the domain boundary: returns
-    physical points, arc weights, and local basis values."""
+@lru_cache(maxsize=None)
+def _edge_tables(p, q, ng):
+    """Gauss weights, and for the sides s0, s1, t0, t1 of [-1,1]^2 the
+    Bernstein values and their derivatives along the side: 4 x n_g x n_b."""
     g, gw = _gauss(ng)
-    p, q = disc.p, disc.q
-    s1, s2, t1, t2 = [float(v) for v in ed.param_rect]
-    if side in ("s0", "s1"):
-        xs, etas, along = [-1.0 if side == "s0" else 1.0], g, (0, 1)
-        jac = (t2 - t1) / 2
-    else:
-        xs, etas, along = g, [-1.0 if side == "t0" else 1.0], (1, 0)
-        jac = (s2 - s1) / 2
-    B = bernstein_grid(p, q, xs, etas)
-    Bd = bernstein_grid(p, q, xs, etas, *along)
-    w = B @ ed.weights
-    N = ed.C @ B.T / w
-    P = ed.points * ed.weights[:, None]
-    x = (P.T @ B.T) / w
+    grids = [([end], g, (0, 1)) for end in (-1.0, 1.0)] + [(g, [end], (1, 0)) for end in (-1.0, 1.0)]
+    B = np.array([bernstein_grid(p, q, xs, etas) for xs, etas, _ in grids])
+    Bd = np.array([bernstein_grid(p, q, xs, etas, *along) for xs, etas, along in grids])
+    return gw, B, Bd
+
+
+def _edge_quadrature(disc, elems, sides, ng):
+    """Gauss points along one boundary side (0..3 for s0, s1, t0, t1) of each
+    element of a stack with one n_loc: physical points (E x d x n_g), arc
+    weights (E x 1 x n_g) and local basis values (E x n_loc x n_g)."""
+    gw, B4, Bd4 = _edge_tables(disc.p, disc.q, ng)
+    B, Bd = B4[sides], Bd4[sides]                              # E x n_g x n_b
+    rect = np.array([[float(v) for v in ed.param_rect] for ed in elems])
+    # an s side runs along t, a t side along s
+    jac = (np.where(sides < 2, rect[:, 3] - rect[:, 2], rect[:, 1] - rect[:, 0]) / 2)[:, None, None]
+    C = np.array([ed.C for ed in elems])
+    wb = np.array([ed.weights for ed in elems])[:, :, None]   # E x n_b x 1
+    # matrix-vector products per element, as (n_g, n_b) @ (n_b, 1)
+    w = _t(B @ wb)                                             # E x 1 x n_g
+    N = C @ _t(B) / w
+    Pt = _t(np.array([ed.points for ed in elems]) * wb)
+    x = (Pt @ _t(B)) / w
     # physical arc length element along the edge
-    dxd = (P.T @ Bd.T - x * (Bd @ ed.weights)) / w
-    arc = np.sqrt(dxd[0] ** 2 + dxd[1] ** 2) * jac
+    dxd = (Pt @ _t(Bd) - x * _t(Bd @ wb)) / w
+    arc = np.sqrt(dxd[:, :1] ** 2 + dxd[:, 1:2] ** 2) * jac
     return x, gw * arc, N
 
 
@@ -231,36 +330,44 @@ def apply_dirichlet(K, F, problem, disc):
     solution template with boundary values filled in)."""
     space = disc.space
     bidx = boundary_functions(space)
-    bpos = {a: k for k, a in enumerate(bidx)}
     nb = len(bidx)
+    bpos = np.full(space.n_f, -1)
+    bpos[bidx] = np.arange(nb)
+    ng = max(disc.p, disc.q) + 2
+    # every (element, side) pair on the domain boundary, in canonical order
+    pos, side = [], []
+    for k, ed in enumerate(disc.elems):
+        s1, s2, t1, t2 = ed.param_rect
+        for i, on in enumerate((s1 == 0, s2 == 1, t1 == 0, t2 == 1)):
+            if on:
+                pos.append(k)
+                side.append(i)
+    pos, side = np.array(pos, dtype=int), np.array(side, dtype=int)
+    n_loc = np.array([len(disc.elems[k].ien) for k in pos], dtype=int)
+    parts = [None] * len(pos)  # per pair: rows, cols, M entries, rhs rows, rhs entries
+    for n in np.unique(n_loc):
+        sel = np.flatnonzero(n_loc == n)
+        elems = [disc.elems[k] for k in pos[sel]]
+        x, dw, N = _edge_quadrature(disc, elems, side[sel], ng)
+        g = _t(_at_points(problem.dirichlet, x))            # E x n_g x 1
+        gi = bpos[np.array([ed.ien for ed in elems], dtype=int)]  # -1: not on the boundary
+        Me = ((N * dw) @ _t(N)).reshape(len(sel), -1)
+        be = ((N * dw) @ g)[:, :, 0]
+        for j, *part in zip(sel.tolist(), np.repeat(gi, n, axis=1), np.tile(gi, (1, n)), Me, gi, be):
+            parts[j] = part
+    # accumulate in canonical pair order, as one element side at a time;
+    # the entries of functions without a boundary trace drop out
     M = np.zeros((nb, nb))
     rhs = np.zeros(nb)
-    ng = max(disc.p, disc.q) + 2
-    for ed in disc.elems:
-        s1, s2, t1, t2 = [float(v) for v in ed.param_rect]
-        sides = []
-        if s1 == 0.0:
-            sides.append("s0")
-        if s2 == 1.0:
-            sides.append("s1")
-        if t1 == 0.0:
-            sides.append("t0")
-        if t2 == 1.0:
-            sides.append("t1")
-        for side in sides:
-            x, dw, N = _edge_quadrature(disc, ed, side, ng)
-            loc = [k for k, a in enumerate(ed.ien) if a in bpos]
-            if not loc:
-                continue
-            gi = [bpos[ed.ien[k]] for k in loc]
-            Nl = N[loc]
-            g = np.array([problem.dirichlet(px, py) for px, py in x.T])
-            M[np.ix_(gi, gi)] += (Nl * dw) @ Nl.T
-            rhs[gi] += (Nl * dw) @ g
+    if parts:
+        r, c, v, i, b = (np.concatenate(col) for col in zip(*parts))
+        on = (r >= 0) & (c >= 0)
+        M = np.bincount(r[on] * nb + c[on], weights=v[on], minlength=nb * nb).reshape(nb, nb)
+        rhs = np.bincount(i[i >= 0], weights=b[i >= 0], minlength=nb)
     gb = np.linalg.solve(M, rhs)
     full = np.zeros(space.n_f)
     full[bidx] = gb
-    interior = np.array([a for a in range(space.n_f) if a not in bpos], dtype=int)
+    interior = np.flatnonzero(bpos < 0)
     K = K.tocsc()
     Fi = F[interior] - K[:, bidx][interior, :] @ gb
     Kii = K[interior, :][:, interior]
@@ -296,15 +403,16 @@ def estimate_error(problem, disc, coeffs):
     ux, uy = problem.velocity
     unorm = sqrt(ux * ux + uy * uy)
     out = np.zeros(len(disc.elems))
-    for k, ed in enumerate(disc.elems):
-        x, dvol, R, Rx, Ry, lap = disc.element_quadrature(ed)
-        c = coeffs[np.array(ed.ien)]
-        resid = ux * (c @ Rx) + uy * (c @ Ry) - problem.kappa * (c @ lap)
-        if problem.source is not None:
-            resid = resid - np.array([problem.source(px, py) for px, py in x.T])
-        h = sqrt(float(dvol.sum()))
-        tau = tau_element(h, unorm, problem.kappa)
-        out[k] = tau * sqrt(float((resid**2 * dvol).sum()))
+    source = [None] * len(disc.groups)
+    if problem.source is not None:
+        source = disc.at_gauss_points(problem.source)
+    for g, fg in zip(disc.groups, source):
+        c = coeffs[g.ien][:, None, :]                       # E x 1 x n_loc
+        resid = ux * (c @ g.Rx) + uy * (c @ g.Ry) - problem.kappa * (c @ g.lap)
+        if fg is not None:
+            resid = resid - fg
+        tau = np.array([tau_element(h, unorm, problem.kappa) for h in g.h.tolist()])
+        out[g.pos] = tau * np.sqrt((resid**2 * g.dvol)[:, 0].sum(axis=1))
     return out
 
 

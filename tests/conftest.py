@@ -6,17 +6,24 @@ went through Bezier rows and Bernstein tables: recursive Cox-de Boor, one
 scalar Bernstein row per point, and a field sampler that finds each point's
 element by a linear scan.  Tests that compare extraction with pointwise
 evaluation use them, so those checks stay independent of the library path.
+
+The FE oracles are the finite-element loop the library ran before it
+evaluated elements in groups: quadrature, assembly, the Dirichlet projection
+and the estimator, one element at a time.
 """
 
-from math import comb
+import random
+from math import comb, sqrt
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hasts import samples
 from hasts.benchmarks import tensor_space
-from hasts.basis import GlobalKnots
+from hasts.basis import GlobalKnots, bernstein_grid
 from hasts.hierarchy import HFunction, HierarchicalSpace, LevelMesh, refine_by_elements
+from hasts.iga import _bern_tables, _gauss, boundary_functions, tau_element
 from hasts.tmesh import MeshStructureError
 
 
@@ -89,6 +96,16 @@ def sample_hierarchies():
     )
     out.append(sp23)
     return out
+
+
+def extract_solve_space(seed, start=4):
+    """A bicubic hierarchy built like the extract-solve benchmark's: a random
+    half of the start elements refined, then a random half of level 2."""
+    rng = random.Random(seed)
+    space = tensor_space(start, 3)
+    space = refine_by_elements(space, rng.sample(list(space.elements), space.n_e // 2))
+    lv2 = [e for e in space.elements if e.level == 2]
+    return refine_by_elements(space, rng.sample(lv2, len(lv2) // 2))
 
 
 @pytest.fixture(scope="session")
@@ -208,3 +225,173 @@ def _locate(rects, s, t):
         if s1 <= s <= s2 and t1 <= t <= t2:
             return k
     raise MeshStructureError(f"no element contains parametric point ({s}, {t})")
+
+
+# -- per-element FE oracles -------------------------------------------------------
+
+
+def element_quadrature(disc, ed):
+    """Per Gauss point: physical coords, jacobian factors, basis values,
+    physical gradients and second derivatives of the element's functions."""
+    wts, tabs = _bern_tables(disc.p, disc.q)
+    C = ed.C
+    wb = ed.weights
+    Qb = ed.points
+    N = C @ tabs[(0, 0)].T        # n_loc x n_g
+    Nxi = C @ tabs[(1, 0)].T
+    Neta = C @ tabs[(0, 1)].T
+    Nxixi = C @ tabs[(2, 0)].T
+    Nxieta = C @ tabs[(1, 1)].T
+    Netaeta = C @ tabs[(0, 2)].T
+    w = wb @ tabs[(0, 0)].T       # n_g
+    wxi = wb @ tabs[(1, 0)].T
+    weta = wb @ tabs[(0, 1)].T
+    wxixi = wb @ tabs[(2, 0)].T
+    wxieta = wb @ tabs[(1, 1)].T
+    wetaeta = wb @ tabs[(0, 2)].T
+    # rational basis R = N / w by the quotient rule
+    R = N / w
+    Rxi = (Nxi - R * wxi) / w
+    Reta = (Neta - R * weta) / w
+    Rxixi = (Nxixi - 2 * Rxi * wxi - R * wxixi) / w
+    Rxieta = (Nxieta - Rxi * weta - Reta * wxi - R * wxieta) / w
+    Retaeta = (Netaeta - 2 * Reta * weta - R * wetaeta) / w
+    # geometry map x = (Qb * wb) B / w
+    P = Qb * wb[:, None]          # n_b x d
+    x = (P.T @ tabs[(0, 0)].T) / w
+    x_xi = (P.T @ tabs[(1, 0)].T - x * wxi) / w
+    x_eta = (P.T @ tabs[(0, 1)].T - x * weta) / w
+    # 2x2 jacobian per point, inverse-transpose applied to gradients
+    det = x_xi[0] * x_eta[1] - x_xi[1] * x_eta[0]
+    if (det <= 0).any():
+        raise MeshStructureError(f"singular element jacobian on element {ed.param_rect}")
+    # grad_x = J^{-T} grad_xi with J columns (x_xi, x_eta)
+    Rx = (x_eta[1] * Rxi - x_xi[1] * Reta) / det
+    Ry = (-x_eta[0] * Rxi + x_xi[0] * Reta) / det
+    # second derivatives under an affine map: H_x = J^{-T} H_xi J^{-1}
+    a11 = x_eta[1] / det
+    a12 = -x_xi[1] / det
+    a21 = -x_eta[0] / det
+    a22 = x_xi[0] / det
+    Rxx = a11 * (a11 * Rxixi + a12 * Rxieta) + a12 * (a11 * Rxieta + a12 * Retaeta)
+    Ryy = a21 * (a21 * Rxixi + a22 * Rxieta) + a22 * (a21 * Rxieta + a22 * Retaeta)
+    lap = Rxx + Ryy
+    dvol = wts * det
+    return x, dvol, R, Rx, Ry, lap
+
+
+def assemble(problem, disc, supg=True):
+    """Global (K, F) with Galerkin + SUPG terms, before boundary conditions."""
+    ux, uy = problem.velocity
+    unorm = sqrt(ux * ux + uy * uy)
+    kappa = problem.kappa
+    n = disc.space.n_f
+    rows, cols, vals = [], [], []
+    F = np.zeros(n)
+    for ed in disc.elems:
+        x, dvol, R, Rx, Ry, lap = element_quadrature(disc, ed)
+        adv = ux * Rx + uy * Ry
+        Ke = (kappa * (Rx * dvol) @ Rx.T + kappa * (Ry * dvol) @ Ry.T
+              + (R * dvol) @ adv.T)
+        Fe = np.zeros(len(ed.ien))
+        if problem.source is not None:
+            f = np.array([problem.source(px, py) for px, py in x.T])
+            Fe += (R * dvol) @ f
+        if supg and unorm > 0:
+            h = sqrt(float(dvol.sum()))
+            tau = tau_element(h, unorm, kappa)
+            Ke += tau * (adv * dvol) @ (adv - kappa * lap).T
+            if problem.source is not None:
+                Fe += tau * (adv * dvol) @ f
+        idx = np.array(ed.ien)
+        rows.append(np.repeat(idx, len(idx)))
+        cols.append(np.tile(idx, len(idx)))
+        vals.append(Ke.ravel())
+        F[idx] += Fe
+    K = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    ).tocsr()
+    return K, F
+
+
+def _edge_quadrature(disc, ed, side, ng):
+    """Gauss points along one element edge on the domain boundary: returns
+    physical points, arc weights, and local basis values."""
+    g, gw = _gauss(ng)
+    p, q = disc.p, disc.q
+    s1, s2, t1, t2 = [float(v) for v in ed.param_rect]
+    if side in ("s0", "s1"):
+        xs, etas, along = [-1.0 if side == "s0" else 1.0], g, (0, 1)
+        jac = (t2 - t1) / 2
+    else:
+        xs, etas, along = g, [-1.0 if side == "t0" else 1.0], (1, 0)
+        jac = (s2 - s1) / 2
+    B = bernstein_grid(p, q, xs, etas)
+    Bd = bernstein_grid(p, q, xs, etas, *along)
+    w = B @ ed.weights
+    N = ed.C @ B.T / w
+    P = ed.points * ed.weights[:, None]
+    x = (P.T @ B.T) / w
+    # physical arc length element along the edge
+    dxd = (P.T @ Bd.T - x * (Bd @ ed.weights)) / w
+    arc = np.sqrt(dxd[0] ** 2 + dxd[1] ** 2) * jac
+    return x, gw * arc, N
+
+
+def apply_dirichlet(K, F, problem, disc):
+    """Boundary-wide L2 projection of g onto the trace space, then
+    elimination.  Returns (K_ii, F_i, interior index array, full-length
+    solution template with boundary values filled in)."""
+    space = disc.space
+    bidx = boundary_functions(space)
+    bpos = {a: k for k, a in enumerate(bidx)}
+    nb = len(bidx)
+    M = np.zeros((nb, nb))
+    rhs = np.zeros(nb)
+    ng = max(disc.p, disc.q) + 2
+    for ed in disc.elems:
+        s1, s2, t1, t2 = [float(v) for v in ed.param_rect]
+        sides = []
+        if s1 == 0.0:
+            sides.append("s0")
+        if s2 == 1.0:
+            sides.append("s1")
+        if t1 == 0.0:
+            sides.append("t0")
+        if t2 == 1.0:
+            sides.append("t1")
+        for side in sides:
+            x, dw, N = _edge_quadrature(disc, ed, side, ng)
+            loc = [k for k, a in enumerate(ed.ien) if a in bpos]
+            if not loc:
+                continue
+            gi = [bpos[ed.ien[k]] for k in loc]
+            Nl = N[loc]
+            g = np.array([problem.dirichlet(px, py) for px, py in x.T])
+            M[np.ix_(gi, gi)] += (Nl * dw) @ Nl.T
+            rhs[gi] += (Nl * dw) @ g
+    gb = np.linalg.solve(M, rhs)
+    full = np.zeros(space.n_f)
+    full[bidx] = gb
+    interior = np.array([a for a in range(space.n_f) if a not in bpos], dtype=int)
+    K = K.tocsc()
+    Fi = F[interior] - K[:, bidx][interior, :] @ gb
+    Kii = K[interior, :][:, interior]
+    return Kii, Fi, interior, full
+
+
+def estimate_error(problem, disc, coeffs):
+    """Per-element tau^e times the L2 norm of the strong residual."""
+    ux, uy = problem.velocity
+    unorm = sqrt(ux * ux + uy * uy)
+    out = np.zeros(len(disc.elems))
+    for k, ed in enumerate(disc.elems):
+        x, dvol, R, Rx, Ry, lap = element_quadrature(disc, ed)
+        c = coeffs[np.array(ed.ien)]
+        resid = ux * (c @ Rx) + uy * (c @ Ry) - problem.kappa * (c @ lap)
+        if problem.source is not None:
+            resid = resid - np.array([problem.source(px, py) for px, py in x.T])
+        h = sqrt(float(dvol.sum()))
+        tau = tau_element(h, unorm, problem.kappa)
+        out[k] = tau * sqrt(float((resid**2 * dvol).sum()))
+    return out

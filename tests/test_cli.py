@@ -191,6 +191,18 @@ def test_solve_config_file_and_flag_override(tmp_path, capsys):
     assert hist_a != "\n".join(hist_b)
 
 
+@pytest.mark.parametrize("kappa", ["6.25e6", "5e6"])
+def test_solve_at_tiny_peclet_number(tmp_path, kappa):
+    """At Pe ~ 1e-8, coth(Pe) - 1/Pe cancelled to a negative or zero tau; the
+    estimates must stay nonnegative and their total nonzero."""
+    rc = main(["solve", "--benchmark", "skew45", "--kappa", kappa, "--elements", "8",
+               "--iterations", "1", "--out", str(tmp_path)])
+    assert rc == 0
+    est = np.loadtxt(tmp_path / "elements_001.txt")[:, 5]
+    assert (est >= 0).all()
+    assert float(read(tmp_path / "history.txt").splitlines()[1].split()[3]) > 0
+
+
 def test_solve_rejects_bad_parameters(tmp_path, capsys):
     assert main(solve_args(tmp_path, "--tol", "-1")) == 1
     assert main(solve_args(tmp_path, "--max-levels", "0")) == 1

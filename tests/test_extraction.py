@@ -6,7 +6,6 @@ extraction operators are checked by evaluating both sides of N_a = C^e B at
 Gauss points, the left side by Cox-de Boor.
 """
 
-import random
 from fractions import Fraction
 from math import comb
 
@@ -20,6 +19,7 @@ from conftest import (
     cox_de_boor,
     eval_all,
     eval_function,
+    extract_solve_space,
     one_level,
     sample_hierarchies,
 )
@@ -323,16 +323,6 @@ def reference_extract(space, weights, points):
         qb /= wbf[:, None]
         out.append((ien, C, wbf, qb))
     return out
-
-
-def extract_solve_space(seed, start=4):
-    """A bicubic hierarchy built like the extract-solve benchmark's: a random
-    half of the start elements refined, then a random half of level 2."""
-    rng = random.Random(seed)
-    space = tensor_space(start, 3)
-    space = refine_by_elements(space, rng.sample(list(space.elements), space.n_e // 2))
-    lv2 = [e for e in space.elements if e.level == 2]
-    return refine_by_elements(space, rng.sample(lv2, len(lv2) // 2))
 
 
 def same_bits(a, b):

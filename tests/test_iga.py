@@ -3,15 +3,23 @@ convergence, stabilization parameter, estimator, and the adaptive loop.
 
 The bilinear element matrices are classical hand values; higher-order checks
 rely on exactness for polynomial solutions (consistent SUPG reproduces any
-solution whose strong residual vanishes).
+solution whose strong residual vanishes).  The grouped FE evaluation is
+checked bit for bit against the one-element-at-a-time oracles in conftest.
 """
 
-from math import cosh, pi, sinh, sqrt
+from math import cos, cosh, pi, sin, sinh, sqrt
 
 import numpy as np
 import pytest
 
-from conftest import eval_all, eval_function, two_level_space
+import conftest as oracle
+from conftest import (
+    eval_all,
+    eval_function,
+    extract_solve_space,
+    sample_hierarchies,
+    two_level_space,
+)
 from conftest import sample_field as reference_sample_field
 from hasts.benchmarks import (
     manufactured_problem,
@@ -20,10 +28,12 @@ from hasts.benchmarks import (
     skew45_rect_layer_distance,
     tensor_space,
 )
+from hasts.extraction import default_geometry
 from hasts.iga import (
     Discretization,
     Problem,
     adaptive_loop,
+    apply_dirichlet,
     assemble,
     boundary_functions,
     estimate_error,
@@ -57,6 +67,20 @@ def test_tau_element_hand_values():
 def test_tau_element_monotone_in_h():
     taus = [tau_element(h, 1.0, 1e-3) for h in (0.5, 0.25, 0.125, 0.0625)]
     assert all(a > b > 0 for a, b in zip(taus, taus[1:]))
+
+
+def test_tau_element_small_peclet():
+    # h = 2 pe with |u| = kappa = 1 gives exactly that Peclet number and
+    # tau = pe (coth pe - 1/pe); the reference carries one more series term
+    for pe in np.logspace(-12, -3, 91)[:-1].tolist():
+        tau = tau_element(2 * pe, 1.0, 1.0)
+        want = pe * (pe / 3 - pe**3 / 45 + 2 * pe**5 / 945 - pe**7 / 4725)
+        assert tau > 0
+        assert abs(tau - want) <= 1e-14 * want
+    # the series and the direct form meet at pe = 1e-3
+    below = tau_element(2 * np.nextafter(1e-3, 0.0), 1.0, 1.0)
+    at = tau_element(2e-3, 1.0, 1.0)
+    assert abs(at - below) <= 1e-9 * at
 
 
 # -- assembly oracles (bilinear single element) --------------------------------
@@ -95,8 +119,108 @@ def test_source_load_vector_constant():
 
 def test_element_size_is_sqrt_area():
     disc = Discretization(tensor_space(2, 2))
-    for ed in disc.elems:
-        assert disc.element_size(ed) == pytest.approx(0.5, abs=1e-12)
+    h = np.concatenate([g.h for g in disc.groups])
+    assert h.shape == (4,)
+    assert h.tolist() == pytest.approx([0.5] * 4, abs=1e-12)
+
+
+# -- the affine-map contract ---------------------------------------------------
+
+
+def test_nonaffine_geometry_is_rejected():
+    space = tensor_space(4, 2)
+    w, P = default_geometry(space)
+    # the bilinear map (s, t) -> (s + 0.2 s t, t) is not affine on any element
+    warped = P + 0.2 * np.column_stack([P[:, 0] * P[:, 1], np.zeros(len(P))])
+    with pytest.raises(MeshStructureError, match="not affine"):
+        Discretization(space, w, warped)
+    prob = Problem((1.0, 0.0), 1e-2, lambda x, y: 0.0, weights=w, points=warped)
+    with pytest.raises(MeshStructureError, match="not affine"):
+        adaptive_loop(prob, space, tol=1e-3, max_iterations=2)
+    # a rational map with non-constant weights
+    w2 = w.copy()
+    w2[6] = 2.0
+    with pytest.raises(MeshStructureError, match="not affine"):
+        Discretization(space, w2, P)
+
+
+@pytest.mark.parametrize("shift", [(0.4, -2.0), (1e3, -1e4)])
+def test_rotated_scaled_affine_geometry_is_accepted(shift):
+    space = sample_hierarchies()[1]  # four levels, elements down to 1/32
+    w, P = default_geometry(space)
+    A = 1.7 * np.array([[cos(0.3), -sin(0.3)], [sin(0.3), cos(0.3)]])
+    disc = Discretization(space, w, P @ A.T + np.array(shift))
+    area = sum(float(g.dvol.sum()) for g in disc.groups)
+    assert area == pytest.approx(1.7**2, rel=1e-9)
+    prob = Problem((1.0, 0.5), 1e-2, lambda x, y: 1.0)
+    coeffs = solve(prob, disc)
+    assert np.max(estimate_error(prob, disc, coeffs)) < 1e-9
+
+
+# -- grouped FE evaluation against the per-element oracle ----------------------
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.size == b.size and a.tobytes() == b.tobytes()
+
+
+def same_csr(a, b):
+    a, b = a.tocsr(), b.tocsr()
+    return all(same_bits(getattr(a, k), getattr(b, k)) for k in ("data", "indices", "indptr"))
+
+
+def assert_fe_bit_identical(space, problem):
+    disc = Discretization(space, problem.weights, problem.points)
+    seen = []
+    for g in disc.groups:
+        for i, k in enumerate(g.pos):
+            want = oracle.element_quadrature(disc, disc.elems[k])
+            got = (g.x[i], g.dvol[i], g.R[i], g.Rx[i], g.Ry[i], g.lap[i])
+            assert all(same_bits(a, b) for a, b in zip(got, want)), k
+            assert g.h[i] == sqrt(float(want[1].sum()))
+            seen.append(k)
+    assert sorted(seen) == list(range(space.n_e))
+    for supg in (False, True):
+        K, F = assemble(problem, disc, supg=supg)
+        K0, F0 = oracle.assemble(problem, disc, supg=supg)
+        assert same_csr(K, K0)
+        assert same_bits(F, F0)
+    got = apply_dirichlet(K, F, problem, disc)
+    want = oracle.apply_dirichlet(K0, F0, problem, disc)
+    assert same_csr(got[0], want[0])
+    assert all(same_bits(a, b) for a, b in zip(got[1:], want[1:]))
+    coeffs = solve(problem, disc)
+    assert same_bits(estimate_error(problem, disc, coeffs), oracle.estimate_error(problem, disc, coeffs))
+
+
+def mixed_problem():
+    """Oblique advection, a source and curved Dirichlet data: every term of
+    assembly, the projection and the estimator is nonzero."""
+    return Problem(
+        (0.7, -0.3), 1e-2, lambda x, y: x * x - 2 * y + 1, source=lambda x, y: sin(3 * x) * cos(2 * y)
+    )
+
+
+def skew_space(p, start):
+    prob = skew45_problem()
+    res = adaptive_loop(prob, tensor_space(start, p), tol=2e-3, max_iterations=2)
+    assert len(res.disc.space.levels) == 2
+    return res.disc.space
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: sample_hierarchies(), id="sample_hierarchies"),
+        pytest.param(lambda: [extract_solve_space(seed, 8) for seed in (1, 2, 3)], id="extract_solve"),
+        pytest.param(lambda: [skew_space(2, 8), skew_space(3, 4)], id="skew45"),
+        pytest.param(lambda: [tensor_space(1, 1), tensor_space(4, 2, 3)], id="tensor"),
+    ],
+)
+def test_grouped_fe_matches_per_element_oracle(make):
+    for space in make():
+        for problem in (mixed_problem(), skew45_problem(), manufactured_problem()[0]):
+            assert_fe_bit_identical(space, problem)
 
 
 def test_problem_rejects_nonpositive_diffusivity():
