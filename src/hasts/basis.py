@@ -27,8 +27,8 @@ from .tmesh import MeshStructureError, TMesh
 class GlobalKnots:
     """Open global knot vector over index lines 1..m.
 
-    The first and last p+1 entries are the domain ends (0 and 1); entries are
-    exact rationals.
+    The first and last p+1 entries are the domain ends, which must be 0 and
+    1; entries are exact rationals.
     """
 
     def __init__(self, values, p):
@@ -41,6 +41,8 @@ class GlobalKnots:
         lo, hi = values[0], values[-1]
         if values[p] != lo or values[m - p - 1] != hi:
             raise MeshStructureError("knot vector is not open (end multiplicity < p+1)")
+        if lo != 0 or hi != 1:
+            raise MeshStructureError(f"knot vector runs from {lo} to {hi}, not from 0 to 1")
         self.values = values
         self.p = p
         self.m = m

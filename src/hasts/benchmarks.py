@@ -87,11 +87,6 @@ def skew45_rect_layer_distance(rect):
     return min(interior, outflow)
 
 
-def skew45_reference(x, y):
-    """Limit solution away from the layers: 1 below y = x + 0.2, else 0."""
-    return 1.0 if y < x + SKEW_SPLIT else 0.0
-
-
 def manufactured_problem(kappa=1.0):
     """Sinusoidal manufactured solution with 45-degree advection; returns
     (Problem, exact solution)."""
@@ -108,9 +103,6 @@ def manufactured_problem(kappa=1.0):
         )
 
     return Problem((c, c), kappa, lambda x, y: 0.0, source=source), exact
-
-
-BENCHMARKS = ("skew45", "manufactured")
 
 
 def benchmark_problem(name, kappa=None):

@@ -9,6 +9,12 @@ product of two 1D entries, rounded to float once, in the column order of
 ``basis.bernstein_grid``.  ``extract_all`` computes each distinct 1D row
 and each distinct pair of them once, in a row table keyed by integer index
 data that lives for one call, and gathers the element arrays from it.
+
+Which functions meet an element (the IEN, and the level-1 functions that
+carry the geometry) is decided on the hierarchy's knot-span grid: a support
+meets an element when their open grid boxes overlap.  Grid lines number the
+distinct knot values in order, so this is the open overlap of the exact
+rational rectangles.
 """
 
 from __future__ import annotations
@@ -24,31 +30,26 @@ from .tmesh import MeshStructureError
 FMT = "%.17g"
 
 
-def _support_array(supports):
-    return np.array([[float(v) for v in sup] for sup in supports])
-
-
-def _overlap_positions(sup_arr, rect):
-    """Positions whose open support rectangle meets the open element rect.
-    Floats are exact for the dyadic knot values arising from midpoint
-    subdivision, so these comparisons match the rational ones."""
-    e1, e2, f1, f2 = (float(v) for v in rect)
-    hit = (sup_arr[:, 0] < e2) & (e1 < sup_arr[:, 1]) & (sup_arr[:, 2] < f2) & (f1 < sup_arr[:, 3])
-    return np.nonzero(hit)[0]
+def _meets(boxes, box):
+    """Positions of the (n, 4) grid boxes whose open interior meets the open
+    grid box (x1, x2, y1, y2)."""
+    x1, x2, y1, y2 = box
+    return np.flatnonzero(
+        (boxes[:, 0] < x2) & (x1 < boxes[:, 1]) & (boxes[:, 2] < y2) & (y1 < boxes[:, 3])
+    )
 
 
 def build_ien(space: HierarchicalSpace):
     """Per element, the positions (into space.functions) of the hierarchical
     functions nonzero on its interior, in canonical function order."""
-    sup_arr = _support_array(space.support(hf) for hf in space.functions)
-    return [list(_overlap_positions(sup_arr, he.param_rect)) for he in space.elements]
+    return [_meets(space.function_boxes, box) for box in space.element_boxes.tolist()]
 
 
 @dataclass
 class ElementData:
     level: int
     param_rect: tuple
-    ien: list
+    ien: np.ndarray     # n_loc positions into space.functions
     C: np.ndarray       # n_loc x n_b
     weights: np.ndarray  # n_b element Bezier weights
     points: np.ndarray   # n_b x d element Bezier control points
@@ -118,15 +119,15 @@ def extract_all(space, weights=None, points=None):
         return r
 
     sp1 = space.spaces[0]
-    geom_sup = _support_array(sp1.support(fn) for fn in sp1.functions)
     ien = build_ien(space)
-    geom = [_overlap_positions(geom_sup, he.param_rect) for he in space.elements]
+    geom = [_meets(space.geometry_boxes, box) for box in space.element_boxes.tolist()]
     c_ids = [
-        [row_id(space.functions[a].level, space.functions[a].fn, he) for a in row]
+        [row_id(space.functions[a].level, space.functions[a].fn, he) for a in row.tolist()]
         for he, row in zip(space.elements, ien)
     ]
     g_ids = [
-        [row_id(1, sp1.functions[g], he) for g in gs] for he, gs in zip(space.elements, geom)
+        [row_id(1, sp1.functions[g], he) for g in gs.tolist()]
+        for he, gs in zip(space.elements, geom)
     ]
     table = np.array(products).reshape(-1, (p + 1) * (q + 1))
     w = np.asarray(weights, dtype=float)
@@ -142,7 +143,7 @@ def extract_all(space, weights=None, points=None):
             raise MeshStructureError(f"nonpositive element Bezier weight on element {he}")
         qb = (G[:, :, None] * P[gs][:, None, :] * wg[:, None, None]).sum(0, initial=0.0)
         qb /= wbf[:, None]
-        out.append(ElementData(he.level, he.param_rect, list(row), table[ci], wbf, qb))
+        out.append(ElementData(he.level, he.param_rect, row, table[ci], wbf, qb))
     return out
 
 

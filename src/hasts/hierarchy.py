@@ -5,11 +5,15 @@ for that level.  Subdivision doubles the positive-area index grid, halving
 every knot span; the hierarchical basis keeps coarse functions whose support
 leaks out of the next level's domain and adopts fine functions fully inside it.
 
-A level's domain must be a union of closures of the previous level's Bezier
-elements; any other domain is rejected.  Domain and support tests are exact
-integer arithmetic on knot-span indices: each level's domain becomes a mask
-over the level's knot-span grid, found from knot values by exact lookup, and
-a rectangle lies inside when the mask's summed-area table covers all of it.
+Every location test is integer arithmetic on one knot-span grid per
+hierarchy, the finest level's distinct knots numbered from 0, onto which
+each level maps its index lines.  The knots of every level must be knots of
+the next, and a level's domain must be a union of closures of the previous
+level's Bezier elements; the domain becomes a mask over the grid, inside
+which a rectangle lies when the mask's summed-area table covers all of it.
+The build keeps, in canonical order, the grid boxes of the active functions,
+the active elements and the level-1 functions, and the grid lines of each
+active function's local knot vectors.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ def _space_for(mesh, hknots, vknots):
     return _space_cache[key]
 
 
-# -- knot-span grids and domain masks -----------------------------------------
+# -- the knot-span grid and domain masks --------------------------------------
 
 
 def span_grid(hknots, vknots):
@@ -60,6 +64,10 @@ def span_grid(hknots, vknots):
     return tuple(
         {v: i for i, v in enumerate(sorted(set(knots.values)))} for knots in (hknots, vknots)
     )
+
+
+def _unnested(value):
+    return MeshStructureError(f"knot {value} of a level is not a knot of the next level")
 
 
 def grid_lines(grid, hknots, vknots):
@@ -71,7 +79,7 @@ def grid_lines(grid, hknots, vknots):
             for g, knots in zip(grid, (hknots, vknots))
         )
     except KeyError as exc:
-        raise MeshStructureError(f"knot {exc.args[0]} of a level is not a knot of the next level") from None
+        raise _unnested(exc.args[0]) from None
 
 
 def index_spans(rects, lines):
@@ -85,18 +93,20 @@ def _rect_text(rect):
     return "(" + ", ".join(str(v) for v in rect) + ")"
 
 
-def param_spans(grid, rects, level):
-    """(n, 4) grid rectangles of level ``level``'s parametric rectangles."""
+def param_spans(grid, rects, level, lines):
+    """(n, 4) grid rectangles of level ``level``'s parametric rectangles; each
+    corner must be a knot of that level, whose ``grid_lines`` are ``lines``."""
     h, v = grid
-    out = []
-    for rect in rects:
-        x1, x2, y1, y2 = rect
-        if not (x1 in h and x2 in h and y1 in v and y2 in v):
-            raise MeshStructureError(
-                f"level {level} domain rectangle {_rect_text(rect)} is off the level {level} knot grid"
-            )
-        out.append((h[x1], h[x2], v[y1], v[y2]))
-    return np.array(out, dtype=np.int64).reshape(-1, 4)
+    out = [[g.get(c, -1) for g, c in zip((h, h, v, v), rect)] for rect in rects]
+    out = np.array(out, dtype=np.int64).reshape(-1, 4)
+    hl, vl = (ls[1:] for ls in lines)
+    on = np.isin(out[:, :2], hl).all(axis=1) & np.isin(out[:, 2:], vl).all(axis=1)
+    if not on.all():
+        raise MeshStructureError(
+            f"level {level} domain rectangle {_rect_text(rects[int(np.argmin(on))])} "
+            f"is off the level {level} knot grid"
+        )
+    return out
 
 
 def summed_area(spans, grid):
@@ -141,9 +151,10 @@ def refine_knots(knots):
     return GlobalKnots(child, p)
 
 
-def bezier_cells(mesh, hknots, vknots):
-    """Positive-parametric-area cells of the extended mesh, as index rects."""
-    hl, vl = grid_lines(span_grid(hknots, vknots), hknots, vknots)
+def bezier_cells(mesh, lines):
+    """Positive-parametric-area cells of the extended mesh, as index rects;
+    ``lines`` maps the mesh's index lines to knot-span grid lines."""
+    hl, vl = lines
     cells = np.array(mesh.extended().cells, dtype=np.int64).reshape(-1, 4)
     keep = (hl[cells[:, 1]] > hl[cells[:, 0]]) & (vl[cells[:, 3]] > vl[cells[:, 2]])
     return [tuple(c) for c in cells[keep].tolist()]
@@ -176,7 +187,8 @@ def subdivide_level(parent: LevelMesh):
     parent_ext_mapped = TMesh(mc, nc, p, q, hseg.copy(), vseg.copy())
     chk = refine_knots(parent.hknots)
     cvk = refine_knots(parent.vknots)
-    for x1, x2, y1, y2 in bezier_cells(mesh, parent.hknots, parent.vknots):
+    lines = grid_lines(span_grid(parent.hknots, parent.vknots), parent.hknots, parent.vknots)
+    for x1, x2, y1, y2 in bezier_cells(mesh, lines):
         cx = (fx(x1) + fx(x2)) // 2
         cy = (fy(y1) + fy(y2)) // 2
         if chk[cx] != (parent.hknots[x1] + parent.hknots[x2]) / 2 or cvk[cy] != (
@@ -276,6 +288,8 @@ class HierarchicalSpace:
                 raise MeshStructureError("levels must be consecutively numbered")
             if b.domain is None:
                 raise MeshStructureError("only level 1 may cover the whole domain")
+            if (b.mesh.p, b.mesh.q) != (a.mesh.p, a.mesh.q):
+                raise MeshStructureError("all levels must have the same degrees")
         self.levels = levels
         self.spaces = [lv.space() for lv in levels]
         self._build()
@@ -284,52 +298,66 @@ class HierarchicalSpace:
         """A level-k function or element is active when it lies in Ω^k but not
         in Ω^{k+1}.  As Ω^{k+1} ⊆ Ω^k, every active object below level k
         already lies outside Ω^{k+1}, so each domain meets only level-k and
-        level-(k+1) objects."""
+        level-(k+1) objects.  Each level's functions (by anchor) and cells
+        come sorted, so the level-major order of H and HE is canonical."""
         levels = self.levels
-        supports = [
-            [(f.h_indices[0], f.h_indices[-1], f.v_indices[0], f.v_indices[-1]) for f in sp.functions]
-            for sp in self.spaces
+        grid = span_grid(levels[-1].hknots, levels[-1].vknots)
+        lines = [grid_lines(grid, lv.hknots, lv.vknots) for lv in levels]
+        for coarse, fine in zip(lines, lines[1:]):
+            for g, a, b in zip(grid, coarse, fine):
+                lost = ~np.isin(a[1:], b[1:])
+                if lost.any():
+                    raise _unnested(list(g)[a[1:][lost.argmax()]])
+        # grid lines of every function's local knot vectors, per level and direction
+        fn_lines = [
+            (hl[np.array([f.h_indices for f in fns])], vl[np.array([f.v_indices for f in fns])])
+            for fns, (hl, vl) in zip((sp.functions for sp in self.spaces), lines)
         ]
-        cells = [bezier_cells(lv.mesh, lv.hknots, lv.vknots) for lv in levels]
+        supports = [np.column_stack([h[:, 0], h[:, -1], v[:, 0], v[:, -1]]) for h, v in fn_lines]
+        cells = [bezier_cells(lv.mesh, ls) for lv, ls in zip(levels, lines)]
+        boxes = [index_spans(c, ls) for c, ls in zip(cells, lines)]
         fn_on = [np.ones(len(supports[0]), dtype=bool)]
         cell_on = [np.ones(len(cells[0]), dtype=bool)]
         for k in range(1, len(levels)):
-            lv, up = levels[k], levels[k - 1]
-            grid = span_grid(lv.hknots, lv.vknots)
-            rects = param_spans(grid, lv.domain, k + 1)
+            domain = levels[k].domain
+            rects = param_spans(grid, domain, k + 1, lines[k])
             table = summed_area(rects, grid)
-            coarse = grid_lines(grid, up.hknots, up.vknots)
-            fine = grid_lines(grid, lv.hknots, lv.vknots)
-            parents = index_spans(cells[k - 1], coarse)
-            below = in_domain(parents, table)
+            below = in_domain(boxes[k - 1], table)
             # the domain must be the union of the level-k elements of Ω^k it contains
-            kept = parents[below & cell_on[k - 1]]
+            kept = boxes[k - 1][below & cell_on[k - 1]]
             if table[-1, -1] != ((kept[:, 1] - kept[:, 0]) * (kept[:, 3] - kept[:, 2])).sum():
-                bad = lv.domain[int(np.argmin(in_domain(rects, summed_area(kept, grid))))]
+                bad = domain[int(np.argmin(in_domain(rects, summed_area(kept, grid))))]
                 raise MeshStructureError(
                     f"level {k + 1} domain rectangle {_rect_text(bad)} is not a union of "
                     f"level {k} element closures inside the level {k} domain"
                 )
-            fn_on[k - 1] &= ~in_domain(index_spans(supports[k - 1], coarse), table)
+            fn_on[k - 1] &= ~in_domain(supports[k - 1], table)
             cell_on[k - 1] &= ~below
-            fn_on.append(in_domain(index_spans(supports[k], fine), table))
-            cell_on.append(in_domain(index_spans(cells[k], fine), table))
-        H = [
+            fn_on.append(in_domain(supports[k], table))
+            cell_on.append(in_domain(boxes[k], table))
+        self.functions = tuple(
             HFunction(k + 1, f)
             for k, sp in enumerate(self.spaces)
             for f, on in zip(sp.functions, fn_on[k])
             if on
-        ]
-        E = [
+        )
+        self.elements = tuple(
             HElement(k + 1, rect, self._param_rect(k, rect))
             for k in range(len(levels))
             for rect, on in zip(cells[k], cell_on[k])
             if on
-        ]
-        self.functions = tuple(sorted(H, key=HFunction.sort_key))
-        self.elements = tuple(sorted(E, key=HElement.sort_key))
+        )
         self.n_f = len(self.functions)
         self.n_e = len(self.elements)
+        # integer location data in canonical order, on a grid of
+        # ``grid_shape`` lines per direction
+        self.grid_shape = tuple(len(g) for g in grid)
+        self.knot_lines = tuple(
+            np.concatenate([fl[d][on] for fl, on in zip(fn_lines, fn_on)]) for d in (0, 1)
+        )
+        self.function_boxes = np.concatenate([b[on] for b, on in zip(supports, fn_on)])
+        self.element_boxes = np.concatenate([b[on] for b, on in zip(boxes, cell_on)])
+        self.geometry_boxes = supports[0]
 
     def _param_rect(self, k, rect):
         x1, x2, y1, y2 = rect
@@ -519,10 +547,8 @@ def refine_by_elements(space: HierarchicalSpace, marked, max_levels=8):
         if tgt > len(levels):
             levels.append(subdivide_suitable(levels[-1]))
         lv = levels[tgt - 1]
-        grid = span_grid(lv.hknots, lv.vknots)
-        table = summed_area(param_spans(grid, lv.domain, tgt), grid)
-        rects = list(dict.fromkeys(additions[tgt]))
-        inside = in_domain(param_spans(grid, rects, tgt), table)
-        new_rects = tuple(lv.domain) + tuple(r for r, i in zip(rects, inside) if not i)
-        levels[tgt - 1] = replace(lv, domain=new_rects)
+        # an active element never lies in the next level's domain, so every
+        # marked rectangle is new there
+        new_rects = tuple(dict.fromkeys(additions[tgt]))
+        levels[tgt - 1] = replace(lv, domain=tuple(lv.domain) + new_rects)
     return HierarchicalSpace(levels)

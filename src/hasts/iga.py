@@ -221,7 +221,7 @@ class Discretization:
         Ryy = a21 * (a21 * Rxixi + a22 * Rxieta) + a22 * (a21 * Rxieta + a22 * Retaeta)
         dvol = wts * det
         h = np.sqrt(dvol[:, 0].sum(axis=1))
-        ien = np.array([ed.ien for ed in elems], dtype=int)
+        ien = np.stack([ed.ien for ed in elems])
         return ElementGroup(pos, ien, x, dvol, h, R, Rx, Ry, Rxx + Ryy)
 
     def at_gauss_points(self, fn):
@@ -279,16 +279,13 @@ def assemble(problem: Problem, disc: Discretization, supg=True):
 
 
 def boundary_functions(space: HierarchicalSpace):
-    """Indices of hierarchical functions with nonzero trace on the boundary."""
-    out = set()
-    for a, hf in enumerate(space.functions):
-        sp_ = space.spaces[hf.level - 1]
-        hv = sp_.h_values(hf.fn)
-        vv = sp_.v_values(hf.fn)
-        p, q = sp_.mesh.p, sp_.mesh.q
-        if hv[p] == hv[0] or hv[1] == hv[-1] or vv[q] == vv[0] or vv[1] == vv[-1]:
-            out.add(a)
-    return sorted(out)
+    """Indices of hierarchical functions with nonzero trace on the boundary:
+    a local knot vector whose first or last p+1 (q+1) knots coincide, found
+    from the grid lines of its positions 0 and p, 1 and p+1."""
+    H, V = space.knot_lines
+    p, q = H.shape[1] - 2, V.shape[1] - 2
+    on = (H[:, p] == H[:, 0]) | (H[:, 1] == H[:, -1]) | (V[:, q] == V[:, 0]) | (V[:, 1] == V[:, -1])
+    return np.flatnonzero(on).tolist()
 
 
 @lru_cache(maxsize=None)
@@ -334,15 +331,11 @@ def apply_dirichlet(K, F, problem, disc):
     bpos = np.full(space.n_f, -1)
     bpos[bidx] = np.arange(nb)
     ng = max(disc.p, disc.q) + 2
-    # every (element, side) pair on the domain boundary, in canonical order
-    pos, side = [], []
-    for k, ed in enumerate(disc.elems):
-        s1, s2, t1, t2 = ed.param_rect
-        for i, on in enumerate((s1 == 0, s2 == 1, t1 == 0, t2 == 1)):
-            if on:
-                pos.append(k)
-                side.append(i)
-    pos, side = np.array(pos, dtype=int), np.array(side, dtype=int)
+    # every (element, side) pair on the domain boundary, in canonical order:
+    # the sides s0, s1, t0, t1 of an element's grid box on the first or last
+    # grid line
+    gh, gv = space.grid_shape
+    pos, side = np.nonzero(space.element_boxes == [0, gh - 1, 0, gv - 1])
     n_loc = np.array([len(disc.elems[k].ien) for k in pos], dtype=int)
     parts = [None] * len(pos)  # per pair: rows, cols, M entries, rhs rows, rhs entries
     for n in np.unique(n_loc):
@@ -350,7 +343,7 @@ def apply_dirichlet(K, F, problem, disc):
         elems = [disc.elems[k] for k in pos[sel]]
         x, dw, N = _edge_quadrature(disc, elems, side[sel], ng)
         g = _t(_at_points(problem.dirichlet, x))            # E x n_g x 1
-        gi = bpos[np.array([ed.ien for ed in elems], dtype=int)]  # -1: not on the boundary
+        gi = bpos[np.stack([ed.ien for ed in elems])]  # -1: not on the boundary
         Me = ((N * dw) @ _t(N)).reshape(len(sel), -1)
         be = ((N * dw) @ g)[:, :, 0]
         for j, *part in zip(sel.tolist(), np.repeat(gi, n, axis=1), np.tile(gi, (1, n)), Me, gi, be):
@@ -498,7 +491,7 @@ def sample_field(disc, coeffs, nx=65, ny=65):
         B = bernstein_grid(disc.p, disc.q, xi, eta)
         w = B @ ed.weights
         x = (ed.points * ed.weights[:, None]).T @ B.T / w
-        phi = coeffs[np.array(ed.ien, dtype=int)] @ (ed.C @ B.T) / w
+        phi = coeffs[ed.ien] @ (ed.C @ B.T) / w
         shape = (len(eta), len(xi))
         X[iy, ix] = x[0].reshape(shape)
         Y[iy, ix] = x[1].reshape(shape)

@@ -88,11 +88,6 @@ def dump_mesh(mesh, hknots, vknots):
     return "\n".join(out) + "\n"
 
 
-def save_mesh(path, mesh, hknots, vknots):
-    with open(path, "w") as f:
-        f.write(dump_mesh(mesh, hknots, vknots))
-
-
 def read_mesh(path):
     with open(path) as f:
         return parse_mesh(f.read())
@@ -103,24 +98,24 @@ def parse_mesh(text):
     ln, s = r.next()
     if s != MESH_MAGIC:
         raise ParseError(ln, f"bad header {s!r}, expected {MESH_MAGIC!r}")
-    _, (m, n, p, q) = r.ints(4, "header")
-    mesh_dims_ok = m >= 2 and n >= 2
-    if not mesh_dims_ok:
+    return _read_mesh(r)
+
+
+def _read_mesh(r):
+    """The mesh section after its magic line: (TMesh, hknots, vknots)."""
+    ln, (m, n, p, q) = r.ints(4, "header")
+    if m < 2 or n < 2:
         raise ParseError(ln, f"bad dimensions m={m} n={n}")
     hknots = _read_knots(r, "hknots", m, p)
     vknots = _read_knots(r, "vknots", n, q)
     _, (nv,) = _kw_int(r, "vertices")
-    verts = []
-    for _ in range(nv):
-        _, (x, y) = r.ints(2, "vertex")
-        verts.append((x, y))
+    verts = [tuple(r.ints(2, "vertex")[1]) for _ in range(nv)]
     _, (ne,) = _kw_int(r, "edges")
     edges = []
     for _ in range(ne):
         _, (x1, y1, x2, y2) = r.ints(4, "edge")
         edges.append(((x1, y1), (x2, y2)))
-    mesh = TMesh.from_vertices_edges(m, n, p, q, verts, edges)
-    return mesh, hknots, vknots
+    return TMesh.from_vertices_edges(m, n, p, q, verts, edges), hknots, vknots
 
 
 def _read_knots(r, kw, count, degree):
@@ -196,17 +191,7 @@ def parse_hierarchy(text):
         ln2, s2 = r.next()
         if s2 != MESH_MAGIC:
             raise ParseError(ln2, "expected embedded mesh section")
-        _, (m, n, p, q) = r.ints(4, "header")
-        hknots = _read_knots(r, "hknots", m, p)
-        vknots = _read_knots(r, "vknots", n, q)
-        _, (nv,) = _kw_int(r, "vertices")
-        verts = [tuple(r.ints(2, "vertex")[1]) for _ in range(nv)]
-        _, (ne,) = _kw_int(r, "edges")
-        edges = []
-        for _ in range(ne):
-            _, (x1, y1, x2, y2) = r.ints(4, "edge")
-            edges.append(((x1, y1), (x2, y2)))
-        mesh = TMesh.from_vertices_edges(m, n, p, q, verts, edges)
+        mesh, hknots, vknots = _read_mesh(r)
         _, (nr,) = _kw_int(r, "domain")
         rects = []
         for _ in range(nr):
@@ -218,11 +203,6 @@ def parse_hierarchy(text):
         domain = tuple(rects) if k > 0 else None
         levels.append(LevelMesh(k + 1, mesh, hknots, vknots, domain))
     return levels
-
-
-def save_hierarchy(path, levels):
-    with open(path, "w") as f:
-        f.write(dump_hierarchy(levels))
 
 
 def read_hierarchy(path):

@@ -236,13 +236,6 @@ class TMesh:
             return bool(self.hseg[xlo, y]) or (xlo >= 2 and bool(self.hseg[xlo - 1, y]))
         return bool(self.hseg[xlo:xhi, y].all())
 
-    def v_touches(self, x, y):
-        """Vertical skeleton touches the point (x, y)."""
-        return bool(self.vseg[x, y]) or (y >= 2 and bool(self.vseg[x, y - 1]))
-
-    def h_touches(self, x, y):
-        return bool(self.hseg[x, y]) or (x >= 2 and bool(self.hseg[x - 1, y]))
-
     @cached_property
     def canonical_vertices(self):
         """Points where the skeleton branches, crosses, turns, or terminates.
@@ -432,9 +425,9 @@ class TMesh:
                 pos = limit[1]
                 break
             if axis == "h":
-                hit = self.v_touches(pos, y) or (pos, y) in self.canonical_vertices
+                hit = self.v_line_covers(pos, y, y) or (pos, y) in self.canonical_vertices
             else:
-                hit = self.h_touches(x, pos) or (x, pos) in self.canonical_vertices
+                hit = self.h_line_covers(pos, x, x) or (x, pos) in self.canonical_vertices
             if hit:
                 met += 1
         return pos

@@ -9,7 +9,9 @@ evaluation use them, so those checks stay independent of the library path.
 
 The FE oracles are the finite-element loop the library ran before it
 evaluated elements in groups: quadrature, assembly, the Dirichlet projection
-and the estimator, one element at a time.
+and the estimator, one element at a time.  The Dirichlet oracle selects the
+boundary functions and element sides by comparing exact knot values, as the
+library did before it compared grid lines.
 """
 
 import random
@@ -23,7 +25,7 @@ from hasts import samples
 from hasts.benchmarks import tensor_space
 from hasts.basis import GlobalKnots, bernstein_grid
 from hasts.hierarchy import HFunction, HierarchicalSpace, LevelMesh, refine_by_elements
-from hasts.iga import _bern_tables, _gauss, boundary_functions, tau_element
+from hasts.iga import _bern_tables, _gauss, tau_element
 from hasts.tmesh import MeshStructureError
 
 
@@ -96,6 +98,16 @@ def sample_hierarchies():
     )
     out.append(sp23)
     return out
+
+
+def thirds_space(p):
+    """A non-dyadic start refined twice: ``tensor_space(3, p)`` with its left
+    column of elements refined, then the bottom row of level 2, so the
+    knots include 1/3, 1/6 and 1/12."""
+    space = tensor_space(3, p)
+    space = refine_by_elements(space, [e for e in space.elements if e.param_rect[0] == 0])
+    lv2 = [e for e in space.elements if e.level == 2 and e.param_rect[2] == 0]
+    return refine_by_elements(space, lv2)
 
 
 def extract_solve_space(seed, start=4):
@@ -336,6 +348,20 @@ def _edge_quadrature(disc, ed, side, ng):
     dxd = (P.T @ Bd.T - x * (Bd @ ed.weights)) / w
     arc = np.sqrt(dxd[0] ** 2 + dxd[1] ** 2) * jac
     return x, gw * arc, N
+
+
+def boundary_functions(space):
+    """Indices of hierarchical functions with nonzero trace on the boundary,
+    from exact knot values."""
+    out = set()
+    for a, hf in enumerate(space.functions):
+        sp_ = space.spaces[hf.level - 1]
+        hv = sp_.h_values(hf.fn)
+        vv = sp_.v_values(hf.fn)
+        p, q = sp_.mesh.p, sp_.mesh.q
+        if hv[p] == hv[0] or hv[1] == hv[-1] or vv[q] == vv[0] or vv[1] == vv[-1]:
+            out.add(a)
+    return sorted(out)
 
 
 def apply_dirichlet(K, F, problem, disc):

@@ -222,6 +222,23 @@ def test_config_unknown_key_exits_two(tmp_path, capsys):
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+def test_knots_off_the_unit_interval_are_a_parse_error(tmp_path, capsys):
+    # a 4x4 biquadratic mesh whose knots run from 0 to 2
+    mesh = samples.tensor_mesh(4, 4, 2, 2)
+    text = meshio.dump_mesh(mesh, GlobalKnots.uniform_open(mesh.m, 2), GlobalKnots.uniform_open(mesh.n, 2))
+    lines = text.splitlines()
+    for i in (2, 3):
+        kw, *vals = lines[i].split()
+        lines[i] = " ".join([kw] + [meshio.fmt(2 * float(v)) for v in vals])
+    path = tmp_path / "k02.mesh"
+    path.write_text("\n".join(lines) + "\n")
+    for cmd in (["solve", "--benchmark", "skew45", "--iterations", "1"], ["extract"]):
+        capsys.readouterr()
+        assert main(cmd + ["--mesh", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("parse error: line 3: ")
+
+
 def test_solve_on_mesh_file_start(tmp_path, capsys):
     rc = main([
         "solve", "--mesh", sample("tensor_4x4_p2.mesh"), "--benchmark", "manufactured",

@@ -22,6 +22,7 @@ from conftest import (
     extract_solve_space,
     one_level,
     sample_hierarchies,
+    thirds_space,
 )
 from hasts.basis import bernstein, bernstein_grid
 from hasts.benchmarks import tensor_space
@@ -352,6 +353,8 @@ def test_extract_all_bit_identical_on_hierarchies():
         assert_bit_identical(space)
     for seed in (1, 2, 3):
         assert_bit_identical(extract_solve_space(seed))
+    for p in (2, 3):
+        assert_bit_identical(thirds_space(p))
 
 
 def test_extract_all_bit_identical_with_weights_and_3d_points():

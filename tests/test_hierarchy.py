@@ -15,7 +15,7 @@ import pytest
 
 from conftest import cox_de_boor, eval_all, eval_function
 from hasts import meshio, samples
-from hasts.basis import Space, insert_knot
+from hasts.basis import GlobalKnots, Space, insert_knot
 from hasts.benchmarks import tensor_space
 from hasts.cli import main
 from hasts.hierarchy import (
@@ -24,7 +24,6 @@ from hasts.hierarchy import (
     HierarchicalSpace,
     LevelMesh,
     _verify_representation,
-    bezier_cells,
     in_domain,
     index_map,
     param_spans,
@@ -71,11 +70,11 @@ def test_subdivide_quarters_every_element():
         child = subdivide_suitable(parent)
         pcells = {
             tuple(space._param_rect(0, r))
-            for r in bezier_cells(parent.mesh, parent.hknots, parent.vknots)
+            for r in reference_cells(parent)
         }
         ccells = [
             (child.hknots[x1], child.hknots[x2], child.vknots[y1], child.vknots[y2])
-            for x1, x2, y1, y2 in bezier_cells(child.mesh, child.hknots, child.vknots)
+            for x1, x2, y1, y2 in reference_cells(child)
         ]
         assert len(ccells) == 4 * len(pcells)
         for s1, s2, t1, t2 in ccells:
@@ -212,9 +211,10 @@ def test_rect_covered_exact():
     assert not covered(unit, tuple(quarters[:2]))
     # the span-mask predicate agrees on the grid {0, 1/2, 1}
     grid = ({Fraction(0): 0, h: 1, Fraction(1): 2},) * 2
-    spans = param_spans(grid, [unit] + quarters, 2)
+    lines = (np.array([0, 0, 1, 2]),) * 2
+    spans = param_spans(grid, [unit] + quarters, 2, lines)
     for dom in (quarters, quarters[:3], quarters[:2], [unit]):
-        got = in_domain(spans, summed_area(param_spans(grid, dom, 2), grid))
+        got = in_domain(spans, summed_area(param_spans(grid, dom, 2, lines), grid))
         assert list(got) == [rect_covered(r, dom) for r in [unit] + quarters]
 
 
@@ -236,7 +236,7 @@ def recount_elements(space):
     iff (not inside the next domain) and (inside this level's domain)."""
     count = 0
     for k, lv in enumerate(space.levels):
-        cells = bezier_cells(lv.mesh, lv.hknots, lv.vknots)
+        cells = reference_cells(lv)
         nxt = space.levels[k + 1].domain if k + 1 < len(space.levels) else ()
         for rect in cells:
             pr = space._param_rect(k, rect)
@@ -331,6 +331,32 @@ def test_levels_must_nest(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == "" and len(out.err.splitlines()) == 1
     assert out.err.startswith("error: ")
+
+
+def test_knots_of_each_level_must_be_knots_of_the_next():
+    def level(k, ne, domain):
+        mesh = samples.tensor_mesh(ne, ne, 2, 2)
+        hk, vk = GlobalKnots.uniform_open(mesh.m, 2), GlobalKnots.uniform_open(mesh.n, 2)
+        return LevelMesh(k, mesh, hk, vk, domain)
+
+    unit = (Fraction(0), Fraction(1), Fraction(0), Fraction(1))
+    corner = (Fraction(0), Fraction(1, 3), Fraction(0), Fraction(1, 3))
+    # thirds, sixths, twelfths nest
+    space = HierarchicalSpace([level(1, 3, None), level(2, 6, (unit,)), level(3, 12, (corner,))])
+    assert {hf.level for hf in space.functions} == {2, 3}
+    # quarters, thirds, twelfths: every knot is a knot of the finest level,
+    # but level 2 lacks the level-1 knot 1/4
+    with pytest.raises(MeshStructureError, match="knot 1/4 of a level is not a knot of the next level"):
+        HierarchicalSpace([level(1, 4, None), level(2, 3, (unit,)), level(3, 12, (corner,))])
+
+
+def test_levels_must_have_the_same_degrees():
+    lv1 = tensor_space(2, 2).levels[0]
+    mesh = samples.tensor_mesh(4, 4, 3, 3)
+    hk, vk = GlobalKnots.uniform_open(mesh.m, 3), GlobalKnots.uniform_open(mesh.n, 3)
+    half = (Fraction(0), Fraction(1, 2), Fraction(0), Fraction(1, 2))
+    with pytest.raises(MeshStructureError, match="same degrees"):
+        HierarchicalSpace([lv1, LevelMesh(2, mesh, hk, vk, (half,))])
 
 
 # -- nesting -------------------------------------------------------------------

@@ -14,10 +14,13 @@ import pytest
 
 import conftest as oracle
 from conftest import (
+    as_mesh_corpus,
     eval_all,
     eval_function,
     extract_solve_space,
+    one_level,
     sample_hierarchies,
+    thirds_space,
     two_level_space,
 )
 from conftest import sample_field as reference_sample_field
@@ -215,6 +218,7 @@ def skew_space(p, start):
         pytest.param(lambda: [extract_solve_space(seed, 8) for seed in (1, 2, 3)], id="extract_solve"),
         pytest.param(lambda: [skew_space(2, 8), skew_space(3, 4)], id="skew45"),
         pytest.param(lambda: [tensor_space(1, 1), tensor_space(4, 2, 3)], id="tensor"),
+        pytest.param(lambda: [thirds_space(2), thirds_space(3)], id="thirds"),
     ],
 )
 def test_grouped_fe_matches_per_element_oracle(make):
@@ -247,6 +251,13 @@ def test_boundary_function_split():
             assert eval_function(space, hf, s, 1.0) == pytest.approx(0.0, abs=1e-14)
             assert eval_function(space, hf, 0.0, s) == pytest.approx(0.0, abs=1e-14)
             assert eval_function(space, hf, 1.0, s) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_boundary_functions_match_exact_oracle(hierarchies):
+    spaces = [one_level(mesh) for mesh in as_mesh_corpus()] + list(hierarchies)
+    spaces += [thirds_space(2), thirds_space(3)]
+    for space in spaces:
+        assert boundary_functions(space) == oracle.boundary_functions(space)
 
 
 def test_constant_dirichlet_reproduced_exactly():

@@ -137,3 +137,10 @@ def test_hierarchy_parse_errors():
     with pytest.raises(ParseError):
         # claims one domain rectangle but the file ends
         parse_hierarchy(text.replace("domain 0", "domain 1"))
+    # a level's mesh header is checked as in a mesh file, on its own line
+    lines = text.splitlines()
+    assert lines[4] == "8 8 2 2"
+    lines[4] = "1 8 2 2"
+    with pytest.raises(ParseError, match="bad dimensions m=1 n=8") as e:
+        parse_hierarchy("\n".join(lines))
+    assert e.value.line == 5
