@@ -4,20 +4,26 @@ vectors, plus the univariate primitives that every basis evaluation uses.
 Knot values are stored as exact ``fractions.Fraction`` so that equality and
 interval predicates never see rounding.  A B-spline is evaluated one way
 only: on each knot span it is a polynomial whose exact Bernstein
-coefficients come from knot insertion (``bezier_coeffs_1d``), and floats
-appear only when such a row multiplies a table of Bernstein polynomials on
-[-1,1] (``bernstein``, ``bernstein_grid``).  ``bspline_eval`` locates the
-span of each point by bisection on the distinct knots; the element arrays of
+coefficients are blossoms of that piece, evaluated by the de Boor
+recurrence over integer knots (``bezier_coeffs_1d``), and floats appear
+only when such a row multiplies a table of Bernstein polynomials on [-1,1]
+(``bernstein``, ``bernstein_grid``).  A row does not change under affine
+maps of the knots, so the cache of ``bezier_coeffs_1d``, keyed by
+``extraction`` with knot patterns normalised to the span, is one store of
+rows for the whole process.  ``bspline_eval`` locates the span of each
+point by bisection on the distinct knots; the element arrays of
 ``extraction`` and the quadrature and sampling of ``iga`` apply the same
-rows and tables per element.
+rows and tables per element.  ``insert_knot`` splits one B-spline at a
+knot for ``hierarchy.represent_in_space``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
@@ -232,32 +238,38 @@ def bezier_coeffs_1d(vals, p, a, b):
     """Bernstein coefficients of the single B-spline N[vals] on the span
     [a, b]: N[vals](s(xi)) = sum_j c_j B_{j,p}(xi) there.  Exact rationals.
 
-    The element must be a single span of the function: a knot strictly inside
-    (a, b) is an error.
+    c_j is the blossom of N[vals]'s polynomial piece over [a, b] at
+    (a^(p-j), b^j), by the de Boor recurrence on ``vals`` padded with p
+    copies of each end knot.  The row is invariant under affine maps of the
+    knots, so callers may pass normalised integer knots.  ``vals`` must hold
+    p+2 knots, a < b, and no knot may lie strictly inside (a, b).
     """
+    if len(vals) != p + 2:
+        raise MeshStructureError(f"{len(vals)} knots in {vals}, not p+2 = {p + 2}")
     vals = tuple(Fraction(v) for v in vals)
     a, b = Fraction(a), Fraction(b)
+    if a >= b:
+        raise MeshStructureError(f"span ({a}, {b}) is empty")
     if any(a < v < b for v in vals):
         raise MeshStructureError(f"knot of {vals} lies strictly inside span ({a}, {b})")
-    out = [Fraction(0)] * (p + 1)
-    queue = [(Fraction(1), vals)]
-    guard = 0
-    while queue:
-        guard += 1
-        if guard > 10000:
-            raise MeshStructureError("knot insertion did not terminate")
-        c, v = queue.pop()
-        if c == 0 or v[0] == v[-1] or v[-1] <= a or v[0] >= b:
-            continue
-        if all(x == a or x == b for x in v):
-            j = sum(1 for x in v if x == b)
-            if 1 <= j <= p + 1:
-                out[j - 1] += c
-            continue
-        x = a if v[0] < a else b
-        for cc, child in insert_knot(v, p, x):
-            queue.append((c * cc, child))
-    return tuple(out)
+    if b <= vals[0] or a >= vals[-1]:
+        return (Fraction(0),) * (p + 1)
+    # integer knots over one denominator; the row does not change under scaling
+    den = lcm(*(v.denominator for v in vals + (a, b)))
+    t, a, b = [int(v * den) for v in vals], int(a * den), int(b * den)
+    t = [t[0]] * p + t + [t[-1]] * p
+    mu = bisect_right(t, a) - 1  # [a, b] lies in the padded span [t[mu], t[mu + 1]]
+    row = []
+    for j in range(p + 1):
+        # de Boor at (a^(p-j), b^j) on (numerator, denominator) pairs
+        d = [(int(k == p), 1) for k in range(mu - p, mu + 1)]
+        for r, u in enumerate([a] * (p - j) + [b] * j, 1):
+            for i in range(p, r - 1, -1):
+                lo, hi = t[mu - p + i], t[mu + 1 + i - r]
+                (n0, d0), (n1, d1) = d[i - 1], d[i]
+                d[i] = ((hi - u) * n0 * d1 + (u - lo) * n1 * d0, (hi - lo) * d0 * d1)
+        row.append(Fraction(*d[p]))
+    return tuple(row)
 
 
 def _bernstein_1d(p, x, order):
@@ -320,8 +332,12 @@ def bspline_eval(vals, p, xs):
 
 
 def greville(knots, p):
-    """Greville abscissa of one local knot vector: mean of the p interior knots."""
-    return float(sum(Fraction(k) for k in knots[1 : p + 1]) / p)
+    """Greville abscissa of one local knot vector of int, float or Fraction
+    knots: the mean of the p interior knots, summed exactly over a common
+    denominator and rounded once."""
+    ratios = [k.as_integer_ratio() for k in knots[1 : p + 1]]
+    den = lcm(*(d for _, d in ratios))
+    return sum(n * (den // d) for n, d in ratios) / (den * p)
 
 
 # -- a complete spline space over one mesh ------------------------------------

@@ -2,13 +2,17 @@
 spline bases, element connectivity, weights, and Bezier control points.
 
 Each hierarchical function is a tensor product of two univariate
-B-splines, so each row of C^e is the product of two 1D Bezier rows.  The
-1D rows are exact rationals from knot insertion (``basis.bezier_coeffs_1d``,
-re-exported here with its cache); each entry of a 2D row is the exact
-product of two 1D entries, rounded to float once, in the column order of
-``basis.bernstein_grid``.  ``extract_all`` computes each distinct 1D row
-and each distinct pair of them once, in a row table keyed by integer index
-data that lives for one call, and gathers the element arrays from it.
+B-splines, so each row of C^e is the product of two 1D Bezier rows.  A 1D
+row is exact (``basis.bezier_coeffs_1d``, a blossom, re-exported here with
+its cache) and invariant under affine maps, so ``extract_all`` keys it by
+the function's knots normalised to the element's span: integers shifted to
+the span's start and divided by their gcd with its length.  The cache of
+``bezier_coeffs_1d`` is thus one store of rows for every element, call and
+hierarchy of the process.  Each entry of a 2D row is the exact product of
+two 1D entries, rounded to float once, in the column order of
+``basis.bernstein_grid``, and is kept per pair of keys as long.  A call
+normalises each distinct (function, element) pair of grid lines once and
+gathers the element arrays with numpy.
 
 Which functions meet an element (the IEN, and the level-1 functions that
 carry the geometry) is decided on the hierarchy's knot-span grid: a support
@@ -20,6 +24,7 @@ rational rectangles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
@@ -28,21 +33,36 @@ from .hierarchy import HierarchicalSpace
 from .tmesh import MeshStructureError
 
 FMT = "%.17g"
+_CHUNK = 1 << 20  # most entries of one element-by-function overlap block
 
 
-def _meets(boxes, box):
-    """Positions of the (n, 4) grid boxes whose open interior meets the open
-    grid box (x1, x2, y1, y2)."""
-    x1, x2, y1, y2 = box
-    return np.flatnonzero(
-        (boxes[:, 0] < x2) & (x1 < boxes[:, 1]) & (boxes[:, 2] < y2) & (y1 < boxes[:, 3])
-    )
+def _overlaps(element_boxes, boxes):
+    """(element, function) positions of the pairs of an element grid box and
+    one of the (n, 4) grid boxes whose open interiors meet, by element, then
+    by ascending function."""
+    rows = max(1, _CHUNK // max(1, len(boxes)))
+    found = []
+    for s in range(0, len(element_boxes), rows):
+        eb = element_boxes[s : s + rows, None, :]
+        e, f = np.nonzero(
+            (boxes[:, 0] < eb[..., 1]) & (eb[..., 0] < boxes[:, 1])
+            & (boxes[:, 2] < eb[..., 3]) & (eb[..., 2] < boxes[:, 3])
+        )
+        found.append((e + s, f))
+    return tuple(np.concatenate(a) for a in zip(*found))
 
 
 def build_ien(space: HierarchicalSpace):
     """Per element, the positions (into space.functions) of the hierarchical
     functions nonzero on its interior, in canonical function order."""
-    return [_meets(space.function_boxes, box) for box in space.element_boxes.tolist()]
+    e, f = _overlaps(space.element_boxes, space.function_boxes)
+    return _runs(f, np.bincount(e, minlength=space.n_e))
+
+
+def _runs(a, counts):
+    """``a`` cut into consecutive views of the given lengths."""
+    ends = np.cumsum(counts).tolist()
+    return [a[s:t] for s, t in zip([0] + ends, ends)]
 
 
 @dataclass
@@ -63,37 +83,43 @@ def default_geometry(space: HierarchicalSpace):
     return weights, sp1.greville_points()
 
 
-class _ExactRows:
-    """Exact 1D Bernstein rows of one parametric direction, numbered by value.
-
-    A row is looked up by plain ints: (function level, the function's index
-    lines in this direction, element level, the element's two index lines).
-    ``bezier_coeffs_1d`` runs only for a key not seen before."""
-
-    def __init__(self, knots, degree):
-        self.knots = knots  # GlobalKnots of this direction, per level
-        self.degree = degree
-        self.ids = {}
-        self.by_value = {}
-        self.rows = []
-
-    def id(self, level, indices, elevel, i1, i2):
-        key = (level, indices, elevel, i1, i2)
-        rid = self.ids.get(key)
-        if rid is None:
-            ek = self.knots[elevel - 1]
-            row = bezier_coeffs_1d(self.knots[level - 1].take(indices), self.degree, ek[i1], ek[i2])
-            rid = self.ids[key] = self.by_value.setdefault(row, len(self.by_value))
-            if rid == len(self.rows):
-                self.rows.append([(c.numerator, c.denominator) for c in row])
-        return rid
+def _codes(columns, base):
+    """One int64 per row of integer columns in [0, base), equal exactly when
+    the rows are: mixed radix, renumbered densely before it could overflow."""
+    code, size = np.zeros(len(columns[0]), dtype=np.int64), 1
+    for col in columns:
+        if size * base > 2**62:
+            code = np.unique(code, return_inverse=True)[1]
+            size = int(code.max()) + 1
+        code, size = code * base + col, size * base
+    return code
 
 
-def _rounded_product(ch, cv):
-    """float(ch[i] * cv[j]) in bivariate Bernstein order, from (numerator,
-    denominator) pairs.  Int true division rounds correctly, so each entry
-    is the exact product rounded once."""
-    return [(an * bn) / (ad * bd) for bn, bd in cv for an, ad in ch]
+def _row_keys(lines, spans, num, p):
+    """Normalised 1D row keys of (function, element) pairs in one direction,
+    from each pair's p+2 knot grid lines and the element's two; ``num`` are
+    the grid knots as integers.  A key is the ``bezier_coeffs_1d`` arguments
+    ((knots - x0) / g, p, 0, (x1 - x0) / g) for the span [x0, x1] and g the
+    gcd of those differences.  Returns each pair's number into the distinct
+    keys, the keys and their exact rows from the store as integer ratios."""
+    cols = np.column_stack([lines, spans])
+    _, first, inverse = np.unique(_codes(cols.T, len(num)), return_index=True, return_inverse=True)
+    number = {}
+    ids = []
+    for *ls, e1, e2 in cols[first].tolist():
+        x0 = num[e1]
+        rel = [num[i] - x0 for i in ls]
+        span = num[e2] - x0
+        g = gcd(span, *rel)
+        ids.append(number.setdefault((tuple(v // g for v in rel), p, 0, span // g), len(number)))
+    keys = list(number)
+    rows = [[c.as_integer_ratio() for c in bezier_coeffs_1d(*k)] for k in keys]
+    return np.array(ids)[inverse], keys, rows
+
+
+# (h key, v key) -> float row of C^e, kept for the process like the exact
+# rows; a plain dict, so that a call asks the store once per distinct key
+_products = {}
 
 
 def extract_all(space, weights=None, points=None):
@@ -101,50 +127,61 @@ def extract_all(space, weights=None, points=None):
     p, q = space.levels[0].mesh.p, space.levels[0].mesh.q
     if weights is None or points is None:
         weights, points = default_geometry(space)
-    hrows = _ExactRows([lv.hknots for lv in space.levels], p)
-    vrows = _ExactRows([lv.vknots for lv in space.levels], q)
-    pair_ids = {}  # (h row id, v row id) -> row of ``products``
-    products = []
-
-    def row_id(level, fn, he):
-        x1, x2, y1, y2 = he.index_rect
-        key = (
-            hrows.id(level, fn.h_indices, he.level, x1, x2),
-            vrows.id(level, fn.v_indices, he.level, y1, y2),
-        )
-        r = pair_ids.get(key)
-        if r is None:
-            r = pair_ids[key] = len(products)
-            products.append(_rounded_product(hrows.rows[key[0]], vrows.rows[key[1]]))
-        return r
-
-    sp1 = space.spaces[0]
     ien = build_ien(space)
-    geom = [_meets(space.geometry_boxes, box) for box in space.element_boxes.tolist()]
-    c_ids = [
-        [row_id(space.functions[a].level, space.functions[a].fn, he) for a in row.tolist()]
-        for he, row in zip(space.elements, ien)
-    ]
-    g_ids = [
-        [row_id(1, sp1.functions[g], he) for g in gs.tolist()]
-        for he, gs in zip(space.elements, geom)
-    ]
-    table = np.array(products).reshape(-1, (p + 1) * (q + 1))
-    w = np.asarray(weights, dtype=float)
-    P = np.asarray(points, dtype=float)
-    out = []
-    for he, row, gs, ci, gi in zip(space.elements, ien, geom, c_ids, g_ids):
-        G = table[gi]
-        wg = w[gs]
-        # a sequential sum from 0.0 in function order: bit-identical to adding
+    fns = np.concatenate(ien)
+    ge, gf = _overlaps(space.element_boxes, space.geometry_boxes)
+    # every (function, element) pair: the IEN's, then the geometry's
+    n_loc = [len(row) for row in ien]
+    elem = np.concatenate([np.repeat(np.arange(space.n_e), n_loc), ge])
+    (hid, hkeys, hrows), (vid, vkeys, vrows) = (
+        _row_keys(
+            np.concatenate([space.knot_lines[d][fns], space.geometry_lines[d][gf]]),
+            space.element_boxes[elem, 2 * d : 2 * d + 2],
+            space.grid_numerators[d],
+            deg,
+        )
+        for d, deg in ((0, p), (1, q))
+    )
+    pairs, at = np.unique(hid * len(vkeys) + vid, return_inverse=True)
+    table = []
+    for h, v in zip(*(a.tolist() for a in np.divmod(pairs, len(vkeys)))):
+        row = _products.get((hkeys[h], vkeys[v]))
+        if row is None:
+            # float(ch[i] * cv[j]) in bivariate Bernstein order: int true
+            # division rounds the exact product once
+            row = _products[hkeys[h], vkeys[v]] = np.array(
+                [(an * bn) / (ad * bd) for bn, bd in vrows[v] for an, ad in hrows[h]]
+            )
+        table.append(row)
+    table = np.array(table)
+    C, G = table[at[: len(fns)]], table[at[len(fns) :]]
+    # the geometry, stacked by the number k of level-1 functions per element
+    w, P = np.asarray(weights, dtype=float), np.asarray(points, dtype=float)
+    count = np.bincount(ge, minlength=space.n_e)
+    start = np.cumsum(count) - count
+    n_b, dim = table.shape[1], P.shape[1]
+    wb, qb = np.empty((space.n_e, n_b)), np.empty((space.n_e, n_b, dim))
+    for k in np.unique(count).tolist():
+        es = np.flatnonzero(count == k)
+        at_k = start[es, None] + np.arange(k)
+        Gk, wk, Pk = G[at_k], w[gf[at_k]], P[gf[at_k]]
+        # sequential sums from 0.0 in function order: bit-identical to adding
         # one overlapping function at a time
-        wbf = (G * wg[:, None]).sum(0, initial=0.0)
-        if (wbf <= 0).any():
-            raise MeshStructureError(f"nonpositive element Bezier weight on element {he}")
-        qb = (G[:, :, None] * P[gs][:, None, :] * wg[:, None, None]).sum(0, initial=0.0)
-        qb /= wbf[:, None]
-        out.append(ElementData(he.level, he.param_rect, row, table[ci], wbf, qb))
-    return out
+        wsum, qsum = np.zeros((len(es), n_b)), np.zeros((len(es), n_b, dim))
+        for j in range(k):
+            wsum += Gk[:, j] * wk[:, j, None]
+            qsum += Gk[:, j, :, None] * Pk[:, j, None, :] * wk[:, j, None, None]
+        wb[es], qb[es] = wsum, qsum
+    bad = (wb <= 0).any(axis=1)
+    if bad.any():
+        raise MeshStructureError(
+            f"nonpositive element Bezier weight on element {space.elements[int(bad.argmax())]}"
+        )
+    qb /= wb[:, :, None]
+    return [
+        ElementData(he.level, he.param_rect, row, c, wbf, qbf)
+        for he, row, c, wbf, qbf in zip(space.elements, ien, _runs(C, n_loc), wb, qb)
+    ]
 
 
 def local_linear_independence(edata, tol=1e-10):

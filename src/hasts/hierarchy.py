@@ -12,8 +12,9 @@ the next, and a level's domain must be a union of closures of the previous
 level's Bezier elements; the domain becomes a mask over the grid, inside
 which a rectangle lies when the mask's summed-area table covers all of it.
 The build keeps, in canonical order, the grid boxes of the active functions,
-the active elements and the level-1 functions, and the grid lines of each
-active function's local knot vectors.
+the active elements and the level-1 functions, the grid lines of the local
+knot vectors of the active and the level-1 functions, and each direction's
+grid knots as integers over one denominator.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -350,14 +352,19 @@ class HierarchicalSpace:
         self.n_f = len(self.functions)
         self.n_e = len(self.elements)
         # integer location data in canonical order, on a grid of
-        # ``grid_shape`` lines per direction
+        # ``grid_shape`` lines per direction with ``grid_numerators`` as knots
         self.grid_shape = tuple(len(g) for g in grid)
+        dens = [lcm(*(v.denominator for v in g)) for g in grid]
+        self.grid_numerators = tuple(
+            [v.numerator * (d // v.denominator) for v in g] for g, d in zip(grid, dens)
+        )
         self.knot_lines = tuple(
             np.concatenate([fl[d][on] for fl, on in zip(fn_lines, fn_on)]) for d in (0, 1)
         )
         self.function_boxes = np.concatenate([b[on] for b, on in zip(supports, fn_on)])
         self.element_boxes = np.concatenate([b[on] for b, on in zip(boxes, cell_on)])
         self.geometry_boxes = supports[0]
+        self.geometry_lines = fn_lines[0]
 
     def _param_rect(self, k, rect):
         x1, x2, y1, y2 = rect

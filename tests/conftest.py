@@ -7,6 +7,10 @@ scalar Bernstein row per point, and a field sampler that finds each point's
 element by a linear scan.  Tests that compare extraction with pointwise
 evaluation use them, so those checks stay independent of the library path.
 
+The row oracles compute exact Bezier rows and Greville abscissae as the
+library did before it blossomed over integer knots: a queue of single knot
+insertions on ``Fraction`` knot vectors, and a sum of ``Fraction`` knots.
+
 The FE oracles are the finite-element loop the library ran before it
 evaluated elements in groups: quadrature, assembly, the Dirichlet projection
 and the estimator, one element at a time.  The Dirichlet oracle selects the
@@ -15,6 +19,8 @@ library did before it compared grid lines.
 """
 
 import random
+from fractions import Fraction
+from functools import lru_cache
 from math import comb, sqrt
 
 import numpy as np
@@ -23,7 +29,7 @@ import scipy.sparse as sp
 
 from hasts import samples
 from hasts.benchmarks import tensor_space
-from hasts.basis import GlobalKnots, bernstein_grid
+from hasts.basis import GlobalKnots, bernstein_grid, insert_knot
 from hasts.hierarchy import HFunction, HierarchicalSpace, LevelMesh, refine_by_elements
 from hasts.iga import _bern_tables, _gauss, tau_element
 from hasts.tmesh import MeshStructureError
@@ -172,6 +178,42 @@ def eval_function(space, fn, s, t):
 def eval_all(space, s, t):
     """Every function of the space at (s, t), in function order."""
     return np.array([eval_function(space, fn, s, t) for fn in space.functions])
+
+
+# -- exact row oracles ------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def bezier_coeffs_oracle(vals, p, a, b):
+    """Bernstein coefficients of N[vals] on the span [a, b], exact: insert a
+    and b into the local knot vector until every piece is a Bernstein
+    polynomial of [a, b] or vanishes there.  Cached apart from the library's
+    row store."""
+    vals = tuple(Fraction(v) for v in vals)
+    a, b = Fraction(a), Fraction(b)
+    assert len(vals) == p + 2 and a < b
+    if any(a < v < b for v in vals):
+        raise MeshStructureError(f"knot of {vals} lies strictly inside span ({a}, {b})")
+    out = [Fraction(0)] * (p + 1)
+    queue = [(Fraction(1), vals)]
+    while queue:
+        c, v = queue.pop()
+        if c == 0 or v[0] == v[-1] or v[-1] <= a or v[0] >= b:
+            continue
+        if all(x == a or x == b for x in v):
+            j = sum(1 for x in v if x == b)
+            if 1 <= j <= p + 1:
+                out[j - 1] += c
+            continue
+        x = a if v[0] < a else b
+        for cc, child in insert_knot(v, p, x):
+            queue.append((c * cc, child))
+    return tuple(out)
+
+
+def greville_oracle(knots, p):
+    """Greville abscissa as the float of the exact mean of the p interior knots."""
+    return float(sum(Fraction(k) for k in knots[1 : p + 1]) / p)
 
 
 def bernstein_eval(p, i, xi):

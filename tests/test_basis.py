@@ -1,8 +1,9 @@
 """Spline space layer: anchors, local index vectors, B-spline evaluation.
 
 The evaluation oracles are scipy.interpolate.BSpline on identical knot data
-and the Cox-de Boor recursion; golden index vectors are the published values
-for the four shipped meshes.
+and the Cox-de Boor recursion, and Greville abscissae are checked against a
+Fraction sum; golden index vectors are the published values for the four
+shipped meshes.
 """
 
 from fractions import Fraction
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
-from conftest import as_mesh_corpus, cox_de_boor, eval_all, eval_function
+from conftest import as_mesh_corpus, cox_de_boor, eval_all, eval_function, greville_oracle
 from hasts import samples
 from hasts.basis import (
     Anchor,
@@ -178,6 +179,21 @@ def test_bspline_derivative_finite_difference(p, order):
 def test_greville_is_knot_average():
     assert greville((0, 0, 0, 1), 2) == 0.0
     assert greville((0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1), 3) == 0.5
+
+
+def test_greville_matches_fraction_oracle():
+    """Bit for bit the float of the exact Fraction mean, on random rationals
+    with unrelated denominators, floats and mixed int/Fraction knots."""
+    rng = np.random.default_rng(29)
+    for p in (1, 2, 3, 4):
+        for _ in range(200):
+            dens = rng.integers(1, 1000, p + 2).tolist()
+            knots = sorted(Fraction(int(rng.integers(0, d + 1)), d) for d in dens)
+            assert greville(knots, p) == greville_oracle(knots, p)
+            floats = sorted(rng.random(p + 2).tolist())
+            assert greville(floats, p) == greville_oracle(floats, p)
+            mixed = [int(k) if k.denominator == 1 else k for k in knots]
+            assert greville(mixed, p) == greville_oracle(knots, p)
 
 
 # -- the assembled space -------------------------------------------------------

@@ -3,9 +3,12 @@
 The Bernstein oracles are the closed-form polynomial in the mapped variable
 u = (xi+1)/2 and the per-point rows of ``conftest.bernstein_row``;
 extraction operators are checked by evaluating both sides of N_a = C^e B at
-Gauss points, the left side by Cox-de Boor.
+Gauss points, the left side by Cox-de Boor, and bit for bit against an
+element-by-element extraction whose exact rows come from the knot-insertion
+oracle ``conftest.bezier_coeffs_oracle``.
 """
 
+import random
 from fractions import Fraction
 from math import comb
 
@@ -16,6 +19,7 @@ from conftest import (
     as_mesh_corpus,
     bern_index,
     bernstein_row,
+    bezier_coeffs_oracle,
     cox_de_boor,
     eval_all,
     eval_function,
@@ -142,12 +146,63 @@ def test_bezier_coeffs_reject_interior_knot():
         )
 
 
+def test_bezier_coeffs_reject_wrong_length():
+    for vals in ((0, 0, 1, 1), (0, 0, 0, 0, 1, 1, 1)):
+        with pytest.raises(MeshStructureError, match="not p\\+2"):
+            bezier_coeffs_1d(vals, 3, 0, 1)
+
+
+def test_bezier_coeffs_reject_empty_span():
+    for a, b in ((0, 0), (Fraction(1, 2), Fraction(1, 4))):
+        with pytest.raises(MeshStructureError, match="empty"):
+            bezier_coeffs_1d((0, 0, 0, 1), 2, a, b)
+
+
+def test_bezier_coeffs_1d_match_insertion_oracle():
+    """Blossom against knot insertion, equal as Fractions: random knot
+    vectors on grids of 1/den, dyadic or not, so knots repeat; every span
+    of the grid from below the support to above it, so the rows include
+    zero rows and spans that touch knots of multiplicity above 1."""
+    rng = random.Random(23)
+    seen_zero = seen_multiple = 0
+    for p in (1, 2, 3, 4):
+        for den in (1, 2, 3, 4, 5, 6, 8, 12, 16):
+            for _ in range(4):
+                vals = tuple(sorted(Fraction(rng.randrange(den + 1), den) for _ in range(p + 2)))
+                for k in range(-1, den + 1):
+                    a, b = Fraction(k, den), Fraction(k + 1, den)
+                    want = bezier_coeffs_oracle(vals, p, a, b)
+                    assert bezier_coeffs_1d(vals, p, a, b) == want, (vals, p, a, b)
+                    seen_zero += not any(want)
+                    seen_multiple += any(vals.count(v) > 1 for v in (a, b))
+    assert seen_zero and seen_multiple
+    # non-dyadic interior knots off a common grid, and integer knots
+    for p in (2, 3):
+        vals = tuple(Fraction(n, d) for n, d in ((1, 3), (1, 3), (2, 5), (5, 7), (5, 7)))[: p + 2]
+        spans = sorted(set(vals))
+        for a, b in zip(spans, spans[1:]):
+            assert bezier_coeffs_1d(vals, p, a, b) == bezier_coeffs_oracle(vals, p, a, b)
+        ints = tuple(range(0, 3 * (p + 2), 3))
+        assert bezier_coeffs_1d(ints, p, 3, 6) == bezier_coeffs_oracle(ints, p, 3, 6)
+
+
+def test_row_store_stays_bounded():
+    """Rows are keyed by scale-free patterns, so a finer uniform grid of the
+    same degree needs no row that a coarser one did not."""
+    for p in (2, 3):
+        extract_all(tensor_space(8, p))
+        size = bezier_coeffs_1d.cache_info().currsize
+        extract_all(tensor_space(16, p))
+        assert bezier_coeffs_1d.cache_info().currsize == size
+
+
 def bezier_coeffs_2d(hvals, vvals, p, q, rect):
     """Bivariate Bernstein coefficients on one element, bern_index ordering:
-    the exact product of the two 1D rows, one Fraction per entry."""
+    the exact product of the two 1D rows of the insertion oracle, one
+    Fraction per entry."""
     s1, s2, t1, t2 = rect
-    ch = bezier_coeffs_1d(tuple(hvals), p, s1, s2)
-    cv = bezier_coeffs_1d(tuple(vvals), q, t1, t2)
+    ch = bezier_coeffs_oracle(tuple(hvals), p, s1, s2)
+    cv = bezier_coeffs_oracle(tuple(vvals), q, t1, t2)
     out = [Fraction(0)] * ((p + 1) * (q + 1))
     for j in range(1, q + 2):
         for i in range(1, p + 2):
