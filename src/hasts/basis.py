@@ -9,12 +9,13 @@ recurrence over integer knots (``bezier_coeffs_1d``), and floats appear
 only when such a row multiplies a table of Bernstein polynomials on [-1,1]
 (``bernstein``, ``bernstein_grid``).  A row does not change under affine
 maps of the knots, so the cache of ``bezier_coeffs_1d``, keyed by
-``extraction`` with knot patterns normalised to the span, is one store of
-rows for the whole process.  ``bspline_eval`` locates the span of each
-point by bisection on the distinct knots; the element arrays of
-``extraction`` and the quadrature and sampling of ``iga`` apply the same
-rows and tables per element.  ``insert_knot`` splits one B-spline at a
-knot for ``hierarchy.represent_in_space``.
+``extraction`` and ``bspline_eval`` with knot patterns normalised to the
+span (``row_key``), is one store of rows for the whole process.
+``bspline_eval`` locates the span of each point by bisection on the
+distinct knots; the element arrays of ``extraction`` and the quadrature
+and sampling of ``iga`` apply the same rows and tables per element.
+``insert_knot`` splits one B-spline at a knot for
+``hierarchy.represent_in_space``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import numpy as np
 
@@ -272,6 +273,15 @@ def bezier_coeffs_1d(vals, p, a, b):
     return tuple(row)
 
 
+def row_key(knots, p, a, b):
+    """The normalised ``bezier_coeffs_1d`` arguments for the row of integer
+    ``knots`` on the span [a, b]: the knots shifted to a and divided, with
+    b - a, by their gcd.  Affine images of one pattern share the key."""
+    rel = [k - a for k in knots]
+    g = gcd(b - a, *rel)
+    return tuple(v // g for v in rel), p, 0, (b - a) // g
+
+
 def _bernstein_1d(p, x, order):
     """B_{1,p} .. B_{p+1,p} on [-1,1], or their derivatives of the given
     order, at one xi, as Python floats: scalar pow, as numpy's array power
@@ -308,7 +318,8 @@ def bernstein_grid(p, q, xs, etas, dxi=0, deta=0):
 def bspline_eval(vals, p, xs):
     """B-spline N[vals] at the points xs, with local knot vector of length
     p+2: each point's span is found by bisection on the distinct knots and
-    evaluated from its exact Bezier row.
+    evaluated from its exact Bezier row, asked of the store under the
+    normalised key (``row_key``) that extraction uses.
 
     Spans are half-open [v_i, v_{i+1}) except the last, which is closed so
     that the partition of unity holds at the domain end; outside the support
@@ -316,8 +327,10 @@ def bspline_eval(vals, p, xs):
     """
     assert len(vals) == p + 2
     vals = tuple(Fraction(v) for v in vals)
-    knots = sorted(set(vals))
-    breaks = np.array([float(v) for v in knots])
+    den = lcm(*(v.denominator for v in vals))
+    ints = [v.numerator * (den // v.denominator) for v in vals]
+    knots = sorted(set(ints))
+    breaks = np.array([v / den for v in knots])
     xs = np.asarray(xs, dtype=float)
     span = np.searchsorted(breaks, xs, side="right") - 1
     span[xs == breaks[-1]] = len(knots) - 2
@@ -326,7 +339,8 @@ def bspline_eval(vals, p, xs):
         at = span == k
         a, b = breaks[k], breaks[k + 1]
         xi = (2 * xs[at] - a - b) / (b - a)
-        row = np.array([float(c) for c in bezier_coeffs_1d(vals, p, knots[k], knots[k + 1])])
+        key = row_key(ints, p, knots[k], knots[k + 1])
+        row = np.array([float(c) for c in bezier_coeffs_1d(*key)])
         out[at] = bernstein(p, xi) @ row
     return out
 

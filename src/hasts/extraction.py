@@ -10,9 +10,10 @@ the span's start and divided by their gcd with its length.  The cache of
 ``bezier_coeffs_1d`` is thus one store of rows for every element, call and
 hierarchy of the process.  Each entry of a 2D row is the exact product of
 two 1D entries, rounded to float once, in the column order of
-``basis.bernstein_grid``, and is kept per pair of keys as long.  A call
-normalises each distinct (function, element) pair of grid lines once and
-gathers the element arrays with numpy.
+``basis.bernstein_grid``, and is kept as long, numbered per pair of keys,
+in one growing float array per row width.  A call normalises each
+distinct (function, element) pair of grid lines once and gathers the
+element arrays with numpy.
 
 Which functions meet an element (the IEN, and the level-1 functions that
 carry the geometry) is decided on the hierarchy's knot-span grid: a support
@@ -24,11 +25,10 @@ rational rectangles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
-from .basis import bezier_coeffs_1d
+from .basis import bezier_coeffs_1d, row_key
 from .hierarchy import HierarchicalSpace
 from .tmesh import MeshStructureError
 
@@ -98,28 +98,55 @@ def _codes(columns, base):
 def _row_keys(lines, spans, num, p):
     """Normalised 1D row keys of (function, element) pairs in one direction,
     from each pair's p+2 knot grid lines and the element's two; ``num`` are
-    the grid knots as integers.  A key is the ``bezier_coeffs_1d`` arguments
-    ((knots - x0) / g, p, 0, (x1 - x0) / g) for the span [x0, x1] and g the
-    gcd of those differences.  Returns each pair's number into the distinct
-    keys, the keys and their exact rows from the store as integer ratios."""
+    the grid knots as integers.  A key is ``basis.row_key`` of the pair's
+    knots and the element's span.  Returns each pair's number into the
+    distinct keys, the keys and their exact rows from the store as integer
+    ratios."""
     cols = np.column_stack([lines, spans])
     _, first, inverse = np.unique(_codes(cols.T, len(num)), return_index=True, return_inverse=True)
     number = {}
     ids = []
     for *ls, e1, e2 in cols[first].tolist():
-        x0 = num[e1]
-        rel = [num[i] - x0 for i in ls]
-        span = num[e2] - x0
-        g = gcd(span, *rel)
-        ids.append(number.setdefault((tuple(v // g for v in rel), p, 0, span // g), len(number)))
+        key = row_key([num[i] for i in ls], p, num[e1], num[e2])
+        ids.append(number.setdefault(key, len(number)))
     keys = list(number)
     rows = [[c.as_integer_ratio() for c in bezier_coeffs_1d(*k)] for k in keys]
     return np.array(ids)[inverse], keys, rows
 
 
-# (h key, v key) -> float row of C^e, kept for the process like the exact
-# rows; a plain dict, so that a call asks the store once per distinct key
-_products = {}
+class _ProductRows:
+    """Rounded 2D rows of C^e of one width, kept for the process like the
+    exact rows: one growing float array, and the number of each row by its
+    (h key, v key), so that a call asks the store once per distinct key
+    and gathers C^e and the geometry rows straight from the array."""
+
+    def __init__(self, width):
+        self.number = {}
+        self.rows = np.empty((0, width))
+
+    def numbers(self, pairs, hkeys, vkeys, hrows, vrows):
+        """Row numbers of the (h, v) pairs of key numbers; a row not kept
+        yet is made and appended."""
+        out, new = [], []
+        for h, v in pairs:
+            key = (hkeys[h], vkeys[v])
+            i = self.number.get(key)
+            if i is None:
+                i = self.number[key] = len(self.number)
+                new.append((h, v))
+            out.append(i)
+        if new:
+            rows = np.empty((len(self.number), self.rows.shape[1]))
+            rows[: len(self.rows)] = self.rows
+            for i, (h, v) in enumerate(new, len(self.rows)):
+                # float(ch[i] * cv[j]) in bivariate Bernstein order: int true
+                # division rounds the exact product once
+                rows[i] = [(an * bn) / (ad * bd) for bn, bd in vrows[v] for an, ad in hrows[h]]
+            self.rows = rows
+        return np.array(out, dtype=np.int64)
+
+
+_products = {}  # row width -> _ProductRows
 
 
 def extract_all(space, weights=None, points=None):
@@ -143,23 +170,16 @@ def extract_all(space, weights=None, points=None):
         for d, deg in ((0, p), (1, q))
     )
     pairs, at = np.unique(hid * len(vkeys) + vid, return_inverse=True)
-    table = []
-    for h, v in zip(*(a.tolist() for a in np.divmod(pairs, len(vkeys)))):
-        row = _products.get((hkeys[h], vkeys[v]))
-        if row is None:
-            # float(ch[i] * cv[j]) in bivariate Bernstein order: int true
-            # division rounds the exact product once
-            row = _products[hkeys[h], vkeys[v]] = np.array(
-                [(an * bn) / (ad * bd) for bn, bd in vrows[v] for an, ad in hrows[h]]
-            )
-        table.append(row)
-    table = np.array(table)
-    C, G = table[at[: len(fns)]], table[at[len(fns) :]]
+    n_b = (p + 1) * (q + 1)
+    store = _products.setdefault(n_b, _ProductRows(n_b))
+    hv = zip(*(a.tolist() for a in np.divmod(pairs, len(vkeys))))
+    numbers = store.numbers(hv, hkeys, vkeys, hrows, vrows)[at]
+    C, G = store.rows[numbers[: len(fns)]], store.rows[numbers[len(fns) :]]
     # the geometry, stacked by the number k of level-1 functions per element
     w, P = np.asarray(weights, dtype=float), np.asarray(points, dtype=float)
     count = np.bincount(ge, minlength=space.n_e)
     start = np.cumsum(count) - count
-    n_b, dim = table.shape[1], P.shape[1]
+    dim = P.shape[1]
     wb, qb = np.empty((space.n_e, n_b)), np.empty((space.n_e, n_b, dim))
     for k in np.unique(count).tolist():
         es = np.flatnonzero(count == k)

@@ -15,13 +15,24 @@ The build keeps, in canonical order, the grid boxes of the active functions,
 the active elements and the level-1 functions, the grid lines of the local
 knot vectors of the active and the level-1 functions, and each direction's
 grid knots as integers over one denominator.
+
+A refinement changes only the domains and adds at most one level, so what
+a build needs of a level's mesh and knots is made once, when the level is
+first built, and travels with the level (``LevelData`` in
+``LevelMesh.kept``): its ``Space``, the index lines of its functions and
+its Bezier cells, and their maps onto the grid, which are made again only
+when the finest level changes.  A build gathers these onto the grid,
+converts only the domain rectangles it has not seen, applies the masks and
+selects H and HE.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -35,26 +46,19 @@ class LevelMesh:
     """One hierarchy level.  ``domain`` is a tuple of closed parametric
     rectangles (x1, x2, y1, y2) whose union must be a union of closures of
     the previous level's Bezier elements; None means the whole parametric
-    square (level 1 only)."""
+    square (level 1 only).
+
+    ``kept`` is what a build derived from the level: its ``LevelData`` and
+    a prefix of ``domain`` with the spans of its rectangles on the level's
+    own knot lines.  It is no part of the level's value, and
+    ``dataclasses.replace`` carries it to a level with a grown domain."""
 
     level: int
     mesh: TMesh
     hknots: GlobalKnots
     vknots: GlobalKnots
     domain: tuple | None = None
-
-    def space(self):
-        return _space_for(self.mesh, self.hknots, self.vknots)
-
-
-_space_cache = {}
-
-
-def _space_for(mesh, hknots, vknots):
-    key = (mesh.key(), hknots, vknots)
-    if key not in _space_cache:
-        _space_cache[key] = Space(mesh, hknots, vknots)
-    return _space_cache[key]
+    kept: tuple | None = field(default=None, compare=False, repr=False)
 
 
 # -- the knot-span grid and domain masks --------------------------------------
@@ -154,12 +158,13 @@ def refine_knots(knots):
 
 
 def bezier_cells(mesh, lines):
-    """Positive-parametric-area cells of the extended mesh, as index rects;
-    ``lines`` maps the mesh's index lines to knot-span grid lines."""
+    """Positive-parametric-area cells of the extended mesh, as an (n, 4)
+    array of index rects; ``lines`` maps the mesh's index lines to
+    knot-span grid lines."""
     hl, vl = lines
     cells = np.array(mesh.extended().cells, dtype=np.int64).reshape(-1, 4)
     keep = (hl[cells[:, 1]] > hl[cells[:, 0]]) & (vl[cells[:, 3]] > vl[cells[:, 2]])
-    return [tuple(c) for c in cells[keep].tolist()]
+    return cells[keep]
 
 
 def subdivide_level(parent: LevelMesh):
@@ -190,7 +195,7 @@ def subdivide_level(parent: LevelMesh):
     chk = refine_knots(parent.hknots)
     cvk = refine_knots(parent.vknots)
     lines = grid_lines(span_grid(parent.hknots, parent.vknots), parent.hknots, parent.vknots)
-    for x1, x2, y1, y2 in bezier_cells(mesh, lines):
+    for x1, x2, y1, y2 in bezier_cells(mesh, lines).tolist():
         cx = (fx(x1) + fx(x2)) // 2
         cy = (fy(y1) + fy(y2)) // 2
         if chk[cx] != (parent.hknots[x1] + parent.hknots[x2]) / 2 or cvk[cy] != (
@@ -278,6 +283,98 @@ class HElement:
         return (self.level, self.index_rect)
 
 
+class LevelData:
+    """What a build uses of one level's mesh and knots, which no refinement
+    changes, made once per level.
+
+    On the level's own index lines: its ``Space``, the index lines of its
+    functions' local knot vectors (``h_indices``, ``v_indices``, one row per
+    function) and its Bezier cells (``cells``).  ``grid`` numbers the
+    level's distinct knots from 0 and ``lines`` maps its index lines onto
+    those numbers.  ``on(top)`` maps all of it onto the knot-span grid of
+    the finest level ``top`` and keeps the last map, so it is recomputed
+    only when the finest level changes."""
+
+    def __init__(self, mesh, hknots, vknots):
+        self.mesh, self.hknots, self.vknots = mesh, hknots, vknots
+        self.space = Space(mesh, hknots, vknots)
+        fns = self.space.functions
+        self.h_indices = np.array([f.h_indices for f in fns], np.int64).reshape(-1, mesh.p + 2)
+        self.v_indices = np.array([f.v_indices for f in fns], np.int64).reshape(-1, mesh.q + 2)
+        self.grid = span_grid(hknots, vknots)
+        self.lines = grid_lines(self.grid, hknots, vknots)
+        self.cells = bezier_cells(mesh, self.lines)
+        # weak references to the finest level data of the last map and to
+        # the finer level data this level's knots were checked against, so
+        # that no cycle keeps the arrays of a dropped hierarchy alive
+        self._top = self.nested_in = _dead
+        self._on = None
+
+    def __getstate__(self):
+        # weak references do not pickle; a copy maps and checks again
+        return {**self.__dict__, "_top": _dead, "nested_in": _dead, "_on": None}
+
+    def of(self, lv):
+        """Whether this is the data of the level's very mesh and knots."""
+        return self.mesh is lv.mesh and self.hknots is lv.hknots and self.vknots is lv.vknots
+
+    @cached_property
+    def numerators(self):
+        """Each direction's grid knots as integers over one denominator."""
+        dens = [lcm(*(v.denominator for v in g)) for g in self.grid]
+        return tuple(
+            [v.numerator * (d // v.denominator) for v in g] for g, d in zip(self.grid, dens)
+        )
+
+    def on(self, top):
+        """This level on the grid of ``top``: the grid line of each own
+        distinct knot, the grid lines of the local knot vectors, the
+        support boxes and the cell boxes, all read-only."""
+        if self._top() is not top:
+            try:
+                to = tuple(
+                    np.array([g[v] for v in own], dtype=np.int64)
+                    for g, own in zip(top.grid, self.grid)
+                )
+            except KeyError as exc:
+                raise _unnested(exc.args[0]) from None
+            hl, vl = (t[ls] for t, ls in zip(to, self.lines))
+            h, v = hl[self.h_indices], vl[self.v_indices]
+            supports = np.column_stack([h[:, 0], h[:, -1], v[:, 0], v[:, -1]])
+            boxes = index_spans(self.cells, (hl, vl))
+            for a in (h, v, supports, boxes):
+                a.flags.writeable = False
+            self._top, self._on = weakref.ref(top), (to, (h, v), supports, boxes)
+        return self._on
+
+
+def _dead():
+    return None
+
+
+def _kept(lv):
+    """The level with valid level data: its own if it still matches the
+    mesh and knots, else new data and no domain on record."""
+    if lv.kept is not None and lv.kept[0].of(lv):
+        return lv
+    return replace(lv, kept=(LevelData(lv.mesh, lv.hknots, lv.vknots), (), _NO_SPANS))
+
+
+_NO_SPANS = np.zeros((0, 4), dtype=np.int64)
+
+
+def _domain_spans(lv):
+    """Spans of the level's domain rectangles on its own knot lines; only
+    rectangles past the prefix on record are converted."""
+    data, seen, spans = lv.kept
+    if lv.domain[: len(seen)] != seen:
+        seen, spans = (), _NO_SPANS
+    if len(seen) == len(lv.domain):
+        return spans
+    new = param_spans(data.grid, lv.domain[len(seen) :], lv.level, data.lines)
+    return np.concatenate([spans, new])
+
+
 class HierarchicalSpace:
     """The hierarchical basis H and element set HE over nested levels."""
 
@@ -292,8 +389,8 @@ class HierarchicalSpace:
                 raise MeshStructureError("only level 1 may cover the whole domain")
             if (b.mesh.p, b.mesh.q) != (a.mesh.p, a.mesh.q):
                 raise MeshStructureError("all levels must have the same degrees")
-        self.levels = levels
-        self.spaces = [lv.space() for lv in levels]
+        self.levels = tuple(_kept(lv) for lv in levels)
+        self.spaces = [lv.kept[0].space for lv in self.levels]
         self._build()
 
     def _build(self):
@@ -303,32 +400,34 @@ class HierarchicalSpace:
         level-(k+1) objects.  Each level's functions (by anchor) and cells
         come sorted, so the level-major order of H and HE is canonical."""
         levels = self.levels
-        grid = span_grid(levels[-1].hknots, levels[-1].vknots)
-        lines = [grid_lines(grid, lv.hknots, lv.vknots) for lv in levels]
-        for coarse, fine in zip(lines, lines[1:]):
-            for g, a, b in zip(grid, coarse, fine):
-                lost = ~np.isin(a[1:], b[1:])
-                if lost.any():
-                    raise _unnested(list(g)[a[1:][lost.argmax()]])
-        # grid lines of every function's local knot vectors, per level and direction
-        fn_lines = [
-            (hl[np.array([f.h_indices for f in fns])], vl[np.array([f.v_indices for f in fns])])
-            for fns, (hl, vl) in zip((sp.functions for sp in self.spaces), lines)
-        ]
-        supports = [np.column_stack([h[:, 0], h[:, -1], v[:, 0], v[:, -1]]) for h, v in fn_lines]
-        cells = [bezier_cells(lv.mesh, ls) for lv, ls in zip(levels, lines)]
-        boxes = [index_spans(c, ls) for c, ls in zip(cells, lines)]
+        data = [lv.kept[0] for lv in levels]
+        top = data[-1]
+        grid = top.grid
+        to, fn_lines, supports, boxes = zip(*(d.on(top) for d in data))
+        for a, b, ta, tb in zip(data, data[1:], to, to[1:]):
+            if a.nested_in() is not b:
+                for own, x, y in zip(a.grid, ta, tb):
+                    lost = ~np.isin(x, y)
+                    if lost.any():
+                        raise _unnested(list(own)[lost.argmax()])
+                a.nested_in = weakref.ref(b)
         fn_on = [np.ones(len(supports[0]), dtype=bool)]
-        cell_on = [np.ones(len(cells[0]), dtype=bool)]
+        cell_on = [np.ones(len(boxes[0]), dtype=bool)]
+        recorded = [levels[0]]
         for k in range(1, len(levels)):
-            domain = levels[k].domain
-            rects = param_spans(grid, domain, k + 1, lines[k])
+            lv = levels[k]
+            own = _domain_spans(lv)
+            if lv.kept[1] is not lv.domain:
+                lv = replace(lv, kept=(data[k], lv.domain, own))
+            recorded.append(lv)
+            rects = index_spans(own, to[k])
             table = summed_area(rects, grid)
             below = in_domain(boxes[k - 1], table)
             # the domain must be the union of the level-k elements of Ω^k it contains
-            kept = boxes[k - 1][below & cell_on[k - 1]]
-            if table[-1, -1] != ((kept[:, 1] - kept[:, 0]) * (kept[:, 3] - kept[:, 2])).sum():
-                bad = domain[int(np.argmin(in_domain(rects, summed_area(kept, grid))))]
+            inside = boxes[k - 1][below & cell_on[k - 1]]
+            area = ((inside[:, 1] - inside[:, 0]) * (inside[:, 3] - inside[:, 2])).sum()
+            if table[-1, -1] != area:
+                bad = lv.domain[int(np.argmin(in_domain(rects, summed_area(inside, grid))))]
                 raise MeshStructureError(
                     f"level {k + 1} domain rectangle {_rect_text(bad)} is not a union of "
                     f"level {k} element closures inside the level {k} domain"
@@ -337,27 +436,23 @@ class HierarchicalSpace:
             cell_on[k - 1] &= ~below
             fn_on.append(in_domain(supports[k], table))
             cell_on.append(in_domain(boxes[k], table))
+        self.levels = tuple(recorded)
         self.functions = tuple(
-            HFunction(k + 1, f)
-            for k, sp in enumerate(self.spaces)
-            for f, on in zip(sp.functions, fn_on[k])
-            if on
+            HFunction(k + 1, d.space.functions[i])
+            for k, (d, on) in enumerate(zip(data, fn_on))
+            for i in np.flatnonzero(on).tolist()
         )
         self.elements = tuple(
             HElement(k + 1, rect, self._param_rect(k, rect))
-            for k in range(len(levels))
-            for rect, on in zip(cells[k], cell_on[k])
-            if on
+            for k, (d, on) in enumerate(zip(data, cell_on))
+            for rect in map(tuple, d.cells[on].tolist())
         )
         self.n_f = len(self.functions)
         self.n_e = len(self.elements)
         # integer location data in canonical order, on a grid of
         # ``grid_shape`` lines per direction with ``grid_numerators`` as knots
         self.grid_shape = tuple(len(g) for g in grid)
-        dens = [lcm(*(v.denominator for v in g)) for g in grid]
-        self.grid_numerators = tuple(
-            [v.numerator * (d // v.denominator) for v in g] for g, d in zip(grid, dens)
-        )
+        self.grid_numerators = top.numerators
         self.knot_lines = tuple(
             np.concatenate([fl[d][on] for fl, on in zip(fn_lines, fn_on)]) for d in (0, 1)
         )
@@ -538,9 +633,9 @@ def refine_by_elements(space: HierarchicalSpace, marked, max_levels=8):
     """Grow the next-level domains by the closures of the marked elements and
     rebuild; creates deeper levels lazily."""
     marked = list(marked)
-    have = set(space.elements)
+    have = {el.sort_key(): el for el in space.elements}
     for el in marked:
-        if el not in have:
+        if have.get(el.sort_key()) != el:
             raise MeshStructureError(f"marked element {el} is not in HE")
     if not marked:
         return space

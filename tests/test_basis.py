@@ -149,6 +149,41 @@ def test_bspline_eval_matches_cox_de_boor():
             assert np.abs(bspline_eval(vals, p, xs) - want).max() <= 1e-14
 
 
+def absolute_knot_eval(vals, p, xs):
+    """``bspline_eval`` as it was when it asked the row store with the
+    absolute ``Fraction`` knots of each span."""
+    vals = tuple(Fraction(v) for v in vals)
+    knots = sorted(set(vals))
+    breaks = np.array([float(v) for v in knots])
+    xs = np.asarray(xs, dtype=float)
+    span = np.searchsorted(breaks, xs, side="right") - 1
+    span[xs == breaks[-1]] = len(knots) - 2
+    out = np.zeros(len(xs))
+    for k in np.unique(span[(span >= 0) & (span < len(knots) - 1)]):
+        at = span == k
+        a, b = breaks[k], breaks[k + 1]
+        xi = (2 * xs[at] - a - b) / (b - a)
+        row = np.array([float(c) for c in bezier_coeffs_1d(vals, p, knots[k], knots[k + 1])])
+        out[at] = bernstein(p, xi) @ row
+    return out
+
+
+def test_bspline_eval_shares_rows_across_affine_images():
+    """An affine image of a knot vector already evaluated asks the row store
+    for no new entry, and the values are those of the absolute-knot path."""
+    rng = np.random.default_rng(23)
+    for p in (2, 3):
+        vals = (Fraction(0), Fraction(1, 8), Fraction(1, 8), Fraction(3, 8), Fraction(1, 2))[: p + 2]
+        bspline_eval(vals, p, np.linspace(0, 1, 41))  # a point in every span
+        for scale, shift in ((Fraction(1, 2), Fraction(1, 4)), (Fraction(3, 7), Fraction(2, 5))):
+            image = tuple(scale * v + shift for v in vals)
+            xs = np.concatenate([[float(v) for v in image], rng.uniform(-0.1, 1.1, 30)])
+            size = bezier_coeffs_1d.cache_info().currsize
+            got = bspline_eval(image, p, xs)
+            assert bezier_coeffs_1d.cache_info().currsize == size
+            assert got.tobytes() == absolute_knot_eval(image, p, xs).tobytes()
+
+
 def bezier_derivative(vals, p, x, order):
     """d^order N[vals]/ds^order at x from the Bezier row of x's span and the
     Bernstein derivative table, as the solver differentiates."""

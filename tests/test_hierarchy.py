@@ -6,7 +6,9 @@ against every level's domain rectangles with an exact rational sweep.
 """
 
 import os
+import pickle
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import cox_de_boor, eval_all, eval_function
-from hasts import meshio, samples
+from hasts import hierarchy, meshio, samples
 from hasts.basis import GlobalKnots, Space, insert_knot
 from hasts.benchmarks import tensor_space
 from hasts.cli import main
@@ -34,7 +36,7 @@ from hasts.hierarchy import (
     subdivide_suitable,
     summed_area,
 )
-from hasts.tmesh import MeshStructureError
+from hasts.tmesh import MeshStructureError, TMesh
 
 
 # -- subdivision ---------------------------------------------------------------
@@ -186,13 +188,22 @@ def reference_build(space):
     return tuple(sorted(H, key=HFunction.sort_key)), tuple(sorted(E, key=HElement.sort_key))
 
 
-def random_refinement(seed, p, steps=20, max_levels=6):
+def refinement_chain(seed, p, steps=20, max_levels=6):
+    """A 4x4 start and the spaces of ``steps`` seeded refinements of 3
+    random elements each, below the level cap."""
     rng = random.Random(seed)
-    space = tensor_space(4, p)
+    chain = [tensor_space(4, p)]
     for _ in range(steps):
-        candidates = [e for e in space.elements if e.level < max_levels]
-        space = refine_by_elements(space, rng.sample(candidates, 3), max_levels=max_levels)
-    return space
+        candidates = [e for e in chain[-1].elements if e.level < max_levels]
+        marked = rng.sample(candidates, 3)
+        chain.append(refine_by_elements(chain[-1], marked, max_levels=max_levels))
+    return chain
+
+
+@pytest.fixture(scope="module")
+def seeded_chains():
+    """The refinement chains of seeds 1, 2, 3 at degrees 2 and 3."""
+    return [refinement_chain(seed, p) for seed in (1, 2, 3) for p in (2, 3)]
 
 
 def test_rect_covered_exact():
@@ -218,14 +229,131 @@ def test_rect_covered_exact():
         assert list(got) == [rect_covered(r, dom) for r in [unit] + quarters]
 
 
-def test_build_matches_rational_sweep(hierarchies):
+def test_build_matches_rational_sweep(hierarchies, seeded_chains):
     spaces = list(hierarchies)
     path = os.path.join(os.path.dirname(__file__), "..", "samples", "two_level_p2.hier")
     spaces.append(HierarchicalSpace(meshio.read_hierarchy(path)))
-    spaces += [random_refinement(seed, p) for seed in (1, 2, 3) for p in (2, 3)]
+    spaces += [chain[-1] for chain in seeded_chains]
     assert max(len(sp.levels) for sp in spaces) == 6
     for space in spaces:
         assert (space.functions, space.elements) == reference_build(space)
+
+
+# -- builds that reuse level data ----------------------------------------------
+
+
+@pytest.fixture
+def fresh_build(monkeypatch):
+    """Builds a list of levels again with nothing kept from earlier builds.
+    The level ``Space``s come from this fixture's own memo, so that a chain
+    of such builds makes each of them once."""
+    memo = {}
+
+    def space(mesh, hknots, vknots):
+        key = (mesh.key(), hknots, vknots)
+        if key not in memo:
+            memo[key] = Space(mesh, hknots, vknots)
+        return memo[key]
+
+    def build(levels):
+        with monkeypatch.context() as m:
+            m.setattr(hierarchy, "Space", space)
+            return HierarchicalSpace([replace(lv, kept=None) for lv in levels])
+
+    return build
+
+
+def assert_same_build(got, want):
+    assert [f.sort_key() for f in got.functions] == [f.sort_key() for f in want.functions]
+    assert [e.sort_key() for e in got.elements] == [e.sort_key() for e in want.elements]
+    assert got.elements == want.elements
+    arrays = lambda sp: [
+        sp.function_boxes, sp.element_boxes, sp.geometry_boxes, *sp.knot_lines, *sp.geometry_lines
+    ]
+    for a, b in zip(arrays(got), arrays(want), strict=True):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert got.grid_shape == want.grid_shape
+    assert got.grid_numerators == want.grid_numerators
+    # every field that a hierarchy dump writes
+    assert got.levels == want.levels
+
+
+def test_refinement_matches_fresh_build(hierarchies, seeded_chains, fresh_build):
+    """Every step of the seeded chains, those that add a level and those that
+    do not, builds what a build of its levels from scratch does.  The
+    hierarchy dumps are compared at the end of each chain; on the way, the
+    equal level fields imply them."""
+    added = same = 0
+    ends = list(hierarchies)
+    for chain in seeded_chains:
+        for before, after in zip(chain, chain[1:]):
+            if len(after.levels) > len(before.levels):
+                added += 1
+            else:
+                same += 1
+            assert_same_build(after, fresh_build(after.levels))
+        ends.append(chain[-1])
+    assert added and same
+    for space in ends:
+        fresh = fresh_build(space.levels)
+        assert_same_build(space, fresh)
+        assert meshio.dump_hierarchy(space.levels) == meshio.dump_hierarchy(fresh.levels)
+
+
+def test_bad_domain_fails_alike_after_refinement_and_from_file(seeded_chains, tmp_path):
+    """A rectangle that cuts a level-k element, added to the level-(k+1)
+    domain of levels that carry kept data, raises what the same levels
+    read from a file raise."""
+    space = seeded_chains[0][-1]
+    e = next(e for e in space.elements if 1 < e.level < len(space.levels))
+    s1, s2, t1, t2 = e.param_rect
+    cut = (s1, (s1 + s2) / 2, t1, (t1 + t2) / 2)
+    levels = list(space.levels)
+    levels[e.level] = replace(levels[e.level], domain=levels[e.level].domain + (cut,))
+    with pytest.raises(MeshStructureError, match="not a union of") as kept:
+        HierarchicalSpace(levels)
+    path = tmp_path / "cut.hier"
+    path.write_text(meshio.dump_hierarchy(levels))
+    with pytest.raises(MeshStructureError) as read:
+        HierarchicalSpace(meshio.read_hierarchy(str(path)))
+    assert str(read.value) == str(kept.value)
+
+
+def test_refinement_cost_follows_change(seeded_chains, monkeypatch):
+    """A refinement that adds no level makes no ``Space`` and no Bezier cells
+    and asks no mesh for its extension; one that adds a level makes one
+    ``Space``."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(hierarchy, "Space", counted("Space", Space))
+    monkeypatch.setattr(hierarchy, "bezier_cells", counted("bezier_cells", hierarchy.bezier_cells))
+    monkeypatch.setattr(TMesh, "extended", counted("extended", TMesh.extended))
+    deep = seeded_chains[0][-1]
+    start = tensor_space(4, 2)
+    calls.clear()
+    same = refine_by_elements(deep, [e for e in deep.elements if e.level < len(deep.levels)][:3])
+    assert len(same.levels) == len(deep.levels) and calls == Counter()
+    two = refine_by_elements(start, start.elements[:3])
+    assert len(two.levels) == 2 and calls["Space"] == 1
+    calls.clear()
+    still = refine_by_elements(two, [e for e in two.elements if e.level == 1][:3])
+    assert len(still.levels) == 2 and calls == Counter()
+
+
+def test_refined_space_survives_pickling(seeded_chains):
+    """The level data kept by builds pickles; a refinement of the copy
+    builds what a refinement of the original does."""
+    space = seeded_chains[0][-1]
+    copy = pickle.loads(pickle.dumps(space))
+    marked = [e for e in space.elements if e.level < len(space.levels)][:3]
+    assert_same_build(refine_by_elements(copy, marked), refine_by_elements(space, marked))
 
 
 # -- hierarchy construction ----------------------------------------------------
