@@ -28,7 +28,6 @@ selects H and HE.
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -66,9 +65,10 @@ class LevelMesh:
 
 def span_grid(hknots, vknots):
     """Exact maps from the distinct horizontal and vertical knot values to
-    their lines on the knot-span grid, numbered from 0."""
+    their lines on the knot-span grid, numbered from 0 (global knots are
+    non-decreasing, so first appearance is grid order)."""
     return tuple(
-        {v: i for i, v in enumerate(sorted(set(knots.values)))} for knots in (hknots, vknots)
+        {v: i for i, v in enumerate(dict.fromkeys(knots.values))} for knots in (hknots, vknots)
     )
 
 
@@ -172,8 +172,10 @@ def subdivide_level(parent: LevelMesh):
 
     Returns (child TMesh, child hknots, child vknots, parent extended mesh
     mapped into child index space).  The child is not necessarily
-    analysis-suitable yet.
+    analysis-suitable yet.  The parent's cells are those of its level data,
+    made here if no build has kept it yet.
     """
+    parent = _kept(parent)
     mesh = parent.mesh
     m, n, p, q = mesh.m, mesh.n, mesh.p, mesh.q
     ext = mesh.extended()
@@ -194,8 +196,7 @@ def subdivide_level(parent: LevelMesh):
     parent_ext_mapped = TMesh(mc, nc, p, q, hseg.copy(), vseg.copy())
     chk = refine_knots(parent.hknots)
     cvk = refine_knots(parent.vknots)
-    lines = grid_lines(span_grid(parent.hknots, parent.vknots), parent.hknots, parent.vknots)
-    for x1, x2, y1, y2 in bezier_cells(mesh, lines).tolist():
+    for x1, x2, y1, y2 in parent.kept[0].cells.tolist():
         cx = (fx(x1) + fx(x2)) // 2
         cy = (fy(y1) + fy(y2)) // 2
         if chk[cx] != (parent.hknots[x1] + parent.hknots[x2]) / 2 or cvk[cy] != (
@@ -293,7 +294,7 @@ class LevelData:
     level's distinct knots from 0 and ``lines`` maps its index lines onto
     those numbers.  ``on(top)`` maps all of it onto the knot-span grid of
     the finest level ``top`` and keeps the last map, so it is recomputed
-    only when the finest level changes."""
+    only when the finest level changes, which ``top.grid`` identifies."""
 
     def __init__(self, mesh, hknots, vknots):
         self.mesh, self.hknots, self.vknots = mesh, hknots, vknots
@@ -304,15 +305,11 @@ class LevelData:
         self.grid = span_grid(hknots, vknots)
         self.lines = grid_lines(self.grid, hknots, vknots)
         self.cells = bezier_cells(mesh, self.lines)
-        # weak references to the finest level data of the last map and to
-        # the finer level data this level's knots were checked against, so
-        # that no cycle keeps the arrays of a dropped hierarchy alive
-        self._top = self.nested_in = _dead
+        # the grid of the finest level of the last map, and of the next
+        # level this level's knots were checked against: a grid holds no
+        # level data, so these form no reference cycle
+        self._grid = self.nested_grid = None
         self._on = None
-
-    def __getstate__(self):
-        # weak references do not pickle; a copy maps and checks again
-        return {**self.__dict__, "_top": _dead, "nested_in": _dead, "_on": None}
 
     def of(self, lv):
         """Whether this is the data of the level's very mesh and knots."""
@@ -330,7 +327,7 @@ class LevelData:
         """This level on the grid of ``top``: the grid line of each own
         distinct knot, the grid lines of the local knot vectors, the
         support boxes and the cell boxes, all read-only."""
-        if self._top() is not top:
+        if self._grid is not top.grid:
             try:
                 to = tuple(
                     np.array([g[v] for v in own], dtype=np.int64)
@@ -344,12 +341,8 @@ class LevelData:
             boxes = index_spans(self.cells, (hl, vl))
             for a in (h, v, supports, boxes):
                 a.flags.writeable = False
-            self._top, self._on = weakref.ref(top), (to, (h, v), supports, boxes)
+            self._grid, self._on = top.grid, (to, (h, v), supports, boxes)
         return self._on
-
-
-def _dead():
-    return None
 
 
 def _kept(lv):
@@ -405,12 +398,12 @@ class HierarchicalSpace:
         grid = top.grid
         to, fn_lines, supports, boxes = zip(*(d.on(top) for d in data))
         for a, b, ta, tb in zip(data, data[1:], to, to[1:]):
-            if a.nested_in() is not b:
+            if a.nested_grid is not b.grid:
                 for own, x, y in zip(a.grid, ta, tb):
                     lost = ~np.isin(x, y)
                     if lost.any():
                         raise _unnested(list(own)[lost.argmax()])
-                a.nested_in = weakref.ref(b)
+                a.nested_grid = b.grid
         fn_on = [np.ones(len(supports[0]), dtype=bool)]
         cell_on = [np.ones(len(boxes[0]), dtype=bool)]
         recorded = [levels[0]]

@@ -322,7 +322,8 @@ def test_bad_domain_fails_alike_after_refinement_and_from_file(seeded_chains, tm
 def test_refinement_cost_follows_change(seeded_chains, monkeypatch):
     """A refinement that adds no level makes no ``Space`` and no Bezier cells
     and asks no mesh for its extension; one that adds a level makes one
-    ``Space``."""
+    ``Space`` and the new level's cells only, subdividing the parent with
+    the cells it keeps."""
     calls = Counter()
 
     def counted(name, fn):
@@ -341,7 +342,7 @@ def test_refinement_cost_follows_change(seeded_chains, monkeypatch):
     same = refine_by_elements(deep, [e for e in deep.elements if e.level < len(deep.levels)][:3])
     assert len(same.levels) == len(deep.levels) and calls == Counter()
     two = refine_by_elements(start, start.elements[:3])
-    assert len(two.levels) == 2 and calls["Space"] == 1
+    assert len(two.levels) == 2 and calls["Space"] == calls["bezier_cells"] == 1
     calls.clear()
     still = refine_by_elements(two, [e for e in two.elements if e.level == 1][:3])
     assert len(still.levels) == 2 and calls == Counter()
