@@ -23,7 +23,7 @@ first built, and travels with the level (``LevelData`` in
 its Bezier cells, and their maps onto the grid, which are made again only
 when the finest level changes.  A build gathers these onto the grid,
 converts only the domain rectangles it has not seen, applies the masks and
-selects H and HE.
+selects H and HE.  Subdividing a level reads its cells from the same data.
 """
 
 from __future__ import annotations
