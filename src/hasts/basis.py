@@ -2,20 +2,21 @@
 vectors, plus the univariate primitives that every basis evaluation uses.
 
 Knot values are stored as exact ``fractions.Fraction`` so that equality and
-interval predicates never see rounding.  A B-spline is evaluated one way
-only: on each knot span it is a polynomial whose exact Bernstein
-coefficients are blossoms of that piece, evaluated by the de Boor
-recurrence over integer knots (``bezier_coeffs_1d``), and floats appear
-only when such a row multiplies a table of Bernstein polynomials on [-1,1]
-(``bernstein``, ``bernstein_grid``).  A row does not change under affine
-maps of the knots, so the cache of ``bezier_coeffs_1d``, keyed by
-``extraction`` and ``bspline_eval`` with knot patterns normalised to the
-span (``row_key``), is one store of rows for the whole process.
+interval predicates never see rounding.  One recurrence serves every exact
+coefficient: ``blossom`` evaluates the blossom of one B-spline's polynomial
+piece on a knot span by the de Boor recurrence over integer knots.  A
+B-spline is evaluated one way only: on each span its exact Bernstein
+coefficients are the blossoms at (a^(p-j), b^j) (``bezier_coeffs_1d``), and
+floats appear only when such a row multiplies a table of Bernstein
+polynomials on [-1,1] (``bernstein``, ``bernstein_grid``).  A row does not
+change under affine maps of the knots, so the cache of ``bezier_coeffs_1d``,
+keyed by ``extraction`` and ``bspline_eval`` with knot patterns normalised
+to the span (``row_key``), is one store of rows for the whole process.
 ``bspline_eval`` locates the span of each point by bisection on the
 distinct knots; the element arrays of ``extraction`` and the quadrature
-and sampling of ``iga`` apply the same rows and tables per element.
-``insert_knot`` splits one B-spline at a knot for
-``hierarchy.represent_in_space``.
+and sampling of ``iga`` apply the same rows and tables per element.  The
+blossoms at a finer function's interior knots are its dual functionals,
+which ``hierarchy.represent_in_space`` applies.
 """
 
 from __future__ import annotations
@@ -215,36 +216,15 @@ def _march(mesh, anchor, horizontal):
     return tuple(found)
 
 
-# -- univariate primitives: knot insertion, Bezier rows, Bernstein tables ------
+# -- univariate primitives: blossoms, Bezier rows, Bernstein tables -----------
 
 
-def insert_knot(vals, p, x):
-    """Split a single B-spline local knot vector at x: returns two
-    (coefficient, child vector) pairs with N[vals] = c1 N[w1] + c2 N[w2]."""
-    v = list(vals)
-    w = sorted(v + [x])
-    if x >= v[p] or v[p] == v[0]:
-        c1 = Fraction(1)
-    else:
-        c1 = Fraction(x - v[0]) / (v[p] - v[0])
-    if x <= v[1]:
-        c2 = Fraction(1)
-    else:
-        c2 = Fraction(v[p + 1] - x) / (v[p + 1] - v[1])
-    return (c1, tuple(w[: p + 2])), (c2, tuple(w[1 : p + 3]))
-
-
-@lru_cache(maxsize=None)
-def bezier_coeffs_1d(vals, p, a, b):
-    """Bernstein coefficients of the single B-spline N[vals] on the span
-    [a, b]: N[vals](s(xi)) = sum_j c_j B_{j,p}(xi) there.  Exact rationals.
-
-    c_j is the blossom of N[vals]'s polynomial piece over [a, b] at
-    (a^(p-j), b^j), by the de Boor recurrence on ``vals`` padded with p
-    copies of each end knot.  The row is invariant under affine maps of the
-    knots, so callers may pass normalised integer knots.  ``vals`` must hold
-    p+2 knots, a < b, and no knot may lie strictly inside (a, b).
-    """
+def blossom(vals, p, a, b, points):
+    """Blossoms of N[vals]'s polynomial piece on the span [a, b], one at each
+    tuple of p values in ``points``, exact: the de Boor recurrence on
+    ``vals`` padded with p copies of each end knot, over integers of one
+    denominator.  ``vals`` must hold p+2 knots, a < b, and no knot may lie
+    strictly inside (a, b); a span outside the support gives zeros."""
     if len(vals) != p + 2:
         raise MeshStructureError(f"{len(vals)} knots in {vals}, not p+2 = {p + 2}")
     vals = tuple(Fraction(v) for v in vals)
@@ -254,23 +234,37 @@ def bezier_coeffs_1d(vals, p, a, b):
     if any(a < v < b for v in vals):
         raise MeshStructureError(f"knot of {vals} lies strictly inside span ({a}, {b})")
     if b <= vals[0] or a >= vals[-1]:
-        return (Fraction(0),) * (p + 1)
-    # integer knots over one denominator; the row does not change under scaling
-    den = lcm(*(v.denominator for v in vals + (a, b)))
-    t, a, b = [int(v * den) for v in vals], int(a * den), int(b * den)
+        return (Fraction(0),) * len(points)
+    points = [[Fraction(u) for u in us] for us in points]
+    den = lcm(*(v.denominator for v in (*vals, a, *(u for us in points for u in us))))
+    scaled = lambda v: v.numerator * (den // v.denominator)
+    t = [scaled(v) for v in vals]
     t = [t[0]] * p + t + [t[-1]] * p
-    mu = bisect_right(t, a) - 1  # [a, b] lies in the padded span [t[mu], t[mu + 1]]
-    row = []
-    for j in range(p + 1):
-        # de Boor at (a^(p-j), b^j) on (numerator, denominator) pairs
+    mu = bisect_right(t, scaled(a)) - 1  # [a, b] lies in the padded span [t[mu], t[mu + 1]]
+    out = []
+    for us in points:
+        # on (numerator, denominator) pairs
         d = [(int(k == p), 1) for k in range(mu - p, mu + 1)]
-        for r, u in enumerate([a] * (p - j) + [b] * j, 1):
+        for r, u in enumerate(map(scaled, us), 1):
             for i in range(p, r - 1, -1):
                 lo, hi = t[mu - p + i], t[mu + 1 + i - r]
                 (n0, d0), (n1, d1) = d[i - 1], d[i]
                 d[i] = ((hi - u) * n0 * d1 + (u - lo) * n1 * d0, (hi - lo) * d0 * d1)
-        row.append(Fraction(*d[p]))
-    return tuple(row)
+        out.append(Fraction(*d[p]))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def bezier_coeffs_1d(vals, p, a, b):
+    """Bernstein coefficients of the single B-spline N[vals] on the span
+    [a, b]: N[vals](s(xi)) = sum_j c_j B_{j,p}(xi) there.  Exact rationals.
+
+    c_j is the blossom of N[vals]'s polynomial piece over [a, b] at
+    (a^(p-j), b^j).  The row is invariant under affine maps of the knots,
+    so callers may pass normalised integer knots.  The checks of ``blossom``
+    apply.
+    """
+    return blossom(vals, p, a, b, [[a] * (p - j) + [b] * j for j in range(p + 1)])
 
 
 def row_key(knots, p, a, b):
@@ -381,6 +375,10 @@ class Space:
         self.functions = tuple(
             BlendingFunction(a, *local_index_vectors(mesh, a)) for a in anchors(mesh)
         )
+        # the functions' local index vectors as arrays, one row per function
+        fns = self.functions
+        self.h_indices = np.array([f.h_indices for f in fns], np.int64).reshape(-1, mesh.p + 2)
+        self.v_indices = np.array([f.v_indices for f in fns], np.int64).reshape(-1, mesh.q + 2)
 
     @classmethod
     def uniform(cls, mesh):
@@ -402,11 +400,10 @@ class Space:
         vv = self.v_values(fn)
         return (hv[0], hv[-1], vv[0], vv[-1])
 
+    def greville_point(self, fn):
+        """Greville abscissae of one function."""
+        return greville(self.h_values(fn), self.mesh.p), greville(self.v_values(fn), self.mesh.q)
+
     def greville_points(self):
         """Greville abscissae of every function, in function order."""
-        return np.array(
-            [
-                (greville(self.h_values(fn), self.mesh.p), greville(self.v_values(fn), self.mesh.q))
-                for fn in self.functions
-            ]
-        )
+        return np.array([self.greville_point(fn) for fn in self.functions])

@@ -21,18 +21,20 @@ from .iga import adaptive_loop, sample_field
 from .meshio import ParseError
 from .tmesh import MeshStructureError
 
-DEFAULTS = {
-    "p": 2,
-    "q": None,  # defaults to p
-    "tol": 1e-3,
-    "max_levels": 8,
-    "benchmark": "skew45",
-    "out": ".",
-    "elements": 16,
-    "kappa": None,
-    "iterations": 5,
-    "mesh": None,
+# every option as a flag and as a config key: (default, type, help)
+OPTIONS = {
+    "mesh": (None, str, "mesh or hierarchy file"),
+    "p": (2, int, "horizontal degree (benchmark runs)"),
+    "q": (None, int, "vertical degree (defaults to --p)"),
+    "tol": (1e-3, float, "refinement tolerance (> 0)"),
+    "max_levels": (8, int, "level cap, 1..16"),
+    "benchmark": ("skew45", str, "benchmark problem"),
+    "out": (".", str, "output directory"),
+    "elements": (16, int, "initial elements per side"),
+    "kappa": (None, float, "diffusivity override"),
+    "iterations": (5, int, "adaptive iteration cap"),
 }
+CHOICES = {"benchmark": ("skew45", "manufactured", "none")}
 
 
 def build_parser():
@@ -45,31 +47,40 @@ def build_parser():
     ):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", help="JSON config file; flags override its entries")
-        p.add_argument("--mesh", help="mesh or hierarchy file")
-        p.add_argument("--p", type=int, help="horizontal degree (benchmark runs)")
-        p.add_argument("--q", type=int, help="vertical degree (defaults to --p)")
-        p.add_argument("--tol", type=float, help="refinement tolerance (> 0)")
-        p.add_argument("--max-levels", type=int, dest="max_levels", help="level cap, 1..16")
-        p.add_argument("--benchmark", choices=("skew45", "manufactured", "none"))
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--elements", type=int, help="initial elements per side")
-        p.add_argument("--kappa", type=float, help="diffusivity override")
-        p.add_argument("--iterations", type=int, help="adaptive iteration cap")
+        for key, (_, type_, text) in OPTIONS.items():
+            flag = "--" + key.replace("_", "-")
+            p.add_argument(flag, dest=key, type=type_, choices=CHOICES.get(key), help=text)
     return ap
 
 
+def _config_value(key, val):
+    """A config entry as its flag would parse it: a value of the flag's type
+    (an integer also for a float flag) among its choices, or null where the
+    default is null."""
+    default, type_, _ = OPTIONS[key]
+    if val is None and default is None:
+        return None
+    fits = type(val) is type_ or (type_ is float and type(val) is int)
+    if not fits or val not in CHOICES.get(key, (val,)):
+        flag = key.replace("_", "-")
+        raise ParseError(0, f"config entry {key}: {json.dumps(val)} is not a valid --{flag} value")
+    return type_(val)
+
+
 def resolve_config(args):
-    cfg = dict(DEFAULTS)
+    cfg = {key: default for key, (default, _, _) in OPTIONS.items()}
     if args.config:
         try:
             with open(args.config) as f:
                 loaded = json.load(f)
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(0, f"config file: {exc}")
+        if not isinstance(loaded, dict):
+            raise ParseError(0, "config file does not hold a JSON object")
         unknown = set(loaded) - set(cfg)
         if unknown:
             raise ParseError(0, f"unknown config keys {sorted(unknown)}")
-        cfg.update(loaded)
+        cfg.update((key, _config_value(key, val)) for key, val in loaded.items())
     for key in cfg:
         val = getattr(args, key, None)
         if val is not None:

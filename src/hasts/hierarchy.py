@@ -24,19 +24,23 @@ its Bezier cells, and their maps onto the grid, which are made again only
 when the finest level changes.  A build gathers these onto the grid,
 converts only the domain rectangles it has not seen, applies the masks and
 selects H and HE.  Subdividing a level reads its cells from the same data.
+
+A coarse function is represented on a finer level by the fine functions'
+dual functionals, blossoms of its pieces (``basis.blossom``), and each
+representation is checked at sample points.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import lcm
 
 import numpy as np
 
-from .basis import Anchor, GlobalKnots, Space, _march, bspline_eval, greville, insert_knot
+from .basis import GlobalKnots, Space, blossom, bspline_eval
 from .tmesh import MeshStructureError, TMesh
 
 
@@ -288,20 +292,17 @@ class LevelData:
     """What a build uses of one level's mesh and knots, which no refinement
     changes, made once per level.
 
-    On the level's own index lines: its ``Space``, the index lines of its
-    functions' local knot vectors (``h_indices``, ``v_indices``, one row per
-    function) and its Bezier cells (``cells``).  ``grid`` numbers the
-    level's distinct knots from 0 and ``lines`` maps its index lines onto
-    those numbers.  ``on(top)`` maps all of it onto the knot-span grid of
-    the finest level ``top`` and keeps the last map, so it is recomputed
-    only when the finest level changes, which ``top.grid`` identifies."""
+    On the level's own index lines: its ``Space``, which holds the index
+    lines of its functions' local knot vectors, and its Bezier cells
+    (``cells``).  ``grid`` numbers the level's distinct knots from 0 and
+    ``lines`` maps its index lines onto those numbers.  ``on(top)`` maps all
+    of it onto the knot-span grid of the finest level ``top`` and keeps the
+    last map, so it is recomputed only when the finest level changes, which
+    ``top.grid`` identifies."""
 
     def __init__(self, mesh, hknots, vknots):
         self.mesh, self.hknots, self.vknots = mesh, hknots, vknots
         self.space = Space(mesh, hknots, vknots)
-        fns = self.space.functions
-        self.h_indices = np.array([f.h_indices for f in fns], np.int64).reshape(-1, mesh.p + 2)
-        self.v_indices = np.array([f.v_indices for f in fns], np.int64).reshape(-1, mesh.q + 2)
         self.grid = span_grid(hknots, vknots)
         self.lines = grid_lines(self.grid, hknots, vknots)
         self.cells = bezier_cells(mesh, self.lines)
@@ -336,7 +337,7 @@ class LevelData:
             except KeyError as exc:
                 raise _unnested(exc.args[0]) from None
             hl, vl = (t[ls] for t, ls in zip(to, self.lines))
-            h, v = hl[self.h_indices], vl[self.v_indices]
+            h, v = hl[self.space.h_indices], vl[self.space.v_indices]
             supports = np.column_stack([h[:, 0], h[:, -1], v[:, 0], v[:, -1]])
             boxes = index_spans(self.cells, (hl, vl))
             for a in (h, v, supports, boxes):
@@ -463,135 +464,44 @@ class HierarchicalSpace:
         return tuple(self.spaces[hf.level - 1].support(hf.fn))
 
     def greville_points(self):
-        out = []
-        for hf in self.functions:
-            sp = self.spaces[hf.level - 1]
-            out.append(
-                (
-                    greville(sp.h_values(hf.fn), sp.mesh.p),
-                    greville(sp.v_values(hf.fn), sp.mesh.q),
-                )
-            )
-        return np.array(out)
+        return np.array([self.spaces[hf.level - 1].greville_point(hf.fn) for hf in self.functions])
 
 
 # -- representation of a coarse function on a finer level ---------------------
 
 
-def _values_to_indices(knots, vals):
-    """Canonical index lines for a sorted local value vector: repeated domain
-    ends hug the core (zeros end at index p+1, ones start at m-p); interior
-    values match their unique index line."""
-    p, m = knots.p, knots.m
-    lo, hi = knots.values[0], knots.values[-1]
-    nlo = sum(1 for v in vals if v == lo)
-    nhi = sum(1 for v in vals if v == hi)
-    idx = list(range(p + 2 - nlo, p + 2))
-    inner = [v for v in vals if v != lo and v != hi]
-    pos = p + 2
-    for v in inner:
-        while pos <= m and knots[pos] != v:
-            pos += 1
-        if pos > m:
-            raise MeshStructureError(f"knot value {v} not on the fine knot vector")
-        idx.append(pos)
-        pos += 1
-    idx.extend(range(m - p, m - p + nhi))
-    return tuple(idx)
-
-
-def _anchor_from(hidx, vidx, p, q):
-    if p % 2:
-        hx1 = hx2 = hidx[(p + 1) // 2]
-    else:
-        hx1, hx2 = hidx[p // 2], hidx[p // 2 + 1]
-    if q % 2:
-        vy1 = vy2 = vidx[(q + 1) // 2]
-    else:
-        vy1, vy2 = vidx[q // 2], vidx[q // 2 + 1]
-    return Anchor(hx1, hx2, vy1, vy2)
-
-
-def _anchor_gap(fine, anchor, hv, vv):
-    """A fine index line crossing the open interior of the implied anchor.
-
-    A genuine fine function has a cell/edge/vertex anchor with no spanning
-    line strictly inside; a candidate vector that straddles one is missing
-    that knot value.  Returns ('h'|'v', value) or None.
-    """
-    for x in range(anchor.hx1 + 1, anchor.hx2):
-        if fine.mesh.v_line_covers(x, anchor.vy1, anchor.vy2):
-            val = fine.hknots[x]
-            if hv[0] < val < hv[-1]:
-                return "h", val
-    for y in range(anchor.vy1 + 1, anchor.vy2):
-        if fine.mesh.h_line_covers(y, anchor.hx1, anchor.hx2):
-            val = fine.vknots[y]
-            if vv[0] < val < vv[-1]:
-                return "v", val
-    return None
-
-
-def represent_in_space(hvals, vvals, fine: Space, verify=True):
-    """Coefficients of one blending function (given by its local knot values)
-    over the functions of a finer space, found by repeated single knot
-    insertion wherever the fine mesh demands a line the vector lacks."""
+def represent_in_space(hvals, vvals, fine: Space):
+    """Coefficients of one blending function, given by its local knot
+    values, over the functions of a finer space, by the fine functions' dual
+    functionals: AS T-splines are dual-compatible, so the coefficient of the
+    fine function with local knots (tau_h, tau_v) is the product over both
+    directions of the blossom of the coarse B-spline at tau_1..tau_p, taken
+    of its piece on tau's first nonempty span.  Only fine functions whose
+    support meets the coarse support are asked; the result is checked at
+    sample points."""
     p, q = fine.mesh.p, fine.mesh.q
-    table = {(f.h_indices, f.v_indices): f for f in fine.functions}
-    out = defaultdict(Fraction)
-    queue = [(Fraction(1), tuple(Fraction(v) for v in hvals), tuple(Fraction(v) for v in vvals))]
-    guard = 0
-    while queue:
-        guard += 1
-        if guard > 100000:
-            raise MeshStructureError("representation did not terminate")
-        c, hv, vv = queue.pop()
-        if c == 0 or hv[0] == hv[-1] or vv[0] == vv[-1]:
-            continue
-        hidx = _values_to_indices(fine.hknots, hv)
-        vidx = _values_to_indices(fine.vknots, vv)
-        anchor = _anchor_from(hidx, vidx, p, q)
-        gap = _anchor_gap(fine, anchor, hv, vv)
-        if gap is not None:
-            axis, x = gap
-            if axis == "h":
-                for cc, child in insert_knot(hv, p, x):
-                    queue.append((c * cc, child, vv))
-            else:
-                for cc, child in insert_knot(vv, q, x):
-                    queue.append((c * cc, hv, child))
-            continue
-        mh = _march(fine.mesh, anchor, horizontal=True)
-        mv = _march(fine.mesh, anchor, horizontal=False)
-        mhv = fine.hknots.take(mh)
-        mvv = fine.vknots.take(mv)
-        if Counter(mhv) != Counter(hv):
-            x = _missing_value(mhv, hv)
-            for cc, child in insert_knot(hv, p, x):
-                queue.append((c * cc, child, vv))
-        elif Counter(mvv) != Counter(vv):
-            x = _missing_value(mvv, vv)
-            for cc, child in insert_knot(vv, q, x):
-                queue.append((c * cc, hv, child))
-        else:
-            key = (mh, mv)
-            if key not in table:
-                raise MeshStructureError(f"no fine function with index vectors {key}")
-            out[table[key]] += c
-    result = {f: c for f, c in out.items() if c != 0}
-    if verify:
-        _verify_representation(hvals, vvals, p, q, fine, result)
-    return result
+    axes = ((hvals, p, fine.hknots, fine.h_indices), (vvals, q, fine.vknots, fine.v_indices))
+    near = np.ones(len(fine.functions), dtype=bool)
+    for vals, _, knots, lines in axes:
+        # supports that start before the coarse support ends and end after it starts
+        near &= lines[:, 0] <= bisect_left(knots.values, vals[-1])
+        near &= lines[:, -1] > bisect_right(knots.values, vals[0])
 
+    @cache
+    def factor(axis, lines):
+        vals, deg, knots, _ = axes[axis]
+        tau = knots.take(lines)
+        k = next(j for j in range(deg + 1) if tau[j] < tau[j + 1])
+        return blossom(vals, deg, tau[k], tau[k + 1], [tau[1 : deg + 1]])[0]
 
-def _missing_value(marched_vals, vals):
-    diff = Counter(marched_vals) - Counter(vals)
-    for v in sorted(diff):
-        if vals[0] < v < vals[-1]:
-            return v
-    raise MeshStructureError(
-        f"fine index vector {marched_vals} incompatible with coarse vector {vals}"
-    )
+    out = {}
+    for i in np.flatnonzero(near):
+        f = fine.functions[i]
+        c = factor(0, f.h_indices) * factor(1, f.v_indices)
+        if c != 0:
+            out[f] = c
+    _verify_representation(hvals, vvals, p, q, fine, out)
+    return out
 
 
 def _verify_representation(hvals, vvals, p, q, fine, coeffs, tol=1e-10, samples=20):

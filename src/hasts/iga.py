@@ -380,9 +380,9 @@ def solve_linear(K, F):
     return x
 
 
-def solve(problem, disc, supg=True):
+def solve(problem, disc):
     """Assemble, constrain, and solve; returns the full coefficient vector."""
-    K, F = assemble(problem, disc, supg=supg)
+    K, F = assemble(problem, disc)
     Kii, Fi, interior, full = apply_dirichlet(K, F, problem, disc)
     full[interior] = solve_linear(Kii, Fi)
     return full

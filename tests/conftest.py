@@ -10,6 +10,9 @@ evaluation use them, so those checks stay independent of the library path.
 The row oracles compute exact Bezier rows and Greville abscissae as the
 library did before it blossomed over integer knots: a queue of single knot
 insertions on ``Fraction`` knot vectors, and a sum of ``Fraction`` knots.
+The representation oracle finds a coarse function's coefficients in a finer
+space as the library did before it applied dual functionals: single knot
+insertions wherever the fine mesh demands a line the knot vector lacks.
 
 The FE oracles are the finite-element loop the library ran before it
 evaluated elements in groups: quadrature, assembly, the Dirichlet projection
@@ -19,6 +22,7 @@ library did before it compared grid lines.
 """
 
 import random
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, sqrt
@@ -29,7 +33,7 @@ import scipy.sparse as sp
 
 from hasts import samples
 from hasts.benchmarks import tensor_space
-from hasts.basis import GlobalKnots, bernstein_grid, insert_knot
+from hasts.basis import Anchor, GlobalKnots, _march, bernstein_grid
 from hasts.hierarchy import HFunction, HierarchicalSpace, LevelMesh, refine_by_elements
 from hasts.iga import _bern_tables, _gauss, tau_element
 from hasts.tmesh import MeshStructureError
@@ -183,6 +187,22 @@ def eval_all(space, s, t):
 # -- exact row oracles ------------------------------------------------------------
 
 
+def insert_knot(vals, p, x):
+    """Split a single B-spline local knot vector at x: returns two
+    (coefficient, child vector) pairs with N[vals] = c1 N[w1] + c2 N[w2]."""
+    v = list(vals)
+    w = sorted(v + [x])
+    if x >= v[p] or v[p] == v[0]:
+        c1 = Fraction(1)
+    else:
+        c1 = Fraction(x - v[0]) / (v[p] - v[0])
+    if x <= v[1]:
+        c2 = Fraction(1)
+    else:
+        c2 = Fraction(v[p + 1] - x) / (v[p + 1] - v[1])
+    return (c1, tuple(w[: p + 2])), (c2, tuple(w[1 : p + 3]))
+
+
 @lru_cache(maxsize=None)
 def bezier_coeffs_oracle(vals, p, a, b):
     """Bernstein coefficients of N[vals] on the span [a, b], exact: insert a
@@ -209,6 +229,119 @@ def bezier_coeffs_oracle(vals, p, a, b):
         for cc, child in insert_knot(v, p, x):
             queue.append((c * cc, child))
     return tuple(out)
+
+
+def represent_oracle(hvals, vvals, fine):
+    """Coefficients of one blending function, given by its local knot
+    values, over the functions of a finer ``Space``, by repeated single knot
+    insertion wherever the fine mesh demands a line the vector lacks."""
+    p, q = fine.mesh.p, fine.mesh.q
+    table = {(f.h_indices, f.v_indices): f for f in fine.functions}
+    out = defaultdict(Fraction)
+    queue = [(Fraction(1), tuple(Fraction(v) for v in hvals), tuple(Fraction(v) for v in vvals))]
+    guard = 0
+    while queue:
+        guard += 1
+        if guard > 100000:
+            raise MeshStructureError("representation did not terminate")
+        c, hv, vv = queue.pop()
+        if c == 0 or hv[0] == hv[-1] or vv[0] == vv[-1]:
+            continue
+        hidx = _values_to_indices(fine.hknots, hv)
+        vidx = _values_to_indices(fine.vknots, vv)
+        anchor = _anchor_from(hidx, vidx, p, q)
+        gap = _anchor_gap(fine, anchor, hv, vv)
+        if gap is not None:
+            axis, x = gap
+            if axis == "h":
+                for cc, child in insert_knot(hv, p, x):
+                    queue.append((c * cc, child, vv))
+            else:
+                for cc, child in insert_knot(vv, q, x):
+                    queue.append((c * cc, hv, child))
+            continue
+        mh = _march(fine.mesh, anchor, horizontal=True)
+        mv = _march(fine.mesh, anchor, horizontal=False)
+        mhv = fine.hknots.take(mh)
+        mvv = fine.vknots.take(mv)
+        if Counter(mhv) != Counter(hv):
+            x = _missing_value(mhv, hv)
+            for cc, child in insert_knot(hv, p, x):
+                queue.append((c * cc, child, vv))
+        elif Counter(mvv) != Counter(vv):
+            x = _missing_value(mvv, vv)
+            for cc, child in insert_knot(vv, q, x):
+                queue.append((c * cc, hv, child))
+        else:
+            key = (mh, mv)
+            if key not in table:
+                raise MeshStructureError(f"no fine function with index vectors {key}")
+            out[table[key]] += c
+    return {f: c for f, c in out.items() if c != 0}
+
+
+def _values_to_indices(knots, vals):
+    """Canonical index lines for a sorted local value vector: repeated domain
+    ends hug the core (zeros end at index p+1, ones start at m-p); interior
+    values match their unique index line."""
+    p, m = knots.p, knots.m
+    lo, hi = knots.values[0], knots.values[-1]
+    nlo = sum(1 for v in vals if v == lo)
+    nhi = sum(1 for v in vals if v == hi)
+    idx = list(range(p + 2 - nlo, p + 2))
+    inner = [v for v in vals if v != lo and v != hi]
+    pos = p + 2
+    for v in inner:
+        while pos <= m and knots[pos] != v:
+            pos += 1
+        if pos > m:
+            raise MeshStructureError(f"knot value {v} not on the fine knot vector")
+        idx.append(pos)
+        pos += 1
+    idx.extend(range(m - p, m - p + nhi))
+    return tuple(idx)
+
+
+def _anchor_from(hidx, vidx, p, q):
+    if p % 2:
+        hx1 = hx2 = hidx[(p + 1) // 2]
+    else:
+        hx1, hx2 = hidx[p // 2], hidx[p // 2 + 1]
+    if q % 2:
+        vy1 = vy2 = vidx[(q + 1) // 2]
+    else:
+        vy1, vy2 = vidx[q // 2], vidx[q // 2 + 1]
+    return Anchor(hx1, hx2, vy1, vy2)
+
+
+def _anchor_gap(fine, anchor, hv, vv):
+    """A fine index line crossing the open interior of the implied anchor.
+
+    A genuine fine function has a cell/edge/vertex anchor with no spanning
+    line strictly inside; a candidate vector that straddles one is missing
+    that knot value.  Returns ('h'|'v', value) or None.
+    """
+    for x in range(anchor.hx1 + 1, anchor.hx2):
+        if fine.mesh.v_line_covers(x, anchor.vy1, anchor.vy2):
+            val = fine.hknots[x]
+            if hv[0] < val < hv[-1]:
+                return "h", val
+    for y in range(anchor.vy1 + 1, anchor.vy2):
+        if fine.mesh.h_line_covers(y, anchor.hx1, anchor.hx2):
+            val = fine.vknots[y]
+            if vv[0] < val < vv[-1]:
+                return "v", val
+    return None
+
+
+def _missing_value(marched_vals, vals):
+    diff = Counter(marched_vals) - Counter(vals)
+    for v in sorted(diff):
+        if vals[0] < v < vals[-1]:
+            return v
+    raise MeshStructureError(
+        f"fine index vector {marched_vals} incompatible with coarse vector {vals}"
+    )
 
 
 def greville_oracle(knots, p):

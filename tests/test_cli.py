@@ -222,6 +222,27 @@ def test_config_unknown_key_exits_two(tmp_path, capsys):
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+def test_config_values_are_checked_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    for text in (
+        '{"tol": "0.01"}',
+        '{"max_levels": null}',
+        '{"elements": 2.5}',
+        '{"p": true}',
+        '{"benchmark": "foo"}',
+        "[1, 2]",
+    ):
+        cfg.write_text(text)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2, text
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("parse error: "), text
+    # an integer is a valid float; null keeps a null default
+    cfg.write_text('{"tol": 1, "q": null, "kappa": null}')
+    args = hasts.cli.build_parser().parse_args(["solve", "--config", str(cfg)])
+    resolved = hasts.cli.resolve_config(args)
+    assert type(resolved["tol"]) is float and resolved["kappa"] is None and resolved["q"] == 2
+
+
 def test_knots_off_the_unit_interval_are_a_parse_error(tmp_path, capsys):
     # a 4x4 biquadratic mesh whose knots run from 0 to 2
     mesh = samples.tensor_mesh(4, 4, 2, 2)

@@ -1,8 +1,10 @@
 """Hierarchy layer: dyadic subdivision, domain bookkeeping, nesting.
 
-The knot-insertion identity is verified numerically at random points; H and
-HE are rebuilt by an independent oracle that tests every function and element
-against every level's domain rectangles with an exact rational sweep.
+The knot-insertion identity of the test oracles is verified numerically at
+random points, and coarse-in-fine representations by dual functionals must
+equal those of the knot-insertion oracle; H and HE are rebuilt by an
+independent oracle that tests every function and element against every
+level's domain rectangles with an exact rational sweep.
 """
 
 import os
@@ -15,9 +17,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import cox_de_boor, eval_all, eval_function
+from conftest import (
+    cox_de_boor,
+    eval_all,
+    eval_function,
+    insert_knot,
+    one_level,
+    represent_oracle,
+    thirds_space,
+)
 from hasts import hierarchy, meshio, samples
-from hasts.basis import GlobalKnots, Space, insert_knot
+from hasts.basis import GlobalKnots, Space
 from hasts.benchmarks import tensor_space
 from hasts.cli import main
 from hasts.hierarchy import (
@@ -108,7 +118,7 @@ def test_subdivide_preserves_suitability_with_t_junctions():
     assert child.level == 2
 
 
-# -- knot insertion ------------------------------------------------------------
+# -- knot insertion (the test oracle) ------------------------------------------
 
 
 def test_insert_knot_end_span_oracle():
@@ -188,11 +198,11 @@ def reference_build(space):
     return tuple(sorted(H, key=HFunction.sort_key)), tuple(sorted(E, key=HElement.sort_key))
 
 
-def refinement_chain(seed, p, steps=20, max_levels=6):
-    """A 4x4 start and the spaces of ``steps`` seeded refinements of 3
+def refinement_chain(seed, start, steps=20, max_levels=6):
+    """The start space and the spaces of ``steps`` seeded refinements of 3
     random elements each, below the level cap."""
     rng = random.Random(seed)
-    chain = [tensor_space(4, p)]
+    chain = [start]
     for _ in range(steps):
         candidates = [e for e in chain[-1].elements if e.level < max_levels]
         marked = rng.sample(candidates, 3)
@@ -202,8 +212,9 @@ def refinement_chain(seed, p, steps=20, max_levels=6):
 
 @pytest.fixture(scope="module")
 def seeded_chains():
-    """The refinement chains of seeds 1, 2, 3 at degrees 2 and 3."""
-    return [refinement_chain(seed, p) for seed in (1, 2, 3) for p in (2, 3)]
+    """The refinement chains of seeds 1, 2, 3 from 4x4 starts of degrees 2
+    and 3."""
+    return [refinement_chain(seed, tensor_space(4, p)) for seed in (1, 2, 3) for p in (2, 3)]
 
 
 def test_rect_covered_exact():
@@ -499,7 +510,7 @@ def test_coarse_functions_nest_in_fine_space():
     sp1 = space.spaces[0]
     fine = space.spaces[1]
     for fn in sp1.functions[:: max(1, len(sp1.functions) // 6)]:
-        coeffs = represent_in_space(sp1.h_values(fn), sp1.v_values(fn), fine, verify=False)
+        coeffs = represent_in_space(sp1.h_values(fn), sp1.v_values(fn), fine)
         for s, t in pts:
             ref = eval_function(sp1, fn, s, t)
             got = sum(float(c) * eval_function(fine, f, s, t) for f, c in coeffs.items())
@@ -533,9 +544,52 @@ def test_nesting_across_randomized_refinements():
         steps += 1
         hf = rng.choice(space.functions)
         if hf.level < len(space.levels):
-            # verify=True asserts the 1e-10 pointwise residual internally
+            # the representation asserts the 1e-10 pointwise residual internally
             represent_coarse_in_fine(space, hf, hf.level + 1)
     assert steps == 20
+
+
+def support_area(support):
+    s1, s2, t1, t2 = support
+    return (s2 - s1) * (t2 - t1)
+
+
+def test_representation_matches_knot_insertion_oracle(hierarchies, seeded_chains):
+    """Dual functionals against knot insertion, equal dicts of Fractions, on
+    the seeded chains, the sample hierarchies, the thirds spaces, and chains
+    of degrees (2, 3) and (1, 2) and from a T-junction start.  Each level's
+    active function of smallest support and 5 seeded others on the next
+    level, and the smallest on the level after, so every finer level is
+    reached from two levels.  Deeper pairs are left out for the oracle's
+    sake: its queue splits one knot at a time, so its work multiplies with
+    every level (a generic level-1 function takes seconds on level 4 and
+    exceeds the queue's 100,000-step guard on level 6)."""
+    spaces = [chain[-1] for chain in seeded_chains] + list(hierarchies)
+    spaces += [thirds_space(2), thirds_space(3)]
+    starts = [
+        tensor_space(4, 2, 3),
+        tensor_space(4, 1, 2),
+        one_level(samples.random_as_mesh(2, 2, num_elements=6, removals=8, seed=1)),
+    ]
+    spaces += [refinement_chain(seed, start, steps=8)[-1] for seed, start in enumerate(starts, 4)]
+    rng = random.Random(5)
+    pairs = 0
+    for space in spaces:
+        top = len(space.levels)
+        for k in range(1, top):
+            coarse = space.spaces[k - 1]
+            active = [hf.fn for hf in space.functions if hf.level == k]
+            active.sort(key=lambda fn: support_area(coarse.support(fn)))
+            if not active:
+                continue
+            sampled = [active[0]] + rng.sample(active[1:], min(5, len(active) - 1))
+            for j, fns in zip(range(k + 1, top + 1), (sampled, active[:1])):
+                fine = space.spaces[j - 1]
+                for fn in fns:
+                    hv, vv = coarse.h_values(fn), coarse.v_values(fn)
+                    assert represent_in_space(hv, vv, fine) == represent_oracle(hv, vv, fine)
+                    pairs += 1
+    assert pairs > 250
 
 
 def test_hierarchical_basis_full_rank(hierarchies):
