@@ -1,6 +1,12 @@
 """Spline spaces over a T-mesh: global knot vectors, anchors and local index
 vectors, plus the univariate primitives that every basis evaluation uses.
 
+Anchors and index vectors are read off the mesh's segment arrays: minimal
+edges are the runs of ``hseg`` and ``vseg`` split at ``TMesh.vertex_mask``,
+the anchors are one selection of vertices, minimal edges or cells by degree
+parity, and ``Space`` marches all anchors together, testing whether an
+index line spans an anchor by prefix sums of the segment arrays.
+
 Knot values are stored as exact ``fractions.Fraction`` so that equality and
 interval predicates never see rounding.  One recurrence serves every exact
 coefficient: ``blossom`` evaluates the blossom of one B-spline's polynomial
@@ -123,97 +129,86 @@ class Anchor:
         return (self.vy1, self.hx1, self.vy2, self.hx2)
 
 
+def _runs(seg, mask):
+    """(line, start, end) arrays of the runs of ``seg[line, pos]``, the unit
+    segments [pos, pos+1] of each index line, split at the points of
+    ``mask``; line by line, in order along each line."""
+    before = np.zeros_like(seg)
+    before[:, 1:] = seg[:, :-1]
+    lines, starts = np.nonzero(seg & (~before | mask))
+    return lines, starts, np.nonzero(before & (~seg | mask))[1]
+
+
 def minimal_edges(mesh, axis):
-    """Minimal edges split at canonical vertices: horizontal ones (axis "h")
-    as (x1, x2, y), vertical ones (axis "v") as (x, y1, y2)."""
-    verts = mesh.canonical_vertices
+    """Minimal edges, the runs of unit segments split at canonical vertices:
+    horizontal ones (axis "h") as (x1, x2, y), vertical ones (axis "v") as
+    (x, y1, y2), index line by index line."""
     if axis == "h":
-        seg, n_lines, n_pos = mesh.hseg, mesh.n, mesh.m
-        point = lambda line, pos: (pos, line)
-        edge = lambda line, a, b: (a, b, line)
+        y, x1, x2 = _runs(mesh.hseg.T, mesh.vertex_mask.T)
+        return list(zip(x1.tolist(), x2.tolist(), y.tolist()))
+    x, y1, y2 = _runs(mesh.vseg, mesh.vertex_mask)
+    return list(zip(x.tolist(), y1.tolist(), y2.tolist()))
+
+
+def _anchor_rows(mesh):
+    """The anchors as an (k, 4) array of (hx1, hx2, vy1, vy2): vertices,
+    minimal edges or cells by degree parity, inside the active region and
+    sorted by ``Anchor.sort_key``."""
+    x1, x2, y1, y2 = mesh.region_split()
+    if mesh.p % 2 and mesh.q % 2:
+        xs, ys = np.nonzero(mesh.vertex_mask)
+        rows = np.column_stack([xs, xs, ys, ys])
+    elif mesh.q % 2:
+        y, a, b = _runs(mesh.hseg.T, mesh.vertex_mask.T)
+        rows = np.column_stack([a, b, y, y])
+    elif mesh.p % 2:
+        x, a, b = _runs(mesh.vseg, mesh.vertex_mask)
+        rows = np.column_stack([x, x, a, b])
     else:
-        seg, n_lines, n_pos = mesh.vseg, mesh.m, mesh.n
-        point = lambda line, pos: (line, pos)
-        edge = lambda line, a, b: (line, a, b)
-    out = []
-    for line in range(1, n_lines + 1):
-        start = None
-        for pos in range(1, n_pos + 1):
-            xy = point(line, pos)
-            if start is not None and (xy in verts or not seg[xy]):
-                out.append(edge(line, start, pos))
-                start = None
-            if seg[xy] and start is None:
-                start = pos
-        if start is not None:
-            out.append(edge(line, start, n_pos))
-    return out
+        rows = np.array(mesh.cells, dtype=np.int64).reshape(-1, 4)
+    rows = rows[(rows[:, 0] >= x1) & (rows[:, 1] <= x2) & (rows[:, 2] >= y1) & (rows[:, 3] <= y2)]
+    return rows[np.lexsort((rows[:, 1], rows[:, 3], rows[:, 0], rows[:, 2]))]
 
 
 def anchors(mesh):
     """Anchor entities of the mesh, selected by degree parity and restricted
-    to the active region; sorted lexicographically."""
-    rs = mesh.region_split()
-    p_odd = mesh.p % 2 == 1
-    q_odd = mesh.q % 2 == 1
-    out = []
-    if p_odd and q_odd:
-        for (x, y) in mesh.canonical_vertices:
-            if rs.contains(x, y):
-                out.append(Anchor(x, x, y, y))
-    elif not p_odd and q_odd:
-        for (x1, x2, y) in minimal_edges(mesh, "h"):
-            if rs.contains_rect(x1, x2, y, y):
-                out.append(Anchor(x1, x2, y, y))
-    elif p_odd and not q_odd:
-        for (x, y1, y2) in minimal_edges(mesh, "v"):
-            if rs.contains_rect(x, x, y1, y2):
-                out.append(Anchor(x, x, y1, y2))
-    else:
-        for (x1, x2, y1, y2) in mesh.cells:
-            if rs.contains_rect(x1, x2, y1, y2):
-                out.append(Anchor(x1, x2, y1, y2))
-    out.sort(key=Anchor.sort_key)
-    return out
+    to the active region; sorted by ``Anchor.sort_key``."""
+    return [Anchor(*row) for row in _anchor_rows(mesh).tolist()]
 
 
-def local_index_vectors(mesh, anchor):
-    """(hLocal, vLocal) global index lines for one anchor, each of length
-    degree+2, found by marching away from the anchor and keeping only lines
-    that span the anchor's full perpendicular extent."""
-    h = _march(mesh, anchor, horizontal=True)
-    v = _march(mesh, anchor, horizontal=False)
-    return h, v
+def _local_lines(seg, deg, lo, hi, a, b):
+    """Local index vectors of many anchors along one direction.
 
-
-def _march(mesh, anchor, horizontal):
-    if horizontal:
-        deg, lo, hi, limit = mesh.p, anchor.hx1, anchor.hx2, mesh.m
-        spans = lambda x: mesh.v_line_covers(x, anchor.vy1, anchor.vy2)
-    else:
-        deg, lo, hi, limit = mesh.q, anchor.vy1, anchor.vy2, mesh.n
-        spans = lambda y: mesh.h_line_covers(y, anchor.hx1, anchor.hx2)
+    ``lo``, ``hi`` are the anchors' extents along the direction and [a, b]
+    across it; ``seg[i, j]`` is the unit segment [j, j+1] of the crossing
+    index line i.  Beyond each end the (deg+1)//2 nearest lines are kept
+    that span the anchor's extent across, or touch it where that is a
+    point; every anchor still marching takes its next step together, and a
+    line's spanning is a difference of prefix sums of ``seg``.  Returns the
+    sorted (k, deg+2) index lines and the mask of the anchors whose march
+    left the domain."""
+    point = a == b
+    a, b = a - point, b + point
+    prefix = np.zeros((seg.shape[0], seg.shape[1] + 1), dtype=np.int64)
+    prefix[:, 1:] = seg.cumsum(axis=1)
     need = (deg + 1) // 2
-    found = [lo] if lo == hi else [lo, hi]
-    pos, got = lo, 0
-    while got < need:
-        pos -= 1
-        if pos < 1:
-            raise MeshStructureError(f"local knot marching left the domain at anchor {anchor}")
-        if spans(pos):
-            found.append(pos)
-            got += 1
-    pos, got = hi, 0
-    while got < need:
-        pos += 1
-        if pos > limit:
-            raise MeshStructureError(f"local knot marching left the domain at anchor {anchor}")
-        if spans(pos):
-            found.append(pos)
-            got += 1
-    found.sort()
-    assert len(found) == deg + 2
-    return tuple(found)
+    out = np.empty((len(lo), deg + 2), dtype=np.int64)
+    out[:, need], out[:, deg + 1 - need] = lo, hi
+    lost = np.zeros(len(lo), dtype=bool)
+    for step, first, pos in ((-1, need - 1, lo.copy()), (1, deg + 2 - need, hi.copy())):
+        idx, got = np.arange(len(lo)), np.zeros(len(lo), dtype=np.int64)
+        while idx.size:
+            pos += step
+            on = (pos >= 1) & (pos < seg.shape[0])
+            lost[idx[~on]] = True
+            idx, pos, got = idx[on], pos[on], got[on]
+            covered = prefix[pos, b[idx]] - prefix[pos, a[idx]]
+            hit = np.where(point[idx], covered > 0, covered == b[idx] - a[idx])
+            out[idx[hit], first + step * got[hit]] = pos[hit]
+            got += hit
+            go = got < need
+            idx, pos, got = idx[go], pos[go], got[go]
+    return out, lost
 
 
 # -- univariate primitives: blossoms, Bezier rows, Bernstein tables -----------
@@ -372,13 +367,18 @@ class Space:
         self.mesh = mesh
         self.hknots = hknots
         self.vknots = vknots
-        self.functions = tuple(
-            BlendingFunction(a, *local_index_vectors(mesh, a)) for a in anchors(mesh)
-        )
+        rows = _anchor_rows(mesh)
+        hx1, hx2, vy1, vy2 = rows.T
         # the functions' local index vectors as arrays, one row per function
-        fns = self.functions
-        self.h_indices = np.array([f.h_indices for f in fns], np.int64).reshape(-1, mesh.p + 2)
-        self.v_indices = np.array([f.v_indices for f in fns], np.int64).reshape(-1, mesh.q + 2)
+        self.h_indices, lost = _local_lines(mesh.vseg, mesh.p, hx1, hx2, vy1, vy2)
+        self.v_indices, lost_v = _local_lines(mesh.hseg.T, mesh.q, vy1, vy2, hx1, hx2)
+        if (lost | lost_v).any():
+            anchor = Anchor(*rows[(lost | lost_v).argmax()].tolist())
+            raise MeshStructureError(f"local knot marching left the domain at anchor {anchor}")
+        self.functions = tuple(
+            BlendingFunction(Anchor(*a), tuple(h), tuple(v))
+            for a, h, v in zip(rows.tolist(), self.h_indices.tolist(), self.v_indices.tolist())
+        )
 
     @classmethod
     def uniform(cls, mesh):

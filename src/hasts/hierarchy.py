@@ -185,24 +185,24 @@ def subdivide_level(parent: LevelMesh):
     ext = mesh.extended()
     mc = 2 * m - 2 * p - 1
     nc = 2 * n - 2 * q - 1
-    fx = lambda i: index_map(i, m, p)
-    fy = lambda j: index_map(j, n, q)
+    fx = np.array([index_map(i, m, p) for i in range(m + 1)])
+    fy = np.array([index_map(j, n, q) for j in range(n + 1)])
     hseg = np.zeros((mc + 1, nc + 1), dtype=bool)
     vseg = np.zeros((mc + 1, nc + 1), dtype=bool)
-    for i in range(1, m):
-        for j in range(1, n + 1):
-            if ext.hseg[i, j]:
-                hseg[fx(i) : fx(i + 1), fy(j)] = True
-    for i in range(1, m + 1):
-        for j in range(1, n):
-            if ext.vseg[i, j]:
-                vseg[fx(i), fy(j) : fy(j + 1)] = True
+    # a parent unit segment maps to one or two child unit segments: the
+    # first and the last of the mapped span
+    i, j = np.nonzero(ext.hseg)
+    hseg[fx[i], fy[j]] = True
+    hseg[fx[i + 1] - 1, fy[j]] = True
+    i, j = np.nonzero(ext.vseg)
+    vseg[fx[i], fy[j]] = True
+    vseg[fx[i], fy[j + 1] - 1] = True
     parent_ext_mapped = TMesh(mc, nc, p, q, hseg.copy(), vseg.copy())
     chk = refine_knots(parent.hknots)
     cvk = refine_knots(parent.vknots)
     for x1, x2, y1, y2 in parent.kept[0].cells.tolist():
-        cx = (fx(x1) + fx(x2)) // 2
-        cy = (fy(y1) + fy(y2)) // 2
+        cx = (fx[x1] + fx[x2]) // 2
+        cy = (fy[y1] + fy[y2]) // 2
         if chk[cx] != (parent.hknots[x1] + parent.hknots[x2]) / 2 or cvk[cy] != (
             parent.vknots[y1] + parent.vknots[y2]
         ) / 2:
@@ -210,14 +210,14 @@ def subdivide_level(parent: LevelMesh):
                 f"element {(x1, x2, y1, y2)} has no parametric-midpoint index line; "
                 "spans must be index-uniform for congruent subdivision"
             )
-        ylo, yhi = fy(y1), fy(y2)
+        ylo, yhi = fy[y1], fy[y2]
         # continue midlines through the zero-area band when they hit the core edge
         if ylo == q + 1:
             ylo = 1
         if yhi == nc - q:
             yhi = nc
         vseg[cx, ylo:yhi] = True
-        xlo, xhi = fx(x1), fx(x2)
+        xlo, xhi = fx[x1], fx[x2]
         if xlo == p + 1:
             xlo = 1
         if xhi == mc - p:
@@ -508,11 +508,12 @@ def _verify_representation(hvals, vvals, p, q, fine, coeffs, tol=1e-10, samples=
     rng = np.random.default_rng(12345)
     s, t = rng.random((samples, 2)).T
     ref = bspline_eval(hvals, p, s) * bspline_eval(vvals, q, t)
+    # each distinct local knot vector is evaluated once per direction
+    h = cache(lambda lines: bspline_eval(fine.hknots.take(lines), p, s))
+    v = cache(lambda lines: bspline_eval(fine.vknots.take(lines), q, t))
     got = np.zeros(samples)
     for f, c in coeffs.items():
-        got += float(c) * (
-            bspline_eval(fine.h_values(f), p, s) * bspline_eval(fine.v_values(f), q, t)
-        )
+        got += float(c) * (h(f.h_indices) * v(f.v_indices))
     err = np.abs(ref - got)
     if (err > tol).any():
         k = int(np.argmax(err > tol))

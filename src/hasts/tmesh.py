@@ -5,8 +5,13 @@ cells.  Interior vertices have valence 3 (T-junctions) or 4.  All geometric
 predicates here (extensions, intersections, inclusion) are exact integer
 arithmetic; no floating point enters the topology layer.
 
-The skeleton is stored as two boolean arrays of unit segments.  Cells,
-canonical vertices, and T-junctions are derived lazily and cached.
+The skeleton is stored as two boolean arrays of unit segments, and the
+rest is derived from them lazily.  One incidence (``TMesh.incidence``:
+whether a segment leaves each index point left, right, down and up, and
+how many do) gives the canonical vertices as a mask (``vertex_mask``), the
+T-junctions with their missing direction, the valence findings of
+``validate`` and the points where an extension trace meets a perpendicular
+edge or a vertex.  Cells are the connected components of the unit cells.
 """
 
 from __future__ import annotations
@@ -22,6 +27,15 @@ MISSING_LEFT = "missing-left"
 MISSING_RIGHT = "missing-right"
 MISSING_UP = "missing-up"
 MISSING_DOWN = "missing-down"
+# the missing edge of a T-junction, by the direction of ``TMesh.incidence``
+_MISSING = (MISSING_LEFT, MISSING_RIGHT, MISSING_DOWN, MISSING_UP)
+
+
+def _points(mask, offset=0):
+    """The true points of a mask as (x, y) pairs of ints, in (x, y) order;
+    the mask's first entry is the point (offset, offset)."""
+    xs, ys = np.nonzero(mask)
+    return list(zip((xs + offset).tolist(), (ys + offset).tolist()))
 
 
 class MeshStructureError(Exception):
@@ -36,22 +50,6 @@ class Violation:
 
     def __str__(self):
         return f"{self.kind} at {self.where}: {self.detail}"
-
-
-@dataclass(frozen=True)
-class RegionSplit:
-    """Active region [x1,x2] x [y1,y2]; frame region is the closed complement."""
-
-    x1: int
-    x2: int
-    y1: int
-    y2: int
-
-    def contains(self, x, y):
-        return self.x1 <= x <= self.x2 and self.y1 <= y <= self.y2
-
-    def contains_rect(self, xa, xb, ya, yb):
-        return self.x1 <= xa and xb <= self.x2 and self.y1 <= ya and yb <= self.y2
 
 
 @dataclass(frozen=True)
@@ -208,59 +206,40 @@ class TMesh:
             f"{int(self.hseg.sum())} hsegs, {int(self.vseg.sum())} vsegs)"
         )
 
-    # -- elementary queries ---------------------------------------------------
+    # -- incidence and vertices -----------------------------------------------
 
-    def directions(self, x, y):
-        """(left, right, down, up) incident unit-segment presence at (x, y)."""
-        return (
-            bool(self.hseg[x - 1, y]) if x >= 2 else False,
-            bool(self.hseg[x, y]),
-            bool(self.vseg[x, y - 1]) if y >= 2 else False,
-            bool(self.vseg[x, y]),
-        )
+    @cached_property
+    def incidence(self):
+        """(left, right, down, up, valence): whether a unit segment leaves
+        each index point (x, y) in that direction, as (m+1, n+1) boolean
+        arrays, and their int8 sum."""
+        left = np.zeros_like(self.hseg)
+        left[1:, :] = self.hseg[:-1, :]
+        down = np.zeros_like(self.vseg)
+        down[:, 1:] = self.vseg[:, :-1]
+        valence = left.astype(np.int8) + self.hseg + down + self.vseg
+        for a in (left, down, valence):
+            a.flags.writeable = False
+        return left, self.hseg, down, self.vseg, valence
 
-    def valence(self, x, y):
-        return sum(self.directions(x, y))
-
-    def is_interior(self, x, y):
-        return 1 < x < self.m and 1 < y < self.n
-
-    def v_line_covers(self, x, ylo, yhi):
-        """Vertical skeleton at index x covers the closed interval [ylo, yhi]."""
-        if ylo == yhi:
-            return bool(self.vseg[x, ylo]) or (ylo >= 2 and bool(self.vseg[x, ylo - 1]))
-        return bool(self.vseg[x, ylo:yhi].all())
-
-    def h_line_covers(self, y, xlo, xhi):
-        if xlo == xhi:
-            return bool(self.hseg[xlo, y]) or (xlo >= 2 and bool(self.hseg[xlo - 1, y]))
-        return bool(self.hseg[xlo:xhi, y].all())
+    @cached_property
+    def vertex_mask(self):
+        """Canonical vertices as an (m+1, n+1) boolean mask: the points where
+        the skeleton branches, crosses, turns or terminates, the domain
+        corners and any declared vertices.  Straight-through points of a
+        long edge are not vertices."""
+        left, right, down, up, valence = self.incidence
+        mask = (valence > 0) & ~((valence == 2) & ((left & right) | (down & up)))
+        mask[[1, 1, self.m, self.m], [1, self.n, 1, self.n]] = True
+        if self.declared_vertices:
+            mask[tuple(zip(*self.declared_vertices))] = True
+        mask.flags.writeable = False
+        return mask
 
     @cached_property
     def canonical_vertices(self):
-        """Points where the skeleton branches, crosses, turns, or terminates.
-
-        Straight-through points of a long edge are not vertices.  Domain
-        corners always are.
-        """
-        left = np.zeros((self.m + 1, self.n + 1), dtype=bool)
-        left[2:, :] = self.hseg[1:-1, :]
-        right = self.hseg
-        down = np.zeros((self.m + 1, self.n + 1), dtype=bool)
-        down[:, 2:] = self.vseg[:, 1:-1]
-        up = self.vseg
-        count = (
-            left.astype(np.int8) + right.astype(np.int8)
-            + down.astype(np.int8) + up.astype(np.int8)
-        )
-        has_h = left | right
-        has_v = down | up
-        mask = (count >= 3) | (has_h & has_v) | ((count == 2) & ~(left & right) & ~(down & up))
-        verts = {(int(x), int(y)) for x, y in zip(*np.nonzero(mask))}
-        verts |= {(1, 1), (1, self.n), (self.m, 1), (self.m, self.n)}
-        if self.declared_vertices:
-            verts |= set(self.declared_vertices)
-        return frozenset(verts)
+        """The points of ``vertex_mask`` as a frozenset of (x, y)."""
+        return frozenset(_points(self.vertex_mask))
 
     # -- cells ----------------------------------------------------------------
 
@@ -322,14 +301,16 @@ class TMesh:
     # -- regions --------------------------------------------------------------
 
     def region_split(self):
+        """The active region [x1, x2] x [y1, y2] as (x1, x2, y1, y2); the
+        frame region is its closed complement."""
         dp = (self.p + 1) // 2
         dq = (self.q + 1) // 2
-        rs = RegionSplit(1 + dp, self.m - dp, 1 + dq, self.n - dq)
-        if rs.x1 > rs.x2 or rs.y1 > rs.y2:
+        x1, x2, y1, y2 = 1 + dp, self.m - dp, 1 + dq, self.n - dq
+        if x1 > x2 or y1 > y2:
             raise MeshStructureError(
                 f"active region empty for m={self.m}, n={self.n}, p={self.p}, q={self.q}"
             )
-        return rs
+        return x1, x2, y1, y2
 
     # -- validation -----------------------------------------------------------
 
@@ -345,35 +326,32 @@ class TMesh:
         for where in self.cell_components_rectangular():
             report.append(Violation("non-rectangular-cell", where, "cell component is not a rectangle"))
         # interior vertex valence
-        for (x, y) in sorted(self.canonical_vertices):
-            if not self.is_interior(x, y):
-                continue
-            v = self.valence(x, y)
-            if v not in (3, 4):
-                report.append(Violation("valence", (x, y), f"interior vertex has valence {v}"))
+        valence = self.incidence[4]
+        for (x, y) in self._interior(self.vertex_mask & (valence != 3) & (valence != 4)):
+            report.append(Violation("valence", (x, y), f"interior vertex has valence {valence[x, y]}"))
         # declared vertices must lie on the skeleton
         if self.declared_vertices:
             for (x, y) in sorted(self.declared_vertices):
-                if self.valence(x, y) == 0:
+                if valence[x, y] == 0:
                     report.append(Violation("off-skeleton-vertex", (x, y), "declared vertex not on any edge"))
         # admissibility: no T-junction strictly inside the frame region, and
         # the frame-region skeleton is a full tensor-product grid
         try:
-            rs = self.region_split()
+            x1, x2, y1, y2 = self.region_split()
         except MeshStructureError as exc:
             report.append(Violation("region", (0, 0), str(exc)))
             return report
         for tj in self.t_junctions():
-            if not rs.contains(tj.x, tj.y):
+            if not (x1 <= tj.x <= x2 and y1 <= tj.y <= y2):
                 report.append(Violation("frame-t-junction", (tj.x, tj.y), "T-junction inside frame region"))
-        report.extend(self._check_frame_grid(rs))
+        report.extend(self._check_frame_grid())
         # exact area accounting
         area = sum((x2 - x1) * (y2 - y1) for x1, x2, y1, y2 in self.cells)
         if area != (self.m - 1) * (self.n - 1):
             report.append(Violation("area", (0, 0), f"cell areas sum to {area}, expected {(self.m - 1) * (self.n - 1)}"))
         return report
 
-    def _check_frame_grid(self, rs):
+    def _check_frame_grid(self):
         """The repeated-knot boundary lines must be complete: the first and
         last p+1 vertical index lines span the full height, and the first and
         last q+1 horizontal lines the full width.  Together with the
@@ -392,45 +370,40 @@ class TMesh:
 
     # -- T-junctions and extensions -------------------------------------------
 
+    def _interior(self, mask):
+        """The points of a mask strictly inside the domain, in (x, y) order."""
+        return _points(mask[2 : self.m, 2 : self.n], 2)
+
     def t_junctions(self):
-        out = []
-        for (x, y) in sorted(self.canonical_vertices):
-            if not self.is_interior(x, y):
-                continue
-            left, right, down, up = self.directions(x, y)
-            if left + right + down + up != 3:
-                continue
-            if not left:
-                out.append(TJunction(x, y, MISSING_LEFT))
-            elif not right:
-                out.append(TJunction(x, y, MISSING_RIGHT))
-            elif not down:
-                out.append(TJunction(x, y, MISSING_DOWN))
-            else:
-                out.append(TJunction(x, y, MISSING_UP))
-        return out
+        """Interior points of valence 3 with the direction of their missing
+        edge, in (x, y) order."""
+        *dirs, valence = self.incidence
+        return [
+            TJunction(x, y, _MISSING[[d[x, y] for d in dirs].index(False)])
+            for x, y in self._interior(valence == 3)
+        ]
+
+    @cached_property
+    def _crossings(self):
+        """Per axis ("h", "v"), where a trace along it meets a perpendicular
+        edge or a vertex."""
+        left, right, down, up, _ = self.incidence
+        return {"h": down | up | self.vertex_mask, "v": left | right | self.vertex_mask}
 
     def _trace(self, x, y, axis, step, count):
-        """Walk from (x, y) along ``axis`` in direction ``step`` until ``count``
-        perpendicular edges or vertices are met; clip at the domain boundary."""
-        pos = x if axis == "h" else y
-        limit = (1, self.m) if axis == "h" else (1, self.n)
-        met = 0
-        while met < count:
-            pos += step
-            if pos < limit[0]:
-                pos = limit[0]
-                break
-            if pos > limit[1]:
-                pos = limit[1]
-                break
-            if axis == "h":
-                hit = self.v_line_covers(pos, y, y) or (pos, y) in self.canonical_vertices
-            else:
-                hit = self.h_line_covers(pos, x, x) or (x, pos) in self.canonical_vertices
-            if hit:
-                met += 1
-        return pos
+        """The ``count``-th point from (x, y) along ``axis`` in direction
+        ``step`` that meets a perpendicular edge or a vertex, clipped at the
+        domain boundary."""
+        if axis == "h":
+            line, origin, limit = self._crossings["h"][:, y], x, self.m
+        else:
+            line, origin, limit = self._crossings["v"][x, :], y, self.n
+        if count == 0:
+            return origin
+        ahead = np.flatnonzero(line[origin + 1 : limit + 1] if step > 0 else line[origin - 1 : 0 : -1])
+        if len(ahead) < count:
+            return limit if step > 0 else 1
+        return origin + step * (int(ahead[count - 1]) + 1)
 
     def extension(self, tj):
         if tj.horizontal:

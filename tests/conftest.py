@@ -14,6 +14,12 @@ The representation oracle finds a coarse function's coefficients in a finer
 space as the library did before it applied dual functionals: single knot
 insertions wherever the fine mesh demands a line the knot vector lacks.
 
+The topology oracles derive what the library reads off its incidence
+arrays one entity at a time, as the library did before: each point's four
+directions, vertices, T-junctions, extension traces, the vertex findings of
+validation, minimal edges, anchors and local knot marching, which tests
+whether one index line spans one anchor.
+
 The FE oracles are the finite-element loop the library ran before it
 evaluated elements in groups: quadrature, assembly, the Dirichlet projection
 and the estimator, one element at a time.  The Dirichlet oracle selects the
@@ -33,10 +39,19 @@ import scipy.sparse as sp
 
 from hasts import samples
 from hasts.benchmarks import tensor_space
-from hasts.basis import Anchor, GlobalKnots, _march, bernstein_grid
+from hasts.basis import Anchor, GlobalKnots, bernstein_grid
 from hasts.hierarchy import HFunction, HierarchicalSpace, LevelMesh, refine_by_elements
 from hasts.iga import _bern_tables, _gauss, tau_element
-from hasts.tmesh import MeshStructureError
+from hasts.tmesh import (
+    MISSING_DOWN,
+    MISSING_LEFT,
+    MISSING_RIGHT,
+    MISSING_UP,
+    Extension,
+    MeshStructureError,
+    TJunction,
+    Violation,
+)
 
 
 def as_mesh_corpus():
@@ -133,6 +148,241 @@ def extract_solve_space(seed, start=4):
 @pytest.fixture(scope="session")
 def hierarchies():
     return sample_hierarchies()
+
+
+def refinement_chain(seed, start, steps=20, max_levels=6):
+    """The start space and the spaces of ``steps`` seeded refinements of 3
+    random elements each, below the level cap."""
+    rng = random.Random(seed)
+    chain = [start]
+    for _ in range(steps):
+        candidates = [e for e in chain[-1].elements if e.level < max_levels]
+        marked = rng.sample(candidates, 3)
+        chain.append(refine_by_elements(chain[-1], marked, max_levels=max_levels))
+    return chain
+
+
+@pytest.fixture(scope="session")
+def seeded_chains():
+    """The refinement chains of seeds 1, 2, 3 from 4x4 starts of degrees 2
+    and 3."""
+    return [refinement_chain(seed, tensor_space(4, p)) for seed in (1, 2, 3) for p in (2, 3)]
+
+
+# -- per-entity topology oracles ---------------------------------------------------
+
+
+def directions(mesh, x, y):
+    """(left, right, down, up) incident unit-segment presence at (x, y)."""
+    return (
+        bool(mesh.hseg[x - 1, y]) if x >= 2 else False,
+        bool(mesh.hseg[x, y]),
+        bool(mesh.vseg[x, y - 1]) if y >= 2 else False,
+        bool(mesh.vseg[x, y]),
+    )
+
+
+def valence(mesh, x, y):
+    return sum(directions(mesh, x, y))
+
+
+def is_interior(mesh, x, y):
+    return 1 < x < mesh.m and 1 < y < mesh.n
+
+
+def v_line_covers(mesh, x, ylo, yhi):
+    """Vertical skeleton at index x covers the closed interval [ylo, yhi]."""
+    if ylo == yhi:
+        return bool(mesh.vseg[x, ylo]) or (ylo >= 2 and bool(mesh.vseg[x, ylo - 1]))
+    return bool(mesh.vseg[x, ylo:yhi].all())
+
+
+def h_line_covers(mesh, y, xlo, xhi):
+    if xlo == xhi:
+        return bool(mesh.hseg[xlo, y]) or (xlo >= 2 and bool(mesh.hseg[xlo - 1, y]))
+    return bool(mesh.hseg[xlo:xhi, y].all())
+
+
+def canonical_vertices(mesh):
+    """Points where the skeleton branches, crosses, turns or terminates, the
+    domain corners and the declared vertices, one point at a time."""
+    verts = {(1, 1), (1, mesh.n), (mesh.m, 1), (mesh.m, mesh.n)}
+    verts |= mesh.declared_vertices or set()
+    for x in range(1, mesh.m + 1):
+        for y in range(1, mesh.n + 1):
+            left, right, down, up = directions(mesh, x, y)
+            count = left + right + down + up
+            if count and not (count == 2 and ((left and right) or (down and up))):
+                verts.add((x, y))
+    return frozenset(verts)
+
+
+def t_junctions(mesh):
+    out = []
+    for (x, y) in sorted(canonical_vertices(mesh)):
+        if not is_interior(mesh, x, y):
+            continue
+        left, right, down, up = directions(mesh, x, y)
+        if left + right + down + up != 3:
+            continue
+        if not left:
+            out.append(TJunction(x, y, MISSING_LEFT))
+        elif not right:
+            out.append(TJunction(x, y, MISSING_RIGHT))
+        elif not down:
+            out.append(TJunction(x, y, MISSING_DOWN))
+        else:
+            out.append(TJunction(x, y, MISSING_UP))
+    return out
+
+
+def _trace(mesh, verts, x, y, axis, step, count):
+    """Walk from (x, y) along ``axis`` in direction ``step`` until ``count``
+    perpendicular edges or vertices are met; clip at the domain boundary."""
+    pos = x if axis == "h" else y
+    limit = (1, mesh.m) if axis == "h" else (1, mesh.n)
+    met = 0
+    while met < count:
+        pos += step
+        if pos < limit[0]:
+            pos = limit[0]
+            break
+        if pos > limit[1]:
+            pos = limit[1]
+            break
+        if axis == "h":
+            hit = v_line_covers(mesh, pos, y, y) or (pos, y) in verts
+        else:
+            hit = h_line_covers(mesh, pos, x, x) or (x, pos) in verts
+        if hit:
+            met += 1
+    return pos
+
+
+def extensions(mesh):
+    verts = canonical_vertices(mesh)
+    out = []
+    for tj in t_junctions(mesh):
+        if tj.horizontal:
+            axis, deg, origin = "h", mesh.p, tj.x
+            sign = 1 if tj.missing == MISSING_RIGHT else -1
+        else:
+            axis, deg, origin = "v", mesh.q, tj.y
+            sign = 1 if tj.missing == MISSING_UP else -1
+        face_end = _trace(mesh, verts, tj.x, tj.y, axis, sign, (deg + 1) // 2)
+        edge_end = _trace(mesh, verts, tj.x, tj.y, axis, -sign, deg // 2)
+        face_lo, face_hi = sorted((origin, face_end))
+        edge_lo, edge_hi = sorted((origin, edge_end))
+        line = tj.y if axis == "h" else tj.x
+        out.append(Extension(tj, axis, line, face_lo, face_hi, edge_lo, edge_hi))
+    return out
+
+
+# the findings of ``TMesh.validate`` that these oracles derive
+VERTEX_FINDINGS = ("valence", "off-skeleton-vertex", "frame-t-junction")
+
+
+def vertex_findings(mesh):
+    """The ``VERTEX_FINDINGS`` of ``TMesh.validate``, in its order; the
+    frame-T-junction check is skipped, as there, when the active region is
+    empty."""
+    report = []
+    for (x, y) in sorted(canonical_vertices(mesh)):
+        v = valence(mesh, x, y)
+        if is_interior(mesh, x, y) and v not in (3, 4):
+            report.append(Violation("valence", (x, y), f"interior vertex has valence {v}"))
+    for (x, y) in sorted(mesh.declared_vertices or ()):
+        if valence(mesh, x, y) == 0:
+            report.append(Violation("off-skeleton-vertex", (x, y), "declared vertex not on any edge"))
+    dp, dq = (mesh.p + 1) // 2, (mesh.q + 1) // 2
+    if 1 + dp > mesh.m - dp or 1 + dq > mesh.n - dq:
+        return report
+    for tj in t_junctions(mesh):
+        if not (1 + dp <= tj.x <= mesh.m - dp and 1 + dq <= tj.y <= mesh.n - dq):
+            report.append(Violation("frame-t-junction", (tj.x, tj.y), "T-junction inside frame region"))
+    return report
+
+
+def minimal_edges(mesh, axis):
+    """Minimal edges as (x1, x2, y) or (x, y1, y2), split at canonical
+    vertices, one point at a time."""
+    verts = canonical_vertices(mesh)
+    if axis == "h":
+        seg, n_lines, n_pos = mesh.hseg, mesh.n, mesh.m
+        point = lambda line, pos: (pos, line)
+        edge = lambda line, a, b: (a, b, line)
+    else:
+        seg, n_lines, n_pos = mesh.vseg, mesh.m, mesh.n
+        point = lambda line, pos: (line, pos)
+        edge = lambda line, a, b: (line, a, b)
+    out = []
+    for line in range(1, n_lines + 1):
+        start = None
+        for pos in range(1, n_pos + 1):
+            xy = point(line, pos)
+            if start is not None and (xy in verts or not seg[xy]):
+                out.append(edge(line, start, pos))
+                start = None
+            if seg[xy] and start is None:
+                start = pos
+        if start is not None:
+            out.append(edge(line, start, n_pos))
+    return out
+
+
+def anchors(mesh):
+    """Anchor entities selected by degree parity, one entity at a time, in
+    the active region; sorted by ``Anchor.sort_key``."""
+    dp, dq = (mesh.p + 1) // 2, (mesh.q + 1) // 2
+    inside = lambda x1, x2, y1, y2: (
+        1 + dp <= x1 and x2 <= mesh.m - dp and 1 + dq <= y1 and y2 <= mesh.n - dq
+    )
+    if mesh.p % 2 and mesh.q % 2:
+        found = [(x, x, y, y) for x, y in canonical_vertices(mesh)]
+    elif mesh.q % 2:
+        found = [(x1, x2, y, y) for x1, x2, y in minimal_edges(mesh, "h")]
+    elif mesh.p % 2:
+        found = [(x, x, y1, y2) for x, y1, y2 in minimal_edges(mesh, "v")]
+    else:
+        found = mesh.cells
+    return sorted((Anchor(*a) for a in found if inside(*a)), key=Anchor.sort_key)
+
+
+def local_index_vectors(mesh, anchor):
+    """(hLocal, vLocal) global index lines for one anchor, each of length
+    degree+2, found by marching away from the anchor and keeping only lines
+    that span the anchor's full perpendicular extent."""
+    return _march(mesh, anchor, horizontal=True), _march(mesh, anchor, horizontal=False)
+
+
+def _march(mesh, anchor, horizontal):
+    if horizontal:
+        deg, lo, hi, limit = mesh.p, anchor.hx1, anchor.hx2, mesh.m
+        spans = lambda x: v_line_covers(mesh, x, anchor.vy1, anchor.vy2)
+    else:
+        deg, lo, hi, limit = mesh.q, anchor.vy1, anchor.vy2, mesh.n
+        spans = lambda y: h_line_covers(mesh, y, anchor.hx1, anchor.hx2)
+    need = (deg + 1) // 2
+    found = [lo] if lo == hi else [lo, hi]
+    pos, got = lo, 0
+    while got < need:
+        pos -= 1
+        if pos < 1:
+            raise MeshStructureError(f"local knot marching left the domain at anchor {anchor}")
+        if spans(pos):
+            found.append(pos)
+            got += 1
+    pos, got = hi, 0
+    while got < need:
+        pos += 1
+        if pos > limit:
+            raise MeshStructureError(f"local knot marching left the domain at anchor {anchor}")
+        if spans(pos):
+            found.append(pos)
+            got += 1
+    found.sort()
+    assert len(found) == deg + 2
+    return tuple(found)
 
 
 # -- pointwise evaluation oracles ------------------------------------------------
@@ -260,8 +510,7 @@ def represent_oracle(hvals, vvals, fine):
                 for cc, child in insert_knot(vv, q, x):
                     queue.append((c * cc, hv, child))
             continue
-        mh = _march(fine.mesh, anchor, horizontal=True)
-        mv = _march(fine.mesh, anchor, horizontal=False)
+        mh, mv = local_index_vectors(fine.mesh, anchor)
         mhv = fine.hknots.take(mh)
         mvv = fine.vknots.take(mv)
         if Counter(mhv) != Counter(hv):
@@ -322,12 +571,12 @@ def _anchor_gap(fine, anchor, hv, vv):
     that knot value.  Returns ('h'|'v', value) or None.
     """
     for x in range(anchor.hx1 + 1, anchor.hx2):
-        if fine.mesh.v_line_covers(x, anchor.vy1, anchor.vy2):
+        if v_line_covers(fine.mesh, x, anchor.vy1, anchor.vy2):
             val = fine.hknots[x]
             if hv[0] < val < hv[-1]:
                 return "h", val
     for y in range(anchor.vy1 + 1, anchor.vy2):
-        if fine.mesh.h_line_covers(y, anchor.hx1, anchor.hx2):
+        if h_line_covers(fine.mesh, y, anchor.hx1, anchor.hx2):
             val = fine.vknots[y]
             if vv[0] < val < vv[-1]:
                 return "v", val

@@ -31,7 +31,7 @@ from conftest import (
     two_level_space,
 )
 from hasts import samples
-from hasts.basis import Anchor, Space, anchors, local_index_vectors
+from hasts.basis import Anchor, Space, anchors
 from hasts.benchmarks import (
     skew45_problem,
     skew45_rect_layer_distance,
@@ -60,8 +60,8 @@ def test_criterion_01_golden_index_vectors():
         mesh = factory()
         anchor = Anchor(hx1, hx2, vy1, vy2)
         ok &= mesh.validate() == [] and anchor in anchors(mesh)
-        h, v = local_index_vectors(mesh, anchor)
-        ok &= h == want_h and v == want_v
+        fn = next(f for f in Space.uniform(mesh).functions if f.anchor == anchor)
+        ok &= fn.h_indices == want_h and fn.v_indices == want_v
     report(1, "golden local index vectors (exact)", ok)
 
 

@@ -3,7 +3,8 @@
 The evaluation oracles are scipy.interpolate.BSpline on identical knot data
 and the Cox-de Boor recursion, and Greville abscissae are checked against a
 Fraction sum; golden index vectors are the published values for the four
-shipped meshes.
+shipped meshes, which ``Space`` and the per-entity marching oracle must both
+give.
 """
 
 from fractions import Fraction
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
+import conftest as oracle
 from conftest import as_mesh_corpus, cox_de_boor, eval_all, eval_function, greville_oracle
 from hasts import samples
 from hasts.basis import (
@@ -23,7 +25,6 @@ from hasts.basis import (
     bezier_coeffs_1d,
     bspline_eval,
     greville,
-    local_index_vectors,
     minimal_edges,
 )
 from hasts.tmesh import MeshStructureError
@@ -39,9 +40,9 @@ def test_golden_index_vectors(case):
     assert mesh.validate() == []
     anchor = Anchor(hx1, hx2, vy1, vy2)
     assert anchor in anchors(mesh)
-    h, v = local_index_vectors(mesh, anchor)
-    assert h == want_h
-    assert v == want_v
+    fn = next(f for f in Space.uniform(mesh).functions if f.anchor == anchor)
+    assert (fn.h_indices, fn.v_indices) == (want_h, want_v)
+    assert oracle.local_index_vectors(mesh, anchor) == (want_h, want_v)
 
 
 # -- anchors -------------------------------------------------------------------
@@ -77,8 +78,8 @@ def test_anchors_sorted_y_major(as_meshes):
 
 def test_index_vectors_have_degree_plus_two_entries(as_meshes):
     for mesh in as_meshes:
-        for a in anchors(mesh):
-            h, v = local_index_vectors(mesh, a)
+        for fn in Space.uniform(mesh).functions:
+            h, v = fn.h_indices, fn.v_indices
             assert len(h) == mesh.p + 2
             assert len(v) == mesh.q + 2
             assert list(h) == sorted(h) and list(v) == sorted(v)
@@ -304,41 +305,6 @@ def test_space_rejects_mismatched_knots():
 # -- minimal edges -------------------------------------------------------------
 
 
-def reference_minimal_h_edges(mesh):
-    """Minimal horizontal edges as (x1, x2, y), split at canonical vertices."""
-    out = []
-    verts = mesh.canonical_vertices
-    for j in range(1, mesh.n + 1):
-        start = None
-        for i in range(1, mesh.m + 1):
-            at_vertex = (i, j) in verts
-            if start is not None and (at_vertex or not mesh.hseg[i, j]):
-                out.append((start, i, j))
-                start = None
-            if mesh.hseg[i, j] and (start is None):
-                start = i
-        if start is not None:
-            out.append((start, mesh.m, j))
-    return out
-
-
-def reference_minimal_v_edges(mesh):
-    out = []
-    verts = mesh.canonical_vertices
-    for i in range(1, mesh.m + 1):
-        start = None
-        for j in range(1, mesh.n + 1):
-            at_vertex = (i, j) in verts
-            if start is not None and (at_vertex or not mesh.vseg[i, j]):
-                out.append((i, start, j))
-                start = None
-            if mesh.vseg[i, j] and (start is None):
-                start = j
-        if start is not None:
-            out.append((i, start, mesh.n))
-    return out
-
-
 def test_minimal_edges_match_reference():
     meshes = as_mesh_corpus()
     meshes += [samples.tensor_mesh(16, 16, p, q) for p, q in ((2, 2), (3, 3), (2, 3))]
@@ -347,5 +313,5 @@ def test_minimal_edges_match_reference():
         for seed, (p, q) in enumerate(((2, 2), (3, 3), (2, 3), (3, 2)), start=11)
     ]
     for mesh in meshes:
-        assert minimal_edges(mesh, "h") == reference_minimal_h_edges(mesh)
-        assert minimal_edges(mesh, "v") == reference_minimal_v_edges(mesh)
+        assert minimal_edges(mesh, "h") == oracle.minimal_edges(mesh, "h")
+        assert minimal_edges(mesh, "v") == oracle.minimal_edges(mesh, "v")

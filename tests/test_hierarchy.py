@@ -23,6 +23,7 @@ from conftest import (
     eval_function,
     insert_knot,
     one_level,
+    refinement_chain,
     represent_oracle,
     thirds_space,
 )
@@ -196,25 +197,6 @@ def reference_build(space):
             if covered(space._param_rect(k, rect), dom)
         ]
     return tuple(sorted(H, key=HFunction.sort_key)), tuple(sorted(E, key=HElement.sort_key))
-
-
-def refinement_chain(seed, start, steps=20, max_levels=6):
-    """The start space and the spaces of ``steps`` seeded refinements of 3
-    random elements each, below the level cap."""
-    rng = random.Random(seed)
-    chain = [start]
-    for _ in range(steps):
-        candidates = [e for e in chain[-1].elements if e.level < max_levels]
-        marked = rng.sample(candidates, 3)
-        chain.append(refine_by_elements(chain[-1], marked, max_levels=max_levels))
-    return chain
-
-
-@pytest.fixture(scope="module")
-def seeded_chains():
-    """The refinement chains of seeds 1, 2, 3 from 4x4 starts of degrees 2
-    and 3."""
-    return [refinement_chain(seed, tensor_space(4, p)) for seed in (1, 2, 3) for p in (2, 3)]
 
 
 def test_rect_covered_exact():

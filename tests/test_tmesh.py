@@ -1,15 +1,18 @@
 """Topology layer: validity, T-junctions, extensions, analysis-suitability.
 
-Oracles here recompute valences, junctions, and extension crossings by brute
-force directly from the segment arrays, independent of the library's cached
-derivations.
+Oracles here recompute junctions and extension crossings by brute force
+directly from the segment arrays, independent of the library's cached
+derivations; valences, and everything else the library reads off its
+incidence arrays, are compared with the per-entity oracles of ``conftest``.
 """
 
 import numpy as np
 import pytest
 
-from conftest import as_mesh_corpus
-from hasts import samples
+import conftest as oracle
+from conftest import as_mesh_corpus, sample_hierarchies, thirds_space
+from hasts import meshio, samples
+from hasts.basis import GlobalKnots, Space, anchors, minimal_edges
 from hasts.tmesh import (
     MISSING_LEFT,
     MISSING_RIGHT,
@@ -20,27 +23,13 @@ from hasts.tmesh import (
 )
 
 
-def brute_valence(mesh, x, y):
-    """Incident unit segments at (x, y), counted straight off the arrays."""
-    v = 0
-    if x >= 2 and mesh.hseg[x - 1, y]:
-        v += 1
-    if mesh.hseg[x, y]:
-        v += 1
-    if y >= 2 and mesh.vseg[x, y - 1]:
-        v += 1
-    if mesh.vseg[x, y]:
-        v += 1
-    return v
-
-
 def brute_t_junctions(mesh):
     """Interior points with exactly three incident segments that are genuine
     vertices (both axes present or a terminating edge)."""
     out = set()
     for x in range(2, mesh.m):
         for y in range(2, mesh.n):
-            if brute_valence(mesh, x, y) == 3:
+            if oracle.valence(mesh, x, y) == 3:
                 out.add((x, y))
     return out
 
@@ -61,8 +50,11 @@ def test_tensor_grid_structure():
 
 def test_valence_matches_brute_force(as_meshes):
     for mesh in as_meshes:
-        for (x, y) in mesh.canonical_vertices:
-            assert mesh.valence(x, y) == brute_valence(mesh, x, y)
+        *dirs, valence = mesh.incidence
+        for x in range(1, mesh.m + 1):
+            for y in range(1, mesh.n + 1):
+                assert valence[x, y] == oracle.valence(mesh, x, y)
+                assert tuple(d[x, y] for d in dirs) == oracle.directions(mesh, x, y)
 
 
 def test_t_junctions_match_brute_force(as_meshes):
@@ -82,11 +74,9 @@ def test_t_junction_missing_direction():
 
 def test_region_split_bounds():
     mesh = TMesh.tensor_grid(13, 13, 2, 2)
-    rs = mesh.region_split()
-    assert (rs.x1, rs.x2, rs.y1, rs.y2) == (2, 12, 2, 12)
+    assert mesh.region_split() == (2, 12, 2, 12)
     mesh = TMesh.tensor_grid(15, 14, 3, 2)
-    rs = mesh.region_split()
-    assert (rs.x1, rs.x2, rs.y1, rs.y2) == (3, 13, 2, 13)
+    assert mesh.region_split() == (3, 13, 2, 13)
 
 
 def test_cells_recount_area(as_meshes):
@@ -121,6 +111,19 @@ def test_validate_reports_frame_t_junction():
     )
     kinds = {v.kind for v in mesh.validate()}
     assert "frame-t-junction" in kinds
+
+
+def test_validate_reports_dangling_edge():
+    """A stub ending at (5, 5) inside a cell: its free end is a vertex of
+    valence 1, so validation reports it and the dump reads back."""
+    mesh = samples.tensor_mesh(4, 4, 2, 2).without_segments(hsegs=[(5, 5)], vsegs=[(5, 5), (5, 4)])
+    assert (5, 5) in mesh.canonical_vertices
+    assert [(v.kind, v.where) for v in mesh.validate()] == [("valence", (5, 5))]
+    hk, vk = GlobalKnots.uniform_open(mesh.m, mesh.p), GlobalKnots.uniform_open(mesh.n, mesh.q)
+    text = meshio.dump_mesh(mesh, hk, vk)
+    back, _, _ = meshio.parse_mesh(text)
+    assert np.array_equal(back.hseg, mesh.hseg) and np.array_equal(back.vseg, mesh.vseg)
+    assert meshio.dump_mesh(back, hk, vk) == text
 
 
 def test_validate_accepts_corpus(as_meshes):
@@ -294,3 +297,80 @@ def test_cell_scan_matches_reference():
         cells, bad = reference_cell_scan(mesh)
         assert mesh.cells == cells
         assert mesh.cell_components_rectangular() == bad
+
+
+# -- the incidence arrays against the per-entity oracles ------------------------
+
+
+def broken_meshes():
+    """Meshes with findings: a dangling stub, a frame T-junction, a broken
+    boundary, an incomplete repeated-knot line, the unsuitable extension
+    mesh, a declared vertex off the skeleton, and tensor meshes with random
+    interior unit segments removed."""
+    out = [
+        samples.tensor_mesh(4, 4, 2, 2).without_segments(hsegs=[(5, 5)], vsegs=[(5, 5), (5, 4)]),
+        TMesh.tensor_grid(10, 10, 3, 3).without_segments(vsegs=[(6, 2)]),
+        TMesh.tensor_grid(8, 8, 2, 2).without_segments(hsegs=[(4, 1)]),
+        TMesh.tensor_grid(10, 10, 2, 2).without_segments(vsegs=[(2, 5)]),
+        samples.extension_mesh_unsuitable(),
+    ]
+    # a declared vertex in the hole left by the four segments at (6, 6)
+    hole = samples.tensor_mesh(4, 4, 2, 2).without_segments(
+        hsegs=[(5, 6), (6, 6)], vsegs=[(6, 5), (6, 6)]
+    )
+    edges = [((x1, y), (x2, y)) for x1, x2, y in minimal_edges(hole, "h")]
+    edges += [((x, y1), (x, y2)) for x, y1, y2 in minimal_edges(hole, "v")]
+    verts = hole.canonical_vertices | {(6, 6)}
+    out.append(TMesh.from_vertices_edges(hole.m, hole.n, hole.p, hole.q, verts, edges))
+    rng = np.random.default_rng(41)
+    for p, q in ((2, 2), (3, 3), (2, 3), (3, 2)):
+        mesh = samples.tensor_mesh(5, 5, p, q)
+        xs, ys = np.arange(p + 2, mesh.m - p - 1), np.arange(q + 2, mesh.n - q - 1)
+        pick = lambda: list(zip(rng.choice(xs, 6).tolist(), rng.choice(ys, 6).tolist()))
+        out.append(mesh.without_segments(hsegs=pick(), vsegs=pick()))
+    return out
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MeshStructureError as exc:
+        return str(exc)
+
+
+def test_topology_matches_per_entity_oracles(seeded_chains):
+    """Vertices, T-junctions, extensions, validation findings, suitability,
+    minimal edges, anchors and index vectors equal the per-entity oracles on
+    the AS corpus and its extended meshes, meshes with findings, and every
+    level of the sample hierarchies, the thirds spaces and the seeded
+    chains."""
+    meshes = as_mesh_corpus()
+    meshes += [mesh.extended() for mesh in meshes] + broken_meshes()
+    spaces = sample_hierarchies() + [thirds_space(2), thirds_space(3)]
+    spaces += [chain[-1] for chain in seeded_chains]
+    meshes += [lv.mesh for space in spaces for lv in space.levels]
+    meshes = list({mesh: None for mesh in meshes})
+    found = set()
+    for mesh in meshes:
+        assert mesh.canonical_vertices == oracle.canonical_vertices(mesh)
+        assert mesh.t_junctions() == oracle.t_junctions(mesh)
+        exts = oracle.extensions(mesh)
+        assert mesh.extensions() == exts
+        crossing = any(h.intersects(v) for h in exts for v in exts)
+        assert mesh.is_analysis_suitable()[0] == (not crossing)
+        report = [v for v in mesh.validate() if v.kind in oracle.VERTEX_FINDINGS]
+        assert report == oracle.vertex_findings(mesh)
+        found |= {v.kind for v in report}
+        for axis in "hv":
+            assert minimal_edges(mesh, axis) == oracle.minimal_edges(mesh, axis)
+        assert anchors(mesh) == oracle.anchors(mesh)
+        space = outcome(Space.uniform, mesh)
+        want = [
+            outcome(lambda a: (a, *oracle.local_index_vectors(mesh, a)), a)
+            for a in oracle.anchors(mesh)
+        ]
+        if isinstance(space, str):  # the oracle's first failure, in anchor order
+            assert space == next(w for w in want if isinstance(w, str))
+        else:
+            assert [(f.anchor, f.h_indices, f.v_indices) for f in space.functions] == want
+    assert found == set(oracle.VERTEX_FINDINGS)
