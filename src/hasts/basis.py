@@ -5,7 +5,14 @@ Anchors and index vectors are read off the mesh's segment arrays: minimal
 edges are the runs of ``hseg`` and ``vseg`` split at ``TMesh.vertex_mask``,
 the anchors are one selection of vertices, minimal edges or cells by degree
 parity, and ``Space`` marches all anchors together, testing whether an
-index line spans an anchor by prefix sums of the segment arrays.
+index line spans an anchor by prefix sums of the segment arrays.  A
+``Space`` keeps its anchors and index vectors as arrays, one row per
+function; its ``functions`` is a read-only sequence over them that makes a
+``BlendingFunction`` the first time a position is read and keeps it, so a
+hierarchy makes objects only for the functions it selects or a
+representation asks for.  Greville points of many functions come from the
+same arrays and the knots as integers over one denominator
+(``GlobalKnots.numerators``, ``greville_rows``).
 
 Knot values are stored as exact ``fractions.Fraction`` so that equality and
 interval predicates never see rounding.  One recurrence serves every exact
@@ -27,10 +34,12 @@ which ``hierarchy.represent_in_space`` applies.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
 
 import numpy as np
@@ -96,6 +105,14 @@ class GlobalKnots:
     def take(self, indices):
         """Knot values at the given 1-based index lines, as a tuple."""
         return tuple(self[i] for i in indices)
+
+    @cached_property
+    def numerators(self):
+        """The knots as integers over their least common denominator, which
+        is the last entry (the knot 1): an int64 array indexed by index line,
+        slot 0 holding 0."""
+        den = lcm(*(v.denominator for v in self.values))
+        return np.array([0] + [v.numerator * (den // v.denominator) for v in self.values])
 
 
 # -- anchors ------------------------------------------------------------------
@@ -165,7 +182,7 @@ def _anchor_rows(mesh):
         x, a, b = _runs(mesh.vseg, mesh.vertex_mask)
         rows = np.column_stack([x, x, a, b])
     else:
-        rows = np.array(mesh.cells, dtype=np.int64).reshape(-1, 4)
+        rows = mesh.cell_rows
     rows = rows[(rows[:, 0] >= x1) & (rows[:, 1] <= x2) & (rows[:, 2] >= y1) & (rows[:, 3] <= y2)]
     return rows[np.lexsort((rows[:, 1], rows[:, 3], rows[:, 0], rows[:, 2]))]
 
@@ -343,6 +360,20 @@ def greville(knots, p):
     return sum(n * (den // d) for n, d in ratios) / (den * p)
 
 
+def greville_rows(lines, numerators, degrees):
+    """(k, 2) Greville points of k functions.  Per direction, each row of
+    ``lines`` holds the deg+2 positions of one local knot vector into
+    ``numerators``, integer knots whose last entry is the knot 1 and so
+    their denominator.  The deg interior knots of a row are summed exactly
+    and divided once, which gives the float of ``greville``."""
+    out = []
+    for rows, num, deg in zip(lines, numerators, degrees):
+        num = np.asarray(num, dtype=np.int64)
+        den = int(num[-1]) * deg
+        out.append([s / den for s in num[rows[:, 1 : deg + 1]].sum(axis=1).tolist()])
+    return np.array(out, dtype=float).T
+
+
 # -- a complete spline space over one mesh ------------------------------------
 
 
@@ -355,9 +386,42 @@ class BlendingFunction:
     v_indices: tuple
 
 
+class _Functions(Sequence):
+    """The blending functions of one ``Space``, as a read-only sequence over
+    its anchor and index arrays.  A function is made on first access and
+    kept, so every access to one position returns the same object."""
+
+    def __init__(self, anchors, h_indices, v_indices):
+        self._rows = anchors, h_indices, v_indices
+        self._made = [None] * len(anchors)
+
+    def __len__(self):
+        return len(self._made)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._make, range(*i.indices(len(self._made)))))
+        k = operator.index(i)
+        if not -len(self._made) <= k < len(self._made):
+            raise IndexError(f"function {k} of {len(self._made)}")
+        return self._make(k % len(self._made))
+
+    def __iter__(self):
+        return map(self._make, range(len(self._made)))
+
+    def _make(self, k):
+        fn = self._made[k]
+        if fn is None:
+            a, h, v = (rows[k].tolist() for rows in self._rows)
+            fn = self._made[k] = BlendingFunction(Anchor(*a), tuple(h), tuple(v))
+        return fn
+
+
 class Space:
     """All blending functions of an analysis-suitable T-mesh with its two
-    open global knot vectors."""
+    open global knot vectors.  The anchors and local index vectors are
+    arrays, one row per function; ``functions`` makes the function objects
+    on demand."""
 
     def __init__(self, mesh, hknots, vknots):
         if hknots.m != mesh.m or vknots.m != mesh.n:
@@ -375,10 +439,7 @@ class Space:
         if (lost | lost_v).any():
             anchor = Anchor(*rows[(lost | lost_v).argmax()].tolist())
             raise MeshStructureError(f"local knot marching left the domain at anchor {anchor}")
-        self.functions = tuple(
-            BlendingFunction(Anchor(*a), tuple(h), tuple(v))
-            for a, h, v in zip(rows.tolist(), self.h_indices.tolist(), self.v_indices.tolist())
-        )
+        self.functions = _Functions(rows, self.h_indices, self.v_indices)
 
     @classmethod
     def uniform(cls, mesh):
@@ -400,10 +461,11 @@ class Space:
         vv = self.v_values(fn)
         return (hv[0], hv[-1], vv[0], vv[-1])
 
-    def greville_point(self, fn):
-        """Greville abscissae of one function."""
-        return greville(self.h_values(fn), self.mesh.p), greville(self.v_values(fn), self.mesh.q)
-
     def greville_points(self):
-        """Greville abscissae of every function, in function order."""
-        return np.array([self.greville_point(fn) for fn in self.functions])
+        """Greville abscissae of every function, in function order, from the
+        index arrays and the integer knots."""
+        return greville_rows(
+            (self.h_indices, self.v_indices),
+            (self.hknots.numerators, self.vknots.numerators),
+            (self.mesh.p, self.mesh.q),
+        )

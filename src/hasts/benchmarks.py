@@ -3,6 +3,9 @@
 The skew-advection benchmark transports a discontinuous inflow profile at 45
 degrees across the unit square with small diffusivity, producing an interior
 layer along y = x + 0.2 and outflow boundary layers at x = 1 and y = 1.
+
+The problem factories import the solver (``hasts.iga``, and scipy with it)
+when they are called, so building a start space here loads neither.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from math import cos, hypot, pi, sin
 
 from .basis import GlobalKnots
 from .hierarchy import HierarchicalSpace, LevelMesh
-from .iga import Problem
 from .samples import tensor_mesh
 from .tmesh import MeshStructureError
 
@@ -37,6 +39,8 @@ def tensor_space(num_elements, p, q=None):
 
 def skew45_problem(kappa=1e-6):
     """Advection at 45 degrees, discontinuous Dirichlet inflow data."""
+    from .iga import Problem
+
     c = cos(SKEW_ANGLE)
     s = sin(SKEW_ANGLE)
 
@@ -90,6 +94,8 @@ def skew45_rect_layer_distance(rect):
 def manufactured_problem(kappa=1.0):
     """Sinusoidal manufactured solution with 45-degree advection; returns
     (Problem, exact solution)."""
+    from .iga import Problem
+
     c = cos(SKEW_ANGLE)
 
     def exact(x, y):

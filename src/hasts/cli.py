@@ -167,8 +167,8 @@ def _write_iteration(cfg, k, disc, coeffs, estimates):
     X, Y, PHI = sample_field(disc, coeffs)
     with open(_outpath(cfg, f"field_{k:03d}.txt"), "w") as f:
         f.write("# x y phi\n")
-        for row in zip(X.ravel(), Y.ravel(), PHI.ravel()):
-            f.write(" ".join(FMT % v for v in row) + "\n")
+        row = f"{FMT} {FMT} {FMT}\n"
+        f.writelines(row % r for r in zip(X.ravel().tolist(), Y.ravel().tolist(), PHI.ravel().tolist()))
     with open(_outpath(cfg, f"elements_{k:03d}.txt"), "w") as f:
         f.write("# level s1 s2 t1 t2 estimate\n")
         for he, est in zip(disc.space.elements, estimates):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import bezier_coeffs_1d, row_key
+from .basis import bezier_coeffs_1d, greville_rows, row_key
 from .hierarchy import HierarchicalSpace
 from .tmesh import MeshStructureError
 
@@ -78,9 +78,9 @@ class ElementData:
 def default_geometry(space: HierarchicalSpace):
     """Unit weights and level-1 Greville control points: the identity map of
     the parametric square (linear parameterization)."""
-    sp1 = space.spaces[0]
-    weights = np.ones(len(sp1.functions))
-    return weights, sp1.greville_points()
+    mesh = space.levels[0].mesh
+    points = greville_rows(space.geometry_lines, space.grid_numerators, (mesh.p, mesh.q))
+    return np.ones(len(points)), points
 
 
 def _codes(columns, base):

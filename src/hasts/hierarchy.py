@@ -2,8 +2,10 @@
 
 A level is a mesh plus its global knots plus the parametric domain selected
 for that level.  Subdivision doubles the positive-area index grid, halving
-every knot span; the hierarchical basis keeps coarse functions whose support
-leaks out of the next level's domain and adopts fine functions fully inside it.
+every knot span, on the level's knots as integers over one denominator
+(``GlobalKnots.numerators``); the hierarchical basis keeps coarse functions
+whose support leaks out of the next level's domain and adopts fine
+functions fully inside it.
 
 Every location test is integer arithmetic on one knot-span grid per
 hierarchy, the finest level's distinct knots numbered from 0, onto which
@@ -36,11 +38,11 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
-from math import lcm
+from fractions import Fraction
 
 import numpy as np
 
-from .basis import GlobalKnots, Space, blossom, bspline_eval
+from .basis import GlobalKnots, Space, blossom, bspline_eval, greville_rows
 from .tmesh import MeshStructureError, TMesh
 
 
@@ -151,14 +153,16 @@ def index_map(i, m, p):
 
 
 def refine_knots(knots):
-    """Child global knots: parent values on mapped lines, span midpoints between."""
+    """Child global knots: parent values on mapped lines, span midpoints
+    between, on the parent's integer knots over twice their denominator."""
     m, p = knots.m, knots.p
-    child = [None] * (2 * m - 2 * p - 1)
-    for i in range(1, m + 1):
-        child[index_map(i, m, p) - 1] = knots[i]
-    for i in range(p + 1, m - p):
-        child[2 * i - p - 1] = (knots[i] + knots[i + 1]) / 2
-    return GlobalKnots(child, p)
+    ints = knots.numerators
+    child = np.empty(2 * m - 2 * p, dtype=np.int64)
+    child[[index_map(i, m, p) for i in range(m + 1)]] = 2 * ints
+    i = np.arange(p + 1, m - p)
+    child[2 * i - p] = ints[i] + ints[i + 1]
+    den = 2 * int(ints[-1])
+    return GlobalKnots([Fraction(c, den) for c in child[1:].tolist()], p)
 
 
 def bezier_cells(mesh, lines):
@@ -166,7 +170,7 @@ def bezier_cells(mesh, lines):
     array of index rects; ``lines`` maps the mesh's index lines to
     knot-span grid lines."""
     hl, vl = lines
-    cells = np.array(mesh.extended().cells, dtype=np.int64).reshape(-1, 4)
+    cells = mesh.extended().cell_rows
     keep = (hl[cells[:, 1]] > hl[cells[:, 0]]) & (vl[cells[:, 3]] > vl[cells[:, 2]])
     return cells[keep]
 
@@ -200,31 +204,39 @@ def subdivide_level(parent: LevelMesh):
     parent_ext_mapped = TMesh(mc, nc, p, q, hseg.copy(), vseg.copy())
     chk = refine_knots(parent.hknots)
     cvk = refine_knots(parent.vknots)
-    for x1, x2, y1, y2 in parent.kept[0].cells.tolist():
-        cx = (fx[x1] + fx[x2]) // 2
-        cy = (fy[y1] + fy[y2]) // 2
-        if chk[cx] != (parent.hknots[x1] + parent.hknots[x2]) / 2 or cvk[cy] != (
-            parent.vknots[y1] + parent.vknots[y2]
-        ) / 2:
-            raise MeshStructureError(
-                f"element {(x1, x2, y1, y2)} has no parametric-midpoint index line; "
-                "spans must be index-uniform for congruent subdivision"
-            )
-        ylo, yhi = fy[y1], fy[y2]
-        # continue midlines through the zero-area band when they hit the core edge
-        if ylo == q + 1:
-            ylo = 1
-        if yhi == nc - q:
-            yhi = nc
-        vseg[cx, ylo:yhi] = True
-        xlo, xhi = fx[x1], fx[x2]
-        if xlo == p + 1:
-            xlo = 1
-        if xhi == mc - p:
-            xhi = mc
-        hseg[xlo:xhi, cy] = True
+    cells = parent.kept[0].cells
+    x1, x2, y1, y2 = cells.T
+    cx = (fx[x1] + fx[x2]) // 2
+    cy = (fy[y1] + fy[y2]) // 2
+    # the child line through each element's index middle must hold its
+    # parametric middle: on integer knots, c / C == (a + b) / 2A
+    mid = np.ones(len(cells), dtype=bool)
+    for knots, kids, c, lo, hi in ((parent.hknots, chk, cx, x1, x2), (parent.vknots, cvk, cy, y1, y2)):
+        a, b = knots.numerators, kids.numerators
+        mid &= b[c] * (2 * a[-1]) == (a[lo] + a[hi]) * b[-1]
+    if not mid.all():
+        raise MeshStructureError(
+            f"element {tuple(cells[mid.argmin()].tolist())} has no parametric-midpoint index line; "
+            "spans must be index-uniform for congruent subdivision"
+        )
+    # continue midlines through the zero-area band when they hit the core edge
+    ylo, yhi = fy[y1], fy[y2]
+    ylo[ylo == q + 1], yhi[yhi == nc - q] = 1, nc
+    xlo, xhi = fx[x1], fx[x2]
+    xlo[xlo == p + 1], xhi[xhi == mc - p] = 1, mc
+    vseg |= _runs_mask(vseg.shape, cx, ylo, yhi)
+    hseg |= _runs_mask(hseg.T.shape, cy, xlo, xhi).T
     child = TMesh(mc, nc, p, q, hseg, vseg)
     return child, chk, cvk, parent_ext_mapped
+
+
+def _runs_mask(shape, line, lo, hi):
+    """Boolean array of ``shape`` that is True on [lo[k], hi[k]) of row
+    line[k] for every k, where each lo[k] < hi[k]."""
+    step = np.zeros((shape[0], shape[1] + 1), dtype=np.int64)
+    np.add.at(step, (line, lo), 1)
+    np.add.at(step, (line, hi), -1)
+    return step.cumsum(axis=1)[:, :-1] > 0
 
 
 def make_analysis_suitable(mesh, parent_ext=None):
@@ -318,10 +330,10 @@ class LevelData:
 
     @cached_property
     def numerators(self):
-        """Each direction's grid knots as integers over one denominator."""
-        dens = [lcm(*(v.denominator for v in g)) for g in self.grid]
+        """Each direction's grid knots as integers over one denominator,
+        the distinct values of ``GlobalKnots.numerators``."""
         return tuple(
-            [v.numerator * (d // v.denominator) for v in g] for g, d in zip(self.grid, dens)
+            list(dict.fromkeys(k.numerators[1:].tolist())) for k in (self.hknots, self.vknots)
         )
 
     def on(self, top):
@@ -464,7 +476,10 @@ class HierarchicalSpace:
         return tuple(self.spaces[hf.level - 1].support(hf.fn))
 
     def greville_points(self):
-        return np.array([self.spaces[hf.level - 1].greville_point(hf.fn) for hf in self.functions])
+        """Greville points of H in canonical order, from the grid lines of
+        the local knot vectors and the grid's integer knots."""
+        lv = self.levels[0].mesh
+        return greville_rows(self.knot_lines, self.grid_numerators, (lv.p, lv.q))
 
 
 # -- representation of a coarse function on a finer level ---------------------

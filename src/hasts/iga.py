@@ -474,7 +474,8 @@ def sample_field(disc, coeffs, nx=65, ny=65):
     """phi on an nx x ny uniform parametric grid; returns (x, y, phi) arrays.
 
     Each element evaluates the grid points of its closed rectangle in one
-    batch.  Elements run in reverse canonical order, so a point on a shared
+    batch; elements whose points sit alike in them share one Bernstein
+    table.  Elements run in reverse canonical order, so a point on a shared
     edge keeps the value of the first element that contains it."""
     ss = np.linspace(0.0, 1.0, nx)
     tt = np.linspace(0.0, 1.0, ny)
@@ -482,13 +483,17 @@ def sample_field(disc, coeffs, nx=65, ny=65):
     Y = np.zeros((ny, nx))
     PHI = np.zeros((ny, nx))
     covered = np.zeros((ny, nx), dtype=bool)
+    tables = {}  # (xi, eta) bytes -> Bernstein table
     for ed in reversed(disc.elems):
         s1, s2, t1, t2 = [float(v) for v in ed.param_rect]
         ix = slice(np.searchsorted(ss, s1, "left"), np.searchsorted(ss, s2, "right"))
         iy = slice(np.searchsorted(tt, t1, "left"), np.searchsorted(tt, t2, "right"))
         xi = (2 * ss[ix] - s1 - s2) / (s2 - s1)
         eta = (2 * tt[iy] - t1 - t2) / (t2 - t1)
-        B = bernstein_grid(disc.p, disc.q, xi, eta)
+        key = (xi.tobytes(), eta.tobytes())
+        if key not in tables:
+            tables[key] = bernstein_grid(disc.p, disc.q, xi, eta)
+        B = tables[key]
         w = B @ ed.weights
         x = (ed.points * ed.weights[:, None]).T @ B.T / w
         phi = coeffs[ed.ien] @ (ed.C @ B.T) / w

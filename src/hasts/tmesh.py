@@ -11,7 +11,11 @@ whether a segment leaves each index point left, right, down and up, and
 how many do) gives the canonical vertices as a mask (``vertex_mask``), the
 T-junctions with their missing direction, the valence findings of
 ``validate`` and the points where an extension trace meets a perpendicular
-edge or a vertex.  Cells are the connected components of the unit cells.
+edge or a vertex.  Cells are the connected components of the unit cells,
+labelled in numpy alone by hooking roots onto smaller roots across the
+open adjacencies and jumping pointers; their bounding boxes and sizes stay
+arrays, from which ``validate`` reads non-rectangular components and the
+area sum.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 MISSING_LEFT = "missing-left"
 MISSING_RIGHT = "missing-right"
@@ -36,6 +38,11 @@ def _points(mask, offset=0):
     the mask's first entry is the point (offset, offset)."""
     xs, ys = np.nonzero(mask)
     return list(zip((xs + offset).tolist(), (ys + offset).tolist()))
+
+
+def _areas(boxes):
+    """Areas in unit cells of (k, 4) index boxes (x1, x2, y1, y2)."""
+    return (boxes[:, 1] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 2])
 
 
 class MeshStructureError(Exception):
@@ -245,31 +252,44 @@ class TMesh:
 
     @cached_property
     def _cell_labels(self):
-        """Connected-component labels of the (m-1) x (n-1) unit-cell grid."""
+        """Connected-component labels of the (m-1) x (n-1) unit-cell grid,
+        numbered in the order of each component's first unit cell in
+        row-major order.
+
+        Every cell starts as its own root.  Each round hooks every root
+        that an open adjacency joins to a smaller root onto the smallest
+        such root, then jumps pointers until each cell points at its root;
+        the rounds end when no open adjacency joins two roots.  A root only
+        ever hooks onto a smaller one, so each component's root is its
+        first cell."""
         mu, nu = self.m - 1, self.n - 1
         idx = np.arange(mu * nu).reshape(mu, nu)
-        rows, cols = [], []
         # unit cell (i, j) <-> grid slot [i-1, j-1]
         open_right = ~self.vseg[2 : self.m, 1 : self.n]          # (mu-1, nu)
         open_up = ~self.hseg[1 : self.m, 2 : self.n]             # (mu, nu-1)
-        r = np.nonzero(open_right)
-        rows.append(idx[:-1, :][r])
-        cols.append(idx[1:, :][r])
-        u = np.nonzero(open_up)
-        rows.append(idx[:, :-1][u])
-        cols.append(idx[:, 1:][u])
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        graph = coo_matrix(
-            (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(mu * nu, mu * nu)
-        )
-        ncomp, labels = connected_components(graph, directed=False)
-        return ncomp, labels.reshape(mu, nu)
+        a = np.concatenate([idx[:-1, :][open_right], idx[:, :-1][open_up]])
+        b = np.concatenate([idx[1:, :][open_right], idx[:, 1:][open_up]])
+        root = idx.ravel().copy()
+        while True:
+            ra, rb = root[a], root[b]
+            apart = ra != rb
+            if not apart.any():
+                break
+            a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+            np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+            while True:
+                up = root[root]
+                if (up == root).all():
+                    break
+                root = up
+        first = root == idx.ravel()
+        number = np.cumsum(first) - 1
+        return int(first.sum()), number[root].reshape(mu, nu)
 
     @cached_property
     def _cell_boxes(self):
         """Per component, in label order: its bounding box (x1, x2, y1, y2)
-        in index lines and its size in unit cells."""
+        in index lines as a (k, 4) array, and its size in unit cells."""
         ncomp, labels = self._cell_labels
         flat = labels.ravel()
         order = np.argsort(flat, kind="stable")
@@ -277,26 +297,35 @@ class TMesh:
         # at strictly increasing positions
         starts = np.searchsorted(flat[order], np.arange(ncomp))
         xs, ys = np.divmod(order, labels.shape[1])
-        x1 = np.minimum.reduceat(xs, starts) + 1
-        x2 = np.maximum.reduceat(xs, starts) + 2
-        y1 = np.minimum.reduceat(ys, starts) + 1
-        y2 = np.maximum.reduceat(ys, starts) + 2
-        boxes = list(zip(x1.tolist(), x2.tolist(), y1.tolist(), y2.tolist()))
+        boxes = np.column_stack([
+            np.minimum.reduceat(xs, starts) + 1,
+            np.maximum.reduceat(xs, starts) + 2,
+            np.minimum.reduceat(ys, starts) + 1,
+            np.maximum.reduceat(ys, starts) + 2,
+        ])
         return boxes, np.diff(starts, append=flat.size)
 
     @cached_property
+    def cell_rows(self):
+        """Cells as a read-only (k, 4) array of (x1, x2, y1, y2) open
+        rectangles, sorted by row; components that fail to be rectangles are
+        reported by validate(), not here."""
+        boxes = self._cell_boxes[0]
+        rows = boxes[np.lexsort(boxes.T[::-1])]
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
     def cells(self):
-        """Cells as (x1, x2, y1, y2) open rectangles, sorted; components that
-        fail to be rectangles are reported by validate(), not here."""
-        return sorted(self._cell_boxes[0])
+        """``cell_rows`` as a list of tuples."""
+        return list(map(tuple, self.cell_rows.tolist()))
 
     def cell_components_rectangular(self):
         """The lower-left corner (x1, y1) of the bounding box of each
         component that does not fill its bounding box."""
         boxes, sizes = self._cell_boxes
-        return [
-            (x1, y1) for (x1, x2, y1, y2), size in zip(boxes, sizes) if (x2 - x1) * (y2 - y1) != size
-        ]
+        bad = _areas(boxes) != sizes
+        return list(zip(boxes[bad, 0].tolist(), boxes[bad, 2].tolist()))
 
     # -- regions --------------------------------------------------------------
 
@@ -346,7 +375,7 @@ class TMesh:
                 report.append(Violation("frame-t-junction", (tj.x, tj.y), "T-junction inside frame region"))
         report.extend(self._check_frame_grid())
         # exact area accounting
-        area = sum((x2 - x1) * (y2 - y1) for x1, x2, y1, y2 in self.cells)
+        area = int(_areas(self._cell_boxes[0]).sum())
         if area != (self.m - 1) * (self.n - 1):
             report.append(Violation("area", (0, 0), f"cell areas sum to {area}, expected {(self.m - 1) * (self.n - 1)}"))
         return report

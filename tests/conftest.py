@@ -18,7 +18,11 @@ The topology oracles derive what the library reads off its incidence
 arrays one entity at a time, as the library did before: each point's four
 directions, vertices, T-junctions, extension traces, the vertex findings of
 validation, minimal edges, anchors and local knot marching, which tests
-whether one index line spans one anchor.
+whether one index line spans one anchor.  The cell-labeling oracle is
+scipy's ``connected_components`` on the graph of open unit-cell
+adjacencies, which the library used before it labelled cells in numpy.
+The function oracle makes every blending function of a ``Space`` at once,
+as ``Space`` did before it made them on demand.
 
 The FE oracles are the finite-element loop the library ran before it
 evaluated elements in groups: quadrature, assembly, the Dirichlet projection
@@ -36,10 +40,11 @@ from math import comb, sqrt
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from hasts import samples
 from hasts.benchmarks import tensor_space
-from hasts.basis import Anchor, GlobalKnots, bernstein_grid
+from hasts.basis import Anchor, BlendingFunction, GlobalKnots, bernstein_grid
 from hasts.hierarchy import HFunction, HierarchicalSpace, LevelMesh, refine_by_elements
 from hasts.iga import _bern_tables, _gauss, tau_element
 from hasts.tmesh import (
@@ -346,6 +351,32 @@ def anchors(mesh):
     else:
         found = mesh.cells
     return sorted((Anchor(*a) for a in found if inside(*a)), key=Anchor.sort_key)
+
+
+def cell_labels(mesh):
+    """(number of components, (m-1, n-1) labels) of the unit-cell grid by
+    scipy's connected components of the open adjacencies."""
+    mu, nu = mesh.m - 1, mesh.n - 1
+    idx = np.arange(mu * nu).reshape(mu, nu)
+    # unit cell (i, j) <-> grid slot [i-1, j-1]
+    open_right = ~mesh.vseg[2 : mesh.m, 1 : mesh.n]
+    open_up = ~mesh.hseg[1 : mesh.m, 2 : mesh.n]
+    rows = np.concatenate([idx[:-1, :][open_right], idx[:, :-1][open_up]])
+    cols = np.concatenate([idx[1:, :][open_right], idx[:, 1:][open_up]])
+    graph = sp.coo_matrix(
+        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(mu * nu, mu * nu)
+    )
+    ncomp, labels = connected_components(graph, directed=False)
+    return ncomp, labels.reshape(mu, nu)
+
+
+def eager_functions(space):
+    """Every blending function of a ``Space``, made at once from the
+    per-entity anchors and the space's index arrays."""
+    return tuple(
+        BlendingFunction(a, tuple(h), tuple(v))
+        for a, h, v in zip(anchors(space.mesh), space.h_indices.tolist(), space.v_indices.tolist())
+    )
 
 
 def local_index_vectors(mesh, anchor):

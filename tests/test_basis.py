@@ -7,6 +7,7 @@ shipped meshes, which ``Space`` and the per-entity marching oracle must both
 give.
 """
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -15,9 +16,10 @@ from scipy.interpolate import BSpline
 
 import conftest as oracle
 from conftest import as_mesh_corpus, cox_de_boor, eval_all, eval_function, greville_oracle
-from hasts import samples
+from hasts import basis, samples
 from hasts.basis import (
     Anchor,
+    BlendingFunction,
     GlobalKnots,
     Space,
     anchors,
@@ -27,6 +29,9 @@ from hasts.basis import (
     greville,
     minimal_edges,
 )
+from hasts.benchmarks import tensor_space
+from hasts.extraction import default_geometry
+from hasts.hierarchy import refine_by_elements
 from hasts.tmesh import MeshStructureError
 
 
@@ -292,6 +297,65 @@ def test_greville_linear_precision():
         b = eval_all(space, s, t)
         assert b @ g[:, 0] == pytest.approx(s, abs=1e-12)
         assert b @ g[:, 1] == pytest.approx(t, abs=1e-12)
+
+
+def test_greville_points_match_per_function(hierarchies):
+    """The Greville points of a space, of a hierarchy and of its geometry,
+    read from index arrays and integer knots, equal the exact per-function
+    ``greville`` bit for bit."""
+    def point(sp, fn):
+        return [greville(sp.h_values(fn), sp.mesh.p), greville(sp.v_values(fn), sp.mesh.q)]
+
+    spaces = [Space.uniform(mesh) for mesh in as_mesh_corpus()]
+    for space in hierarchies + [oracle.thirds_space(2), oracle.thirds_space(3)]:
+        spaces += space.spaces
+        want = [point(space.spaces[hf.level - 1], hf.fn) for hf in space.functions]
+        assert space.greville_points().tolist() == want
+        weights, points = default_geometry(space)
+        assert points.tolist() == space.spaces[0].greville_points().tolist()
+        assert weights.tolist() == [1.0] * len(space.spaces[0].functions)
+    for space in spaces:
+        want = [point(space, fn) for fn in oracle.eager_functions(space)]
+        assert space.greville_points().tolist() == want
+
+
+def test_functions_sequence_matches_eager_oracle(hierarchies):
+    """``Space.functions`` equals every function made at once, under
+    length, indexing from either end, slicing with a step, iteration and
+    the sequence methods, and hands out one object per position."""
+    spaces = [Space.uniform(mesh) for mesh in as_mesh_corpus()]
+    spaces += [sp for space in hierarchies for sp in space.spaces]
+    for space in spaces:
+        fns, want = space.functions, oracle.eager_functions(space)
+        n = len(want)
+        assert len(fns) == n
+        assert [fns[i] for i in range(-n, n)] == list(want) * 2
+        for cut in (slice(None), slice(1, None, 3), slice(-2, None, -2), slice(2, -1), slice(n + 5, None)):
+            assert fns[cut] == want[cut]
+        assert tuple(fns) == want
+        assert list(reversed(fns)) == list(reversed(want))
+        assert want[n // 2] in fns and fns.index(want[n // 2]) == n // 2
+        assert all(fns[i] is f for i, f in enumerate(fns))
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                fns[bad]
+
+
+def test_refinement_makes_few_functions(monkeypatch):
+    """Refining makes function objects only for the functions it selects:
+    a 5-level hierarchy grown by 3 elements per step, and one more
+    refinement of it, make far fewer than its levels hold."""
+    made = []
+    monkeypatch.setattr(basis, "BlendingFunction", lambda *a: made.append(a) or BlendingFunction(*a))
+    rng = random.Random(1)
+    space = tensor_space(4, 2)
+    while len(space.levels) < 5:
+        deepest = [e for e in space.elements if e.level == len(space.levels)]
+        space = refine_by_elements(space, rng.sample(deepest, 3), max_levels=5)
+    below = [e for e in space.elements if e.level < 5]
+    space = refine_by_elements(space, rng.sample(below, 3), max_levels=5)
+    level_functions = sum(len(sp.functions) for sp in space.spaces)
+    assert len(made) < level_functions / 20
 
 
 def test_space_rejects_mismatched_knots():

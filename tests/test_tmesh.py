@@ -6,6 +6,10 @@ derivations; valences, and everything else the library reads off its
 incidence arrays, are compared with the per-entity oracles of ``conftest``.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -297,6 +301,55 @@ def test_cell_scan_matches_reference():
         cells, bad = reference_cell_scan(mesh)
         assert mesh.cells == cells
         assert mesh.cell_components_rectangular() == bad
+
+
+def serpentine_mesh(k):
+    """A k x k unit-cell mesh whose cells form one component that winds
+    row by row: each row of cells is open along x, and consecutive rows
+    join alternately at the right and the left end."""
+    hseg = np.zeros((k + 2, k + 2), dtype=bool)
+    vseg = np.zeros((k + 2, k + 2), dtype=bool)
+    hseg[1 : k + 1, 1 : k + 2] = True
+    vseg[[1, k + 1], 1 : k + 1] = True
+    for j in range(2, k + 1):
+        hseg[k if j % 2 == 0 else 1, j] = False
+    return TMesh(k + 1, k + 1, 1, 1, hseg, vseg)
+
+
+def test_cell_labels_match_scipy(seeded_chains):
+    """Label count and label arrays equal scipy's connected components on
+    the AS corpus and its extended meshes, every level of the sample
+    hierarchies and the last space of each seeded chain, meshes whose cell
+    components are not rectangles, and serpentine meshes that are one
+    component along either axis."""
+    meshes = as_mesh_corpus()
+    meshes += [mesh.extended() for mesh in meshes] + broken_meshes()
+    spaces = sample_hierarchies() + [chain[-1] for chain in seeded_chains]
+    meshes += [lv.mesh for space in spaces for lv in space.levels]
+    serpentine = serpentine_mesh(200)
+    meshes += [serpentine, TMesh(201, 201, 1, 1, serpentine.vseg.T, serpentine.hseg.T)]
+    assert any(mesh.cell_components_rectangular() for mesh in meshes)
+    for mesh in meshes:
+        ncomp, labels = mesh._cell_labels
+        want_n, want = oracle.cell_labels(mesh)
+        assert ncomp == want_n
+        assert np.array_equal(labels, want)
+    assert meshes[-1]._cell_labels[0] == meshes[-2]._cell_labels[0] == 1
+
+
+def test_library_imports_no_scipy():
+    """Building, refining, extracting and reading meshes load no scipy:
+    only the solver needs it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(samples.__file__)))
+    code = (
+        "import sys\n"
+        "import hasts.tmesh, hasts.basis, hasts.hierarchy, hasts.benchmarks\n"
+        "import hasts.extraction, hasts.meshio, hasts.samples\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # -- the incidence arrays against the per-entity oracles ------------------------
