@@ -109,10 +109,11 @@ class GlobalKnots:
     @cached_property
     def numerators(self):
         """The knots as integers over their least common denominator, which
-        is the last entry (the knot 1): an int64 array indexed by index line,
-        slot 0 holding 0."""
+        is the last entry (the knot 1): an object array of Python ints, so
+        that sums and products stay exact at any denominator, indexed by
+        index line, slot 0 holding 0."""
         den = lcm(*(v.denominator for v in self.values))
-        return np.array([0] + [v.numerator * (den // v.denominator) for v in self.values])
+        return np.array([0] + [v.numerator * (den // v.denominator) for v in self.values], dtype=object)
 
 
 # -- anchors ------------------------------------------------------------------
@@ -351,24 +352,16 @@ def bspline_eval(vals, p, xs):
     return out
 
 
-def greville(knots, p):
-    """Greville abscissa of one local knot vector of int, float or Fraction
-    knots: the mean of the p interior knots, summed exactly over a common
-    denominator and rounded once."""
-    ratios = [k.as_integer_ratio() for k in knots[1 : p + 1]]
-    den = lcm(*(d for _, d in ratios))
-    return sum(n * (den // d) for n, d in ratios) / (den * p)
-
-
 def greville_rows(lines, numerators, degrees):
     """(k, 2) Greville points of k functions.  Per direction, each row of
     ``lines`` holds the deg+2 positions of one local knot vector into
     ``numerators``, integer knots whose last entry is the knot 1 and so
-    their denominator.  The deg interior knots of a row are summed exactly
-    and divided once, which gives the float of ``greville``."""
+    their denominator.  The deg interior knots of a row are summed as
+    Python ints and divided once, which gives the float of their exact
+    mean."""
     out = []
     for rows, num, deg in zip(lines, numerators, degrees):
-        num = np.asarray(num, dtype=np.int64)
+        num = np.asarray(num, dtype=object)
         den = int(num[-1]) * deg
         out.append([s / den for s in num[rows[:, 1 : deg + 1]].sum(axis=1).tolist()])
     return np.array(out, dtype=float).T
@@ -460,12 +453,3 @@ class Space:
         hv = self.h_values(fn)
         vv = self.v_values(fn)
         return (hv[0], hv[-1], vv[0], vv[-1])
-
-    def greville_points(self):
-        """Greville abscissae of every function, in function order, from the
-        index arrays and the integer knots."""
-        return greville_rows(
-            (self.h_indices, self.v_indices),
-            (self.hknots.numerators, self.vknots.numerators),
-            (self.mesh.p, self.mesh.q),
-        )

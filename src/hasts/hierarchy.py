@@ -157,7 +157,7 @@ def refine_knots(knots):
     between, on the parent's integer knots over twice their denominator."""
     m, p = knots.m, knots.p
     ints = knots.numerators
-    child = np.empty(2 * m - 2 * p, dtype=np.int64)
+    child = np.empty(2 * m - 2 * p, dtype=object)
     child[[index_map(i, m, p) for i in range(m + 1)]] = 2 * ints
     i = np.arange(p + 1, m - p)
     child[2 * i - p] = ints[i] + ints[i + 1]
@@ -209,7 +209,7 @@ def subdivide_level(parent: LevelMesh):
     cx = (fx[x1] + fx[x2]) // 2
     cy = (fy[y1] + fy[y2]) // 2
     # the child line through each element's index middle must hold its
-    # parametric middle: on integer knots, c / C == (a + b) / 2A
+    # parametric middle: on exact integer knots, c / C == (a + b) / 2A
     mid = np.ones(len(cells), dtype=bool)
     for knots, kids, c, lo, hi in ((parent.hknots, chk, cx, x1, x2), (parent.vknots, cvk, cy, y1, y2)):
         a, b = knots.numerators, kids.numerators

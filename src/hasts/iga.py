@@ -474,8 +474,11 @@ def sample_field(disc, coeffs, nx=65, ny=65):
     """phi on an nx x ny uniform parametric grid; returns (x, y, phi) arrays.
 
     Each element evaluates the grid points of its closed rectangle in one
-    batch; elements whose points sit alike in them share one Bernstein
-    table.  Elements run in reverse canonical order, so a point on a shared
+    batch.  Elements whose grid points sit alike in them share one
+    Bernstein table: in a dyadic hierarchy every element no smaller than
+    the grid spacing has its corners on the grid, so all elements of one
+    size do.
+    Elements run in reverse canonical order, so a point on a shared
     edge keeps the value of the first element that contains it."""
     ss = np.linspace(0.0, 1.0, nx)
     tt = np.linspace(0.0, 1.0, ny)

@@ -629,6 +629,16 @@ def greville_oracle(knots, p):
     return float(sum(Fraction(k) for k in knots[1 : p + 1]) / p)
 
 
+def greville_points(space, fns=None):
+    """Greville points of functions of a single-level ``Space`` (all of
+    them by default), one function at a time from its knot values."""
+    fns = space.functions if fns is None else fns
+    p, q = space.mesh.p, space.mesh.q
+    return np.array(
+        [[greville_oracle(space.h_values(fn), p), greville_oracle(space.v_values(fn), q)] for fn in fns]
+    ).reshape(-1, 2)
+
+
 def bernstein_eval(p, i, xi):
     """B_{i,p}(xi) on [-1,1], 1 <= i <= p+1."""
     if not 1 <= i <= p + 1:

@@ -9,13 +9,14 @@ give.
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
 import conftest as oracle
-from conftest import as_mesh_corpus, cox_de_boor, eval_all, eval_function, greville_oracle
+from conftest import as_mesh_corpus, cox_de_boor, eval_all, eval_function, greville_oracle, greville_points
 from hasts import basis, samples
 from hasts.basis import (
     Anchor,
@@ -26,7 +27,7 @@ from hasts.basis import (
     bernstein,
     bezier_coeffs_1d,
     bspline_eval,
-    greville,
+    greville_rows,
     minimal_edges,
 )
 from hasts.benchmarks import tensor_space
@@ -217,24 +218,36 @@ def test_bspline_derivative_finite_difference(p, order):
         assert bezier_derivative(vals, p, x, order) == pytest.approx(fd, abs=1e-6, rel=1e-6)
 
 
+def _greville(knots, p):
+    """``greville_rows`` of one local knot vector in [0, 1] of int, float or
+    Fraction knots, over their least common denominator."""
+    fracs = [Fraction(k) for k in knots]
+    den = lcm(*(k.denominator for k in fracs))
+    num = [k.numerator * (den // k.denominator) for k in fracs] + [den]
+    return greville_rows((np.arange(p + 2)[None, :],), (num,), (p,))[0, 0]
+
+
 def test_greville_is_knot_average():
-    assert greville((0, 0, 0, 1), 2) == 0.0
-    assert greville((0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1), 3) == 0.5
+    assert _greville((0, 0, 0, 1), 2) == 0.0
+    assert _greville((0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1), 3) == 0.5
 
 
 def test_greville_matches_fraction_oracle():
     """Bit for bit the float of the exact Fraction mean, on random rationals
-    with unrelated denominators, floats and mixed int/Fraction knots."""
+    with unrelated denominators, floats, mixed int/Fraction knots and knots
+    over 2^62, whose sums leave the range of int64."""
     rng = np.random.default_rng(29)
     for p in (1, 2, 3, 4):
         for _ in range(200):
             dens = rng.integers(1, 1000, p + 2).tolist()
             knots = sorted(Fraction(int(rng.integers(0, d + 1)), d) for d in dens)
-            assert greville(knots, p) == greville_oracle(knots, p)
+            assert _greville(knots, p) == greville_oracle(knots, p)
             floats = sorted(rng.random(p + 2).tolist())
-            assert greville(floats, p) == greville_oracle(floats, p)
+            assert _greville(floats, p) == greville_oracle(floats, p)
             mixed = [int(k) if k.denominator == 1 else k for k in knots]
-            assert greville(mixed, p) == greville_oracle(knots, p)
+            assert _greville(mixed, p) == greville_oracle(knots, p)
+            wide = sorted(Fraction(int(k), 2**62) for k in rng.integers(2**61, 2**62, p + 2, dtype=np.int64))
+            assert _greville(wide, p) == greville_oracle(wide, p)
 
 
 # -- the assembled space -------------------------------------------------------
@@ -291,7 +304,7 @@ def test_greville_linear_precision():
     """Sum of Greville abscissae times basis values reproduces the identity."""
     mesh = samples.tensor_mesh(5, 5, 2, 2)
     space = Space.uniform(mesh)
-    g = space.greville_points()
+    g = greville_points(space)
     rng = np.random.default_rng(9)
     for s, t in rng.random((20, 2)):
         b = eval_all(space, s, t)
@@ -300,23 +313,15 @@ def test_greville_linear_precision():
 
 
 def test_greville_points_match_per_function(hierarchies):
-    """The Greville points of a space, of a hierarchy and of its geometry,
-    read from index arrays and integer knots, equal the exact per-function
-    ``greville`` bit for bit."""
-    def point(sp, fn):
-        return [greville(sp.h_values(fn), sp.mesh.p), greville(sp.v_values(fn), sp.mesh.q)]
-
-    spaces = [Space.uniform(mesh) for mesh in as_mesh_corpus()]
+    """The Greville points of a hierarchy and of its default geometry, read
+    from index arrays and integer knots, equal the per-function oracle bit
+    for bit."""
     for space in hierarchies + [oracle.thirds_space(2), oracle.thirds_space(3)]:
-        spaces += space.spaces
-        want = [point(space.spaces[hf.level - 1], hf.fn) for hf in space.functions]
+        want = [greville_points(space.spaces[hf.level - 1], [hf.fn])[0].tolist() for hf in space.functions]
         assert space.greville_points().tolist() == want
         weights, points = default_geometry(space)
-        assert points.tolist() == space.spaces[0].greville_points().tolist()
+        assert points.tolist() == greville_points(space.spaces[0]).tolist()
         assert weights.tolist() == [1.0] * len(space.spaces[0].functions)
-    for space in spaces:
-        want = [point(space, fn) for fn in oracle.eager_functions(space)]
-        assert space.greville_points().tolist() == want
 
 
 def test_functions_sequence_matches_eager_oracle(hierarchies):

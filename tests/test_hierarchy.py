@@ -21,6 +21,7 @@ from conftest import (
     cox_de_boor,
     eval_all,
     eval_function,
+    greville_points,
     insert_knot,
     one_level,
     refinement_chain,
@@ -31,6 +32,7 @@ from hasts import hierarchy, meshio, samples
 from hasts.basis import GlobalKnots, Space
 from hasts.benchmarks import tensor_space
 from hasts.cli import main
+from hasts.extraction import default_geometry
 from hasts.hierarchy import (
     HElement,
     HFunction,
@@ -44,6 +46,7 @@ from hasts.hierarchy import (
     refine_knots,
     represent_coarse_in_fine,
     represent_in_space,
+    subdivide_level,
     subdivide_suitable,
     summed_area,
 )
@@ -117,6 +120,49 @@ def test_subdivide_preserves_suitability_with_t_junctions():
     # the child skeleton contains the mapped parent extended skeleton, so the
     # child space can represent every parent function
     assert child.level == 2
+
+
+def _float_knot_mesh(hknots):
+    """The T-mesh of ``samples/index_vector_c.mesh`` (p = 2, q = 3) with
+    the given h knots and uniform eighths as v knots, read from .mesh text,
+    so that each knot is the exact Fraction of a float."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "samples", "index_vector_c.mesh")) as f:
+        lines = f.read().splitlines()
+    lines[2] = "hknots " + " ".join(map(repr, hknots))
+    lines[3] = "vknots " + " ".join(map(repr, [0.0] * 4 + [k / 8 for k in range(1, 7)] + [1.0] * 4))
+    return meshio.parse_mesh("\n".join(lines) + "\n")
+
+
+def test_subdivision_of_parsed_float_knots_is_exact():
+    """Float knots parsed from .mesh text can have denominators near 2^63:
+    with knots over 2^62, doubled numerators and the Greville sums of the
+    boundary functions leave int64, and the midpoint products far more so.
+    Three levels refine, every child knot is the exact midpoint or copy of
+    its parents, and every Greville point equals the per-function oracle;
+    an interior knot moved by 2^-60 still makes its element rejected."""
+    u = (2**49 + 1) / 2**62  # exact; its multiples up to 4u are floats too
+    knots = [0.0, 0.0, 0.0, u, 2 * u, 3 * u, 4 * u, 0.5, 0.75, 1.0, 1.0, 1.0]
+    mesh, hk, vk = _float_knot_mesh(knots)
+    assert max(v.denominator for v in hk.values) == 2**62
+    space = HierarchicalSpace([LevelMesh(1, mesh, hk, vk, None)])
+    for _ in range(3):
+        top = max(e.level for e in space.elements)
+        space = refine_by_elements(space, [e for e in space.elements if e.level == top][:2])
+    assert len(space.levels) == 4
+    for parent, child in zip(space.levels, space.levels[1:]):
+        for pk, ck in ((parent.hknots, child.hknots), (parent.vknots, child.vknots)):
+            m, p = pk.m, pk.p
+            assert [ck[index_map(i, m, p)] for i in range(1, m + 1)] == list(pk.values)
+            assert [ck[2 * i - p] for i in range(p + 1, m - p)] == [
+                (pk[i] + pk[i + 1]) / 2 for i in range(p + 1, m - p)
+            ]
+    want = [greville_points(space.spaces[hf.level - 1], [hf.fn])[0].tolist() for hf in space.functions]
+    assert space.greville_points().tolist() == want
+    assert default_geometry(space)[1].tolist() == greville_points(space.spaces[0]).tolist()
+    knots[4] += 2**-60
+    mesh, hk, vk = _float_knot_mesh(knots)
+    with pytest.raises(MeshStructureError, match=r"element \(4, 7, .* has no parametric-midpoint index line"):
+        subdivide_level(LevelMesh(1, mesh, hk, vk, None))
 
 
 # -- knot insertion (the test oracle) ------------------------------------------
