@@ -7,6 +7,14 @@ every knot span, on the level's knots as integers over one denominator
 whose support leaks out of the next level's domain and adopts fine
 functions fully inside it.
 
+The child mesh is the parent's extended mesh, mapped onto the child's
+index lines, plus the midlines of the parent's Bezier cells, so it holds
+the parent's extended mesh, which nesting needs, by construction.  Every
+extension of the parent is already an edge and the midlines split every
+element alike, so unlike local refinement of AS T-splines, subdivision
+repairs no extensions: it checks once that the child is valid and
+analysis-suitable, and raises ``MeshStructureError`` if not.
+
 Every location test is integer arithmetic on one knot-span grid per
 hierarchy, the finest level's distinct knots numbered from 0, onto which
 each level maps its index lines.  The knots of every level must be knots of
@@ -78,20 +86,12 @@ def span_grid(hknots, vknots):
     )
 
 
-def _unnested(value):
-    return MeshStructureError(f"knot {value} of a level is not a knot of the next level")
-
-
 def grid_lines(grid, hknots, vknots):
-    """Grid line of each index line of the knots (slot 0 unused); every knot
-    must be a value of ``grid``."""
-    try:
-        return tuple(
-            np.array([0] + [g[v] for v in knots.values])
-            for g, knots in zip(grid, (hknots, vknots))
-        )
-    except KeyError as exc:
-        raise _unnested(exc.args[0]) from None
+    """Grid line of each index line of the knots (slot 0 unused), on the
+    ``span_grid`` of the same knots."""
+    return tuple(
+        np.array([0] + [g[v] for v in knots.values]) for g, knots in zip(grid, (hknots, vknots))
+    )
 
 
 def index_spans(rects, lines):
@@ -105,14 +105,13 @@ def _rect_text(rect):
     return "(" + ", ".join(str(v) for v in rect) + ")"
 
 
-def param_spans(grid, rects, level, lines):
-    """(n, 4) grid rectangles of level ``level``'s parametric rectangles; each
-    corner must be a knot of that level, whose ``grid_lines`` are ``lines``."""
+def param_spans(grid, rects, level):
+    """(n, 4) grid rectangles of level ``level``'s parametric rectangles on
+    its ``span_grid``; each corner must be a knot of that level."""
     h, v = grid
     out = [[g.get(c, -1) for g, c in zip((h, h, v, v), rect)] for rect in rects]
     out = np.array(out, dtype=np.int64).reshape(-1, 4)
-    hl, vl = (ls[1:] for ls in lines)
-    on = np.isin(out[:, :2], hl).all(axis=1) & np.isin(out[:, 2:], vl).all(axis=1)
+    on = (out >= 0).all(axis=1)
     if not on.all():
         raise MeshStructureError(
             f"level {level} domain rectangle {_rect_text(rects[int(np.argmin(on))])} "
@@ -175,14 +174,11 @@ def bezier_cells(mesh, lines):
     return cells[keep]
 
 
-def subdivide_level(parent: LevelMesh):
-    """Split every Bezier element of the parent into four congruent children.
-
-    Returns (child TMesh, child hknots, child vknots, parent extended mesh
-    mapped into child index space).  The child is not necessarily
-    analysis-suitable yet.  The parent's cells are those of its level data,
-    made here if no build has kept it yet.
-    """
+def subdivide_suitable(parent: LevelMesh):
+    """Split every Bezier element of the parent into four congruent children
+    and check the child mesh, as the module docstring says; returns the
+    child level, at level+1 with an empty domain.  The parent's cells are
+    those of its level data, made here if no build has kept it yet."""
     parent = _kept(parent)
     mesh = parent.mesh
     m, n, p, q = mesh.m, mesh.n, mesh.p, mesh.q
@@ -201,7 +197,6 @@ def subdivide_level(parent: LevelMesh):
     i, j = np.nonzero(ext.vseg)
     vseg[fx[i], fy[j]] = True
     vseg[fx[i], fy[j + 1] - 1] = True
-    parent_ext_mapped = TMesh(mc, nc, p, q, hseg.copy(), vseg.copy())
     chk = refine_knots(parent.hknots)
     cvk = refine_knots(parent.vknots)
     cells = parent.kept[0].cells
@@ -226,8 +221,20 @@ def subdivide_level(parent: LevelMesh):
     xlo[xlo == p + 1], xhi[xhi == mc - p] = 1, mc
     vseg |= _runs_mask(vseg.shape, cx, ylo, yhi)
     hseg |= _runs_mask(hseg.T.shape, cy, xlo, xhi).T
+    # a parent extension that ends inside the frame region, where no
+    # T-junction may lie, is carried on to the boundary
+    dp, dq = (p + 1) // 2, (q + 1) // 2
+    hseg[1:dp] |= hseg[dp]
+    hseg[mc - dp + 1 : mc] |= hseg[mc - dp]
+    vseg[:, 1:dq] |= vseg[:, dq, None]
+    vseg[:, nc - dq + 1 : nc] |= vseg[:, nc - dq, None]
     child = TMesh(mc, nc, p, q, hseg, vseg)
-    return child, chk, cvk, parent_ext_mapped
+    bad = child.validate()
+    if bad:
+        raise MeshStructureError(f"subdivided mesh invalid: {bad[0]}")
+    if not child.is_analysis_suitable()[0]:
+        raise MeshStructureError("subdivided mesh is not analysis-suitable")
+    return LevelMesh(parent.level + 1, child, chk, cvk, domain=())
 
 
 def _runs_mask(shape, line, lo, hi):
@@ -237,43 +244,6 @@ def _runs_mask(shape, line, lo, hi):
     np.add.at(step, (line, lo), 1)
     np.add.at(step, (line, hi), -1)
     return step.cumsum(axis=1)[:, :-1] > 0
-
-
-def make_analysis_suitable(mesh, parent_ext=None):
-    """Materialize offending extensions as edges until the mesh is
-    analysis-suitable; deterministic (shortest extension first, ties by
-    T-junction coordinate)."""
-    rounds = 0
-    while True:
-        ok, bad = mesh.is_analysis_suitable()
-        if ok:
-            break
-        rounds += 1
-        if rounds > mesh.m * mesh.n:
-            raise MeshStructureError("extension materialization did not reach a fixed point")
-        cand = sorted(
-            {e for pair in bad for e in pair},
-            key=lambda e: (e.length, e.junction.x, e.junction.y, e.axis),
-        )
-        e = cand[0]
-        if e.axis == "h":
-            mesh = mesh.with_segments(hsegs=[(i, e.line) for i in range(e.lo, e.hi)])
-        else:
-            mesh = mesh.with_segments(vsegs=[(e.line, j) for j in range(e.lo, e.hi)])
-    if parent_ext is not None and not mesh.extended().includes(parent_ext):
-        raise MeshStructureError("refined mesh does not contain the parent extended mesh")
-    return mesh
-
-
-def subdivide_suitable(parent: LevelMesh):
-    """Subdivide and restore analysis-suitability; returns a LevelMesh with an
-    empty domain at level+1."""
-    child, chk, cvk, parent_ext = subdivide_level(parent)
-    child = make_analysis_suitable(child, parent_ext)
-    bad = child.validate()
-    if bad:
-        raise MeshStructureError(f"subdivided mesh invalid: {bad[0]}")
-    return LevelMesh(parent.level + 1, child, chk, cvk, domain=())
 
 
 # -- hierarchical space -------------------------------------------------------
@@ -308,9 +278,11 @@ class LevelData:
     lines of its functions' local knot vectors, and its Bezier cells
     (``cells``).  ``grid`` numbers the level's distinct knots from 0 and
     ``lines`` maps its index lines onto those numbers.  ``on(top)`` maps all
-    of it onto the knot-span grid of the finest level ``top`` and keeps the
-    last map, so it is recomputed only when the finest level changes, which
-    ``top.grid`` identifies."""
+    of it onto the knot-span grid of the finest level ``top``, which holds
+    every knot of the level once the build has checked that each level's
+    knots are knots of the next, and keeps the last map, so it is
+    recomputed only when the finest level changes, which ``top.grid``
+    identifies."""
 
     def __init__(self, mesh, hknots, vknots):
         self.mesh, self.hknots, self.vknots = mesh, hknots, vknots
@@ -341,13 +313,9 @@ class LevelData:
         distinct knot, the grid lines of the local knot vectors, the
         support boxes and the cell boxes, all read-only."""
         if self._grid is not top.grid:
-            try:
-                to = tuple(
-                    np.array([g[v] for v in own], dtype=np.int64)
-                    for g, own in zip(top.grid, self.grid)
-                )
-            except KeyError as exc:
-                raise _unnested(exc.args[0]) from None
+            to = tuple(
+                np.array([g[v] for v in own], dtype=np.int64) for g, own in zip(top.grid, self.grid)
+            )
             hl, vl = (t[ls] for t, ls in zip(to, self.lines))
             h, v = hl[self.space.h_indices], vl[self.space.v_indices]
             supports = np.column_stack([h[:, 0], h[:, -1], v[:, 0], v[:, -1]])
@@ -377,7 +345,7 @@ def _domain_spans(lv):
         seen, spans = (), _NO_SPANS
     if len(seen) == len(lv.domain):
         return spans
-    new = param_spans(data.grid, lv.domain[len(seen) :], lv.level, data.lines)
+    new = param_spans(data.grid, lv.domain[len(seen) :], lv.level)
     return np.concatenate([spans, new])
 
 
@@ -409,14 +377,17 @@ class HierarchicalSpace:
         data = [lv.kept[0] for lv in levels]
         top = data[-1]
         grid = top.grid
-        to, fn_lines, supports, boxes = zip(*(d.on(top) for d in data))
-        for a, b, ta, tb in zip(data, data[1:], to, to[1:]):
+        for a, b in zip(data, data[1:]):
             if a.nested_grid is not b.grid:
-                for own, x, y in zip(a.grid, ta, tb):
-                    lost = ~np.isin(x, y)
-                    if lost.any():
-                        raise _unnested(list(own)[lost.argmax()])
+                for own, nxt in zip(a.grid, b.grid):
+                    lost = next((v for v in own if v not in nxt), None)
+                    if lost is not None:
+                        raise MeshStructureError(
+                            f"knot {lost} of a level is not a knot of the next level"
+                        )
                 a.nested_grid = b.grid
+        # so every level's knots are knots of the finest level
+        to, fn_lines, supports, boxes = zip(*(d.on(top) for d in data))
         fn_on = [np.ones(len(supports[0]), dtype=bool)]
         cell_on = [np.ones(len(boxes[0]), dtype=bool)]
         recorded = [levels[0]]

@@ -2,7 +2,7 @@
 
 A T-mesh partitions the index rectangle [1,m] x [1,n] into open axis-aligned
 cells.  Interior vertices have valence 3 (T-junctions) or 4.  All geometric
-predicates here (extensions, intersections, inclusion) are exact integer
+predicates here (extensions, intersections) are exact integer
 arithmetic; no floating point enters the topology layer.
 
 The skeleton is stored as two boolean arrays of unit segments, and the
@@ -96,10 +96,6 @@ class Extension:
     def hi(self):
         return max(self.face_hi, self.edge_hi)
 
-    @property
-    def length(self):
-        return self.hi - self.lo
-
     def intersects(self, other):
         """Closed-segment intersection between one horizontal and one vertical extension."""
         if self.axis == other.axis:
@@ -176,16 +172,6 @@ class TMesh:
         hseg[1:m, 1 : n + 1] = True
         vseg[1 : m + 1, 1:n] = True
         return cls(m, n, p, q, hseg, vseg)
-
-    def with_segments(self, hsegs=(), vsegs=()):
-        """New mesh with extra unit segments ((i, j) pairs) added."""
-        hseg = self.hseg.copy()
-        vseg = self.vseg.copy()
-        for i, j in hsegs:
-            hseg[i, j] = True
-        for i, j in vsegs:
-            vseg[i, j] = True
-        return TMesh(self.m, self.n, self.p, self.q, hseg, vseg)
 
     def without_segments(self, hsegs=(), vsegs=()):
         hseg = self.hseg.copy()
@@ -331,15 +317,11 @@ class TMesh:
 
     def region_split(self):
         """The active region [x1, x2] x [y1, y2] as (x1, x2, y1, y2); the
-        frame region is its closed complement."""
+        frame region is its closed complement.  It is never empty, as
+        m >= p + 2 >= 1 + 2 * ((p + 1) // 2), and likewise in n."""
         dp = (self.p + 1) // 2
         dq = (self.q + 1) // 2
-        x1, x2, y1, y2 = 1 + dp, self.m - dp, 1 + dq, self.n - dq
-        if x1 > x2 or y1 > y2:
-            raise MeshStructureError(
-                f"active region empty for m={self.m}, n={self.n}, p={self.p}, q={self.q}"
-            )
-        return x1, x2, y1, y2
+        return 1 + dp, self.m - dp, 1 + dq, self.n - dq
 
     # -- validation -----------------------------------------------------------
 
@@ -365,11 +347,7 @@ class TMesh:
                     report.append(Violation("off-skeleton-vertex", (x, y), "declared vertex not on any edge"))
         # admissibility: no T-junction strictly inside the frame region, and
         # the frame-region skeleton is a full tensor-product grid
-        try:
-            x1, x2, y1, y2 = self.region_split()
-        except MeshStructureError as exc:
-            report.append(Violation("region", (0, 0), str(exc)))
-            return report
+        x1, x2, y1, y2 = self.region_split()
         for tj in self.t_junctions():
             if not (x1 <= tj.x <= x2 and y1 <= tj.y <= y2):
                 report.append(Violation("frame-t-junction", (tj.x, tj.y), "T-junction inside frame region"))
@@ -474,14 +452,3 @@ class TMesh:
             else:
                 vseg[e.line, e.lo : e.hi] = True
         return TMesh(self.m, self.n, self.p, self.q, hseg, vseg)
-
-    def includes(self, other):
-        """True if every segment of ``other`` is present in this mesh (same
-        index convention; degrees must agree)."""
-        if (self.p, self.q) != (other.p, other.q):
-            raise MeshStructureError("meshes have incompatible degrees")
-        if (self.m, self.n) != (other.m, other.n):
-            raise MeshStructureError("meshes have different index domains; map first")
-        return bool(
-            (other.hseg & ~self.hseg).sum() == 0 and (other.vseg & ~self.vseg).sum() == 0
-        )

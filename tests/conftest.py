@@ -283,14 +283,19 @@ def extensions(mesh):
     return out
 
 
+def includes(mesh, other):
+    """Whether every unit segment of ``other`` is a segment of ``mesh``; the
+    meshes must share degrees and index domain."""
+    assert (mesh.m, mesh.n, mesh.p, mesh.q) == (other.m, other.n, other.p, other.q)
+    return not (other.hseg & ~mesh.hseg).any() and not (other.vseg & ~mesh.vseg).any()
+
+
 # the findings of ``TMesh.validate`` that these oracles derive
 VERTEX_FINDINGS = ("valence", "off-skeleton-vertex", "frame-t-junction")
 
 
 def vertex_findings(mesh):
-    """The ``VERTEX_FINDINGS`` of ``TMesh.validate``, in its order; the
-    frame-T-junction check is skipped, as there, when the active region is
-    empty."""
+    """The ``VERTEX_FINDINGS`` of ``TMesh.validate``, in its order."""
     report = []
     for (x, y) in sorted(canonical_vertices(mesh)):
         v = valence(mesh, x, y)
@@ -300,8 +305,6 @@ def vertex_findings(mesh):
         if valence(mesh, x, y) == 0:
             report.append(Violation("off-skeleton-vertex", (x, y), "declared vertex not on any edge"))
     dp, dq = (mesh.p + 1) // 2, (mesh.q + 1) // 2
-    if 1 + dp > mesh.m - dp or 1 + dq > mesh.n - dq:
-        return report
     for tj in t_junctions(mesh):
         if not (1 + dp <= tj.x <= mesh.m - dp and 1 + dq <= tj.y <= mesh.n - dq):
             report.append(Violation("frame-t-junction", (tj.x, tj.y), "T-junction inside frame region"))

@@ -18,10 +18,12 @@ import numpy as np
 import pytest
 
 from conftest import (
+    as_mesh_corpus,
     cox_de_boor,
     eval_all,
     eval_function,
     greville_points,
+    includes,
     insert_knot,
     one_level,
     refinement_chain,
@@ -46,7 +48,6 @@ from hasts.hierarchy import (
     refine_knots,
     represent_coarse_in_fine,
     represent_in_space,
-    subdivide_level,
     subdivide_suitable,
     summed_area,
 )
@@ -103,23 +104,94 @@ def test_subdivide_quarters_every_element():
         assert sizes == {(w / 2, h / 2) for w, h in psizes}
 
 
-def test_subdivide_preserves_suitability_with_t_junctions():
-    mesh = samples.random_as_mesh(2, 2, num_elements=6, removals=8, seed=1)
-    from hasts.basis import GlobalKnots
+def non_as_starts():
+    """Valid meshes that are not analysis-suitable: the crossing-extension
+    figure mesh, and tensor meshes that lose random core segments, each loss
+    keeping them valid, until they are not."""
+    out = [samples.extension_mesh_unsuitable()]
+    rng = random.Random(13)
+    for p, q in ((1, 2), (2, 2), (2, 3), (3, 3), (4, 2)):
+        mesh = samples.tensor_mesh(5, 5, p, q)
+        x1, x2, y1, y2 = samples.core_range(mesh.m, mesh.n, p, q)
+        for _ in range(1000):
+            if not mesh.is_analysis_suitable()[0]:
+                break
+            if rng.random() < 0.5:
+                cand = mesh.without_segments(hsegs=[(rng.randrange(x1, x2), rng.randrange(y1 + 1, y2))])
+            else:
+                cand = mesh.without_segments(vsegs=[(rng.randrange(x1 + 1, x2), rng.randrange(y1, y2))])
+            if not cand.validate():
+                mesh = cand
+        assert not mesh.is_analysis_suitable()[0]
+        out.append(mesh)
+    return out
 
-    parent = LevelMesh(
-        1,
-        mesh,
-        GlobalKnots.uniform_open(mesh.m, 2),
-        GlobalKnots.uniform_open(mesh.n, 2),
-        None,
-    )
-    child = subdivide_suitable(parent)
-    assert child.mesh.validate() == []
-    assert child.mesh.is_analysis_suitable()[0]
-    # the child skeleton contains the mapped parent extended skeleton, so the
-    # child space can represent every parent function
-    assert child.level == 2
+
+def mirrored(mesh):
+    """The mesh reflected across the vertical midline of its index domain."""
+    m = mesh.m
+    hseg, vseg = np.zeros_like(mesh.hseg), np.zeros_like(mesh.vseg)
+    hseg[1:m], vseg[1 : m + 1] = mesh.hseg[m - 1 : 0 : -1], mesh.vseg[m:0:-1]
+    return TMesh(m, mesh.n, mesh.p, mesh.q, hseg, vseg)
+
+
+def transposed(mesh):
+    """The mesh reflected across the diagonal of its index domain."""
+    return TMesh(mesh.n, mesh.m, mesh.q, mesh.p, mesh.vseg.T, mesh.hseg.T)
+
+
+def mapped_extension(lv, child):
+    """The parent's extended mesh on the child's index lines: every parent
+    unit segment becomes the whole child span that it maps to."""
+    mesh = lv.mesh
+    fx = [index_map(i, mesh.m, mesh.p) for i in range(mesh.m + 1)]
+    fy = [index_map(j, mesh.n, mesh.q) for j in range(mesh.n + 1)]
+    ext = mesh.extended()
+    hseg = np.zeros_like(child.hseg)
+    vseg = np.zeros_like(child.vseg)
+    for i, j in zip(*np.nonzero(ext.hseg)):
+        hseg[fx[i] : fx[i + 1], fy[j]] = True
+    for i, j in zip(*np.nonzero(ext.vseg)):
+        vseg[fx[i], fy[j] : fy[j + 1]] = True
+    return TMesh(child.m, child.n, child.p, child.q, hseg, vseg)
+
+
+def test_subdivide_preserves_suitability_with_t_junctions():
+    """Subdividing twice the AS corpus, random AS starts of degrees 1 to 4 in
+    each direction and valid non-AS starts gives children that are valid,
+    analysis-suitable and hold the parent's extended mesh.  The second
+    subdivision of ``index_vector_mesh_b`` ends a parent extension inside
+    the frame region; its reflections put that end at each side."""
+    b = samples.index_vector_mesh_b()
+    starts = as_mesh_corpus() + non_as_starts()
+    starts += [mirrored(b), transposed(b), transposed(mirrored(b))]
+    starts += [
+        samples.random_as_mesh(p, q, num_elements=5, removals=6, seed=seed)
+        for p in range(1, 5) for q in range(1, 5) for seed in (1, 2)
+    ]
+    assert not all(mesh.is_analysis_suitable()[0] for mesh in starts)
+    for mesh in starts:
+        lv = one_level(mesh).levels[0]
+        for _ in range(2):
+            child = subdivide_suitable(lv)
+            assert child.level == lv.level + 1
+            assert child.mesh.validate() == []
+            assert child.mesh.is_analysis_suitable()[0]
+            assert includes(child.mesh, mapped_extension(lv, child.mesh))
+            lv = child
+
+
+def test_unsuitable_child_is_an_error(monkeypatch, tmp_path, capsys):
+    """A child that is not analysis-suitable is not repaired: a refinement
+    that adds a level raises, and the solver exits 1."""
+    space = tensor_space(4, 2)
+    monkeypatch.setattr(TMesh, "is_analysis_suitable", lambda self: (False, []))
+    with pytest.raises(MeshStructureError, match="subdivided mesh is not analysis-suitable"):
+        refine_by_elements(space, space.elements[:3])
+    capsys.readouterr()
+    args = ["solve", "--benchmark", "skew45", "--elements", "4", "--iterations", "2"]
+    assert main(args + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: subdivided mesh is not analysis-suitable\n"
 
 
 def _float_knot_mesh(hknots):
@@ -162,7 +234,7 @@ def test_subdivision_of_parsed_float_knots_is_exact():
     knots[4] += 2**-60
     mesh, hk, vk = _float_knot_mesh(knots)
     with pytest.raises(MeshStructureError, match=r"element \(4, 7, .* has no parametric-midpoint index line"):
-        subdivide_level(LevelMesh(1, mesh, hk, vk, None))
+        subdivide_suitable(LevelMesh(1, mesh, hk, vk, None))
 
 
 # -- knot insertion (the test oracle) ------------------------------------------
@@ -261,10 +333,9 @@ def test_rect_covered_exact():
     assert not covered(unit, tuple(quarters[:2]))
     # the span-mask predicate agrees on the grid {0, 1/2, 1}
     grid = ({Fraction(0): 0, h: 1, Fraction(1): 2},) * 2
-    lines = (np.array([0, 0, 1, 2]),) * 2
-    spans = param_spans(grid, [unit] + quarters, 2, lines)
+    spans = param_spans(grid, [unit] + quarters, 2)
     for dom in (quarters, quarters[:3], quarters[:2], [unit]):
-        got = in_domain(spans, summed_area(param_spans(grid, dom, 2, lines), grid))
+        got = in_domain(spans, summed_area(param_spans(grid, dom, 2), grid))
         assert list(got) == [rect_covered(r, dom) for r in [unit] + quarters]
 
 
@@ -485,20 +556,24 @@ def test_levels_must_nest(tmp_path, capsys):
     lv3 = replace(lv3, domain=((Fraction(1, 2), Fraction(1), Fraction(0), Fraction(1, 2)),))
     with pytest.raises(MeshStructureError):
         HierarchicalSpace([refined.levels[0], refined.levels[1], lv3])
-    # a domain that cuts through parent elements: 3/8 is a level-2 knot but
-    # no level-1 element boundary
+    # a domain that cuts through parent elements (3/8 is a level-2 knot but
+    # no level-1 element boundary), and one with a corner that is no
+    # level-2 knot, in a build and in a hierarchy file
     lv1 = tensor_space(4, 2).levels[0]
-    cut = Fraction(3, 8)
-    lv2 = replace(subdivide_suitable(lv1), domain=((Fraction(0), cut, Fraction(0), cut),))
-    with pytest.raises(MeshStructureError, match="3/8"):
-        HierarchicalSpace([lv1, lv2])
-    hier = tmp_path / "off_grid.hier"
-    hier.write_text(meshio.dump_hierarchy([lv1, lv2]))
-    capsys.readouterr()
-    assert main(["extract", "--mesh", str(hier), "--out", str(tmp_path)]) == 1
-    out = capsys.readouterr()
-    assert out.out == "" and len(out.err.splitlines()) == 1
-    assert out.err.startswith("error: ")
+    for cut, why in (
+        (Fraction(3, 8), "is not a union of level 1 element closures inside the level 1 domain"),
+        (Fraction(1, 16), "is off the level 2 knot grid"),
+    ):
+        lv2 = replace(subdivide_suitable(lv1), domain=((Fraction(0), cut, Fraction(0), cut),))
+        msg = f"level 2 domain rectangle (0, {cut}, 0, {cut}) {why}"
+        with pytest.raises(MeshStructureError) as exc:
+            HierarchicalSpace([lv1, lv2])
+        assert str(exc.value) == msg
+        hier = tmp_path / "domain.hier"
+        hier.write_text(meshio.dump_hierarchy([lv1, lv2]))
+        capsys.readouterr()
+        assert main(["extract", "--mesh", str(hier), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {msg}\n")
 
 
 def test_knots_of_each_level_must_be_knots_of_the_next():
@@ -516,6 +591,10 @@ def test_knots_of_each_level_must_be_knots_of_the_next():
     # but level 2 lacks the level-1 knot 1/4
     with pytest.raises(MeshStructureError, match="knot 1/4 of a level is not a knot of the next level"):
         HierarchicalSpace([level(1, 4, None), level(2, 3, (unit,)), level(3, 12, (corner,))])
+    # quarters, eighths, thirds: levels 1 and 2 nest, but neither level's
+    # knots are all knots of the finest level
+    with pytest.raises(MeshStructureError, match="knot 1/8 of a level is not a knot of the next level"):
+        HierarchicalSpace([level(1, 4, None), level(2, 8, (unit,)), level(3, 3, (corner,))])
 
 
 def test_levels_must_have_the_same_degrees():
