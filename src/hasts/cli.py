@@ -95,6 +95,8 @@ def resolve_config(args):
         raise MeshStructureError("degrees must be >= 1")
     if cfg["iterations"] < 1:
         raise MeshStructureError("iterations must be >= 1")
+    if cfg["elements"] < 1:
+        raise MeshStructureError("elements must be >= 1")
     return cfg
 
 

@@ -27,13 +27,15 @@ knot vectors of the active and the level-1 functions, and each direction's
 grid knots as integers over one denominator.
 
 A refinement changes only the domains and adds at most one level, so what
-a build needs of a level's mesh and knots is made once, when the level is
-first built, and travels with the level (``LevelData`` in
-``LevelMesh.kept``): its ``Space``, the index lines of its functions and
-its Bezier cells, and their maps onto the grid, which are made again only
-when the finest level changes.  A build gathers these onto the grid,
-converts only the domain rectangles it has not seen, applies the masks and
-selects H and HE.  Subdividing a level reads its cells from the same data.
+a build derives from a level travels with it in ``LevelMesh.kept``.  Its
+``LevelData``, made once: the ``Space``, the Bezier cells, the H functions
+and HE elements, each made on first use, and maps onto the grid, made again
+only when the finest level changes.  The prefix of the domain that a build
+has seen, and the domain masks: as booleans, which functions and cells of
+the level and of the one below lie inside that prefix.  Domains only grow,
+so a build tests only the objects outside the masks whose boxes meet a
+rectangle it has not seen, none on a level with no new rectangle, and it
+checks every domain.  Subdividing a level reads its cells from the same data.
 
 A coarse function is represented on a finer level by the fine functions'
 dual functionals, blossoms of its pieces (``basis.blossom``), and each
@@ -123,12 +125,10 @@ def param_spans(grid, rects, level):
 def summed_area(spans, grid):
     """Summed-area table of the union of grid rectangles: entry (a, b) counts
     the covered spans left of grid line a and below grid line b."""
-    mask = np.zeros((len(grid[0]) - 1, len(grid[1]) - 1), dtype=bool)
-    for a1, a2, b1, b2 in spans:
-        mask[a1:a2, b1:b2] = True
-    table = np.zeros((mask.shape[0] + 1, mask.shape[1] + 1), dtype=np.int64)
-    table[1:, 1:] = mask.cumsum(0).cumsum(1)
-    return table
+    table = np.zeros((len(grid[0]), len(grid[1])), dtype=np.int64)
+    for a1, a2, b1, b2 in spans.tolist():
+        table[a1 + 1 : a2 + 1, b1 + 1 : b2 + 1] = 1
+    return table.cumsum(0, out=table).cumsum(1, out=table)
 
 
 def in_domain(spans, table):
@@ -290,11 +290,14 @@ class LevelData:
         self.grid = span_grid(hknots, vknots)
         self.lines = grid_lines(self.grid, hknots, vknots)
         self.cells = bezier_cells(mesh, self.lines)
+        # the supports, then the cells, by lower edge: every map onto a grid keeps this order
+        lower = np.concatenate([self.space.v_indices[:, 0], self.cells[:, 2]])
+        self.order = np.argsort(lower, kind="stable")
         # the grid of the finest level of the last map, and of the next
         # level this level's knots were checked against: a grid holds no
         # level data, so these form no reference cycle
         self._grid = self.nested_grid = None
-        self._on = None
+        self._on, self._made = None, {}
 
     def of(self, lv):
         """Whether this is the data of the level's very mesh and knots."""
@@ -310,8 +313,9 @@ class LevelData:
 
     def on(self, top):
         """This level on the grid of ``top``: the grid line of each own
-        distinct knot, the grid lines of the local knot vectors, the
-        support boxes and the cell boxes, all read-only."""
+        distinct knot, the grid lines of the local knot vectors, and the
+        support boxes followed by the cell boxes as a ``_grow`` family, all
+        read-only."""
         if self._grid is not top.grid:
             to = tuple(
                 np.array([g[v] for v in own], dtype=np.int64) for g, own in zip(top.grid, self.grid)
@@ -319,11 +323,26 @@ class LevelData:
             hl, vl = (t[ls] for t, ls in zip(to, self.lines))
             h, v = hl[self.space.h_indices], vl[self.space.v_indices]
             supports = np.column_stack([h[:, 0], h[:, -1], v[:, 0], v[:, -1]])
-            boxes = index_spans(self.cells, (hl, vl))
-            for a in (h, v, supports, boxes):
+            boxes = np.concatenate([supports, index_spans(self.cells, (hl, vl))])
+            for a in (h, v, boxes):
                 a.flags.writeable = False
-            self._grid, self._on = top.grid, (to, (h, v), supports, boxes)
+            family = (boxes, self.order, boxes[self.order, 2], (boxes[:, 3] - boxes[:, 2]).max())
+            self._grid, self._on = top.grid, (to, (h, v), family)
         return self._on
+
+    def made(self, level, on):
+        """The H functions, then the HE elements, of this level as level
+        ``level`` where ``on`` holds for its boxes, each made on first use."""
+        nf, made = len(self.space.functions), self._made.setdefault(level, {})
+        idx = np.flatnonzero(on).tolist()
+        for i in set(idx) - made.keys():
+            if i < nf:
+                made[i] = HFunction(level, self.space.functions[i])
+            else:
+                x1, x2, y1, y2 = rect = tuple(self.cells[i - nf].tolist())
+                hk, vk = self.hknots, self.vknots
+                made[i] = HElement(level, rect, (hk[x1], hk[x2], vk[y1], vk[y2]))
+        return [made[i] for i in idx]
 
 
 def _kept(lv):
@@ -331,22 +350,44 @@ def _kept(lv):
     mesh and knots, else new data and no domain on record."""
     if lv.kept is not None and lv.kept[0].of(lv):
         return lv
-    return replace(lv, kept=(LevelData(lv.mesh, lv.hknots, lv.vknots), (), _NO_SPANS))
+    return replace(lv, kept=(LevelData(lv.mesh, lv.hknots, lv.vknots), (), _NO_SPANS, None, None))
 
 
 _NO_SPANS = np.zeros((0, 4), dtype=np.int64)
 
 
-def _domain_spans(lv):
-    """Spans of the level's domain rectangles on its own knot lines; only
-    rectangles past the prefix on record are converted."""
-    data, seen, spans = lv.kept
-    if lv.domain[: len(seen)] != seen:
-        seen, spans = (), _NO_SPANS
+def _domain_spans(lv, below):
+    """Spans of the level's domain rectangles on its own knot lines, the
+    number past the prefix on record, which alone are converted, and the
+    masks on record if they were made against the level data ``below``."""
+    data, seen, spans, was, masks = lv.kept
+    if lv.domain[: len(seen)] != seen or was is not below:
+        seen, spans, masks = (), _NO_SPANS, None
     if len(seen) == len(lv.domain):
-        return spans
+        return spans, 0, masks
     new = param_spans(data.grid, lv.domain[len(seen) :], lv.level)
-    return np.concatenate([spans, new])
+    return np.concatenate([spans, new]), len(new), masks
+
+
+def _grow(mask, family, new, table):
+    """Which boxes of a family lie inside the domain of ``table``, grown by
+    the grid rectangles ``new`` from the domain of ``mask``: only boxes not
+    in ``mask`` that meet a new rectangle are tested.  A family is boxes,
+    their order by lower edge, those edges in that order and the largest
+    height, so the boxes that can meet a rectangle are one run of it."""
+    boxes, order, lower, height = family
+    lo = lower.searchsorted(new[:, 2] - height)
+    hi = lower.searchsorted(new[:, 3], "right")
+    if (hi - lo).sum() < len(boxes):
+        pick = np.concatenate([order[a:b] for a, b in zip(lo.tolist(), hi.tolist())])
+        r1, r2, s1, _ = np.repeat(new, hi - lo, axis=0).T
+        a1, a2, _, b2 = boxes[pick].T
+        pick = pick[(a1 <= r2) & (a2 >= r1) & (b2 >= s1) & ~mask[pick]]
+    else:
+        pick = np.flatnonzero(~mask)
+    mask = mask.copy()
+    mask[pick] = in_domain(boxes[pick], table)
+    return mask
 
 
 class HierarchicalSpace:
@@ -387,21 +428,28 @@ class HierarchicalSpace:
                         )
                 a.nested_grid = b.grid
         # so every level's knots are knots of the finest level
-        to, fn_lines, supports, boxes = zip(*(d.on(top) for d in data))
-        fn_on = [np.ones(len(supports[0]), dtype=bool)]
-        cell_on = [np.ones(len(boxes[0]), dtype=bool)]
+        to, fn_lines, families = zip(*(d.on(top) for d in data))
+        boxes = [f[0] for f in families]
+        nf = [len(d.space.functions) for d in data]
+        on = [np.ones(len(boxes[0]), dtype=bool)]
         recorded = [levels[0]]
         for k in range(1, len(levels)):
             lv = levels[k]
-            own = _domain_spans(lv)
-            if lv.kept[1] is not lv.domain:
-                lv = replace(lv, kept=(data[k], lv.domain, own))
-            recorded.append(lv)
+            own, new, masks = _domain_spans(lv, data[k - 1])
             rects = index_spans(own, to[k])
             table = summed_area(rects, grid)
-            below = in_domain(boxes[k - 1], table)
+            # which level-(k-1) and level-k functions and cells lie inside Ω^k;
+            # with none on record, those inside no domain
+            if masks is None:
+                masks = tuple((b[:, 0] == b[:, 1]) | (b[:, 2] == b[:, 3]) for b in boxes[k - 1 : k + 1])
+            if new:
+                pairs = zip(masks, families[k - 1 : k + 1])
+                masks = tuple(_grow(m, f, rects[-new:], table) for m, f in pairs)
+            record = (data[k], lv.domain, own, data[k - 1], masks)
+            same = all(a is b for a, b in zip(record, lv.kept))
+            recorded.append(lv if same else replace(lv, kept=record))
             # the domain must be the union of the level-k elements of Ω^k it contains
-            inside = boxes[k - 1][below & cell_on[k - 1]]
+            inside = boxes[k - 1][nf[k - 1] :][(masks[0] & on[k - 1])[nf[k - 1] :]]
             area = ((inside[:, 1] - inside[:, 0]) * (inside[:, 3] - inside[:, 2])).sum()
             if table[-1, -1] != area:
                 bad = lv.domain[int(np.argmin(in_domain(rects, summed_area(inside, grid))))]
@@ -409,21 +457,13 @@ class HierarchicalSpace:
                     f"level {k + 1} domain rectangle {_rect_text(bad)} is not a union of "
                     f"level {k} element closures inside the level {k} domain"
                 )
-            fn_on[k - 1] &= ~in_domain(supports[k - 1], table)
-            cell_on[k - 1] &= ~below
-            fn_on.append(in_domain(supports[k], table))
-            cell_on.append(in_domain(boxes[k], table))
+            on[k - 1] = on[k - 1] & ~masks[0]
+            on.append(masks[1])
         self.levels = tuple(recorded)
-        self.functions = tuple(
-            HFunction(k + 1, d.space.functions[i])
-            for k, (d, on) in enumerate(zip(data, fn_on))
-            for i in np.flatnonzero(on).tolist()
-        )
-        self.elements = tuple(
-            HElement(k + 1, rect, self._param_rect(k, rect))
-            for k, (d, on) in enumerate(zip(data, cell_on))
-            for rect in map(tuple, d.cells[on].tolist())
-        )
+        made = [d.made(k + 1, o) for k, (d, o) in enumerate(zip(data, on))]
+        count = [int(o[:n].sum()) for o, n in zip(on, nf)]
+        self.functions = tuple(x for objs, c in zip(made, count) for x in objs[:c])
+        self.elements = tuple(x for objs, c in zip(made, count) for x in objs[c:])
         self.n_f = len(self.functions)
         self.n_e = len(self.elements)
         # integer location data in canonical order, on a grid of
@@ -431,11 +471,11 @@ class HierarchicalSpace:
         self.grid_shape = tuple(len(g) for g in grid)
         self.grid_numerators = top.numerators
         self.knot_lines = tuple(
-            np.concatenate([fl[d][on] for fl, on in zip(fn_lines, fn_on)]) for d in (0, 1)
+            np.concatenate([fl[d][o[:n]] for fl, o, n in zip(fn_lines, on, nf)]) for d in (0, 1)
         )
-        self.function_boxes = np.concatenate([b[on] for b, on in zip(supports, fn_on)])
-        self.element_boxes = np.concatenate([b[on] for b, on in zip(boxes, cell_on)])
-        self.geometry_boxes = supports[0]
+        self.function_boxes = np.concatenate([b[:n][o[:n]] for b, o, n in zip(boxes, on, nf)])
+        self.element_boxes = np.concatenate([b[n:][o[n:]] for b, o, n in zip(boxes, on, nf)])
+        self.geometry_boxes = boxes[0][: nf[0]]
         self.geometry_lines = fn_lines[0]
 
     def _param_rect(self, k, rect):

@@ -1,10 +1,10 @@
 """Text serialization for T-meshes, knot vectors, and hierarchies.
 
 The mesh format is line-oriented: a header with m n p q, the two global knot
-vectors as decimal text (shortest binary64 round-trip, so save/load is
-bit-exact at the file level), the canonical vertex list, and the minimal edge
-list as vertex index pairs.  Hierarchies add per-level domain rectangles as
-exact rationals.
+vectors as decimal text (shortest binary64 round-trip), or as exact
+rationals a/b where a knot is no binary64 value, so save/load is exact, the
+canonical vertex list, and the minimal edge list as vertex index pairs.
+Hierarchies add per-level domain rectangles as exact rationals.
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ def fmt(x):
 
 
 def _knot_text(values):
-    return " ".join(fmt(v) for v in values)
+    return " ".join(fmt(v) if Fraction(float(v)) == v else _frac_text(v) for v in values)
 
 
 def _parse_knot(tok, line):
     try:
-        return Fraction(float(tok))
-    except ValueError:
+        return _parse_frac(tok, line) if "/" in tok else Fraction(float(tok))
+    except (ValueError, OverflowError):
         raise ParseError(line, f"bad knot value {tok!r}") from None
 
 

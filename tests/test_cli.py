@@ -211,8 +211,9 @@ def test_solve_rejects_bad_parameters(tmp_path, capsys):
     assert main(solve_args(tmp_path, "--iterations", "0")) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert main(solve_args(tmp_path, "--elements", "0")) == 1
-    assert capsys.readouterr().err == "error: m=5 leaves no interior span for degree 2\n"
+    for elements in ("0", "-3"):
+        assert main(solve_args(tmp_path, "--elements", elements)) == 1
+        assert capsys.readouterr().err == "error: elements must be >= 1\n"
 
 
 def test_config_unknown_key_exits_two(tmp_path, capsys):

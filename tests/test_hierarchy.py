@@ -237,6 +237,25 @@ def test_subdivision_of_parsed_float_knots_is_exact():
         subdivide_suitable(LevelMesh(1, mesh, hk, vk, None))
 
 
+def test_shipped_sevenths_sample_subdivides():
+    """``samples/index_vector_c.mesh`` writes its knots as sevenths a/b, so
+    they parse exact and the mesh subdivides twice into valid AS levels; a
+    dump writes a/b only for a knot that is no float."""
+    path = os.path.join(os.path.dirname(__file__), "..", "samples", "index_vector_c.mesh")
+    mesh, hk, vk = meshio.read_mesh(path)
+    assert hk.values[3:9] == tuple(Fraction(k, 7) for k in range(1, 7))
+    assert vk.values[4:10] == tuple(Fraction(k, 7) for k in range(1, 7))
+    lv = LevelMesh(1, mesh, hk, vk, None)
+    for _ in range(2):
+        lv = subdivide_suitable(lv)
+        assert lv.mesh.validate() == [] and lv.mesh.is_analysis_suitable()[0]
+    assert lv.hknots[4] == Fraction(1, 28)
+    text = meshio.dump_mesh(lv.mesh, lv.hknots, lv.vknots)
+    assert text.splitlines()[2].split()[1:6] == ["0.0", "0.0", "0.0", "1/28", "1/14"]
+    mesh2, hk2, vk2 = meshio.parse_mesh(text)
+    assert (hk2, vk2) == (lv.hknots, lv.vknots) and meshio.dump_mesh(mesh2, hk2, vk2) == text
+
+
 # -- knot insertion (the test oracle) ------------------------------------------
 
 
@@ -456,6 +475,102 @@ def test_refinement_cost_follows_change(seeded_chains, monkeypatch):
     calls.clear()
     still = refine_by_elements(two, [e for e in two.elements if e.level == 1][:3])
     assert len(still.levels) == 2 and calls == Counter()
+
+
+def test_domain_tests_follow_change(seeded_chains, monkeypatch, fresh_build):
+    """A 3-element refinement of the deepest seeded chain passes at most 5 %
+    of its level functions plus cells to ``in_domain``; a build of a built
+    space's own levels passes none, a build with nothing kept more."""
+    rows = Counter()
+
+    def counted(spans, table):
+        rows["calls"] += 1
+        rows["rows"] += len(spans)
+        return in_domain(spans, table)
+
+    monkeypatch.setattr(hierarchy, "in_domain", counted)
+    deep = max((chain[-1] for chain in seeded_chains), key=lambda sp: len(sp.levels))
+    size = sum(len(sp.functions) for sp in deep.spaces)
+    size += sum(len(lv.kept[0].cells) for lv in deep.levels)
+    marked = [e for e in deep.elements if e.level < len(deep.levels)][-3:]
+    assert max(e.level for e in marked) > 1
+    same = refine_by_elements(deep, marked)
+    assert 0 < rows["rows"] <= 0.05 * size
+    assert_same_build(same, fresh_build(same.levels))
+    rows.clear()
+    assert_same_build(HierarchicalSpace(same.levels), same)
+    assert rows == Counter()
+    fresh_build(same.levels)
+    assert rows["rows"] > 0.05 * size
+
+
+def test_growth_matches_fresh_build(seeded_chains, fresh_build, tmp_path):
+    """Builds that grow recorded domain masks build what builds of the same
+    levels from scratch and from their dumps build: a refinement that adds a
+    level, which changes the finest grid, and grows lower domains in one
+    step; and a level-2 domain read from .hier text, grown by a rectangle
+    over four level-1 elements that overlaps a recorded one.  A rectangle
+    that cuts an element then fails after the growth as it does from file."""
+
+    def check(got):
+        assert_same_build(got, fresh_build(got.levels))
+        text = meshio.dump_hierarchy(got.levels)
+        assert_same_build(got, HierarchicalSpace(meshio.parse_hierarchy(text)))
+        assert text == meshio.dump_hierarchy(fresh_build(got.levels).levels)
+
+    chain = seeded_chains[1]
+    start = next(sp for sp in chain if len(sp.levels) == 4)
+    top = len(start.levels)
+    marked = [e for e in start.elements if e.level == top][:2]
+    marked += [next(e for e in start.elements if e.level == lvl) for lvl in (top - 1, 1)]
+    grown = refine_by_elements(start, marked)
+    assert len(grown.levels) == top + 1 and grown.grid_shape != start.grid_shape
+    assert all(len(grown.levels[e.level].domain) > len(start.levels[e.level].domain) for e in marked[2:])
+    check(grown)
+
+    read = HierarchicalSpace(meshio.parse_hierarchy(meshio.dump_hierarchy(chain[-1].levels)))
+    within = lambda r, box: box[0] <= r[0] and r[1] <= box[1] and box[2] <= r[2] and r[3] <= box[3]
+    ends = [Fraction(k, 4) for k in range(3)]
+    box = next(
+        box
+        for box in ((a, a + Fraction(1, 2), b, b + Fraction(1, 2)) for a in ends for b in ends)
+        if any(within(r, box) for r in read.levels[1].domain)
+        and any(within(e.param_rect, box) for e in read.elements if e.level == 1)
+    )
+    levels = list(read.levels)
+    levels[1] = replace(levels[1], domain=levels[1].domain + (box,))
+    assert levels[1].kept is read.levels[1].kept
+    big = HierarchicalSpace(levels)
+    assert big.n_e > read.n_e
+    check(big)
+
+    e = next(e for e in big.elements if 1 < e.level < len(big.levels))
+    s1, s2, t1, t2 = e.param_rect
+    levels = list(big.levels)
+    cut = (s1, (s1 + s2) / 2, t1, t2)
+    levels[e.level] = replace(levels[e.level], domain=levels[e.level].domain + (cut,))
+    with pytest.raises(MeshStructureError, match="not a union of") as kept:
+        HierarchicalSpace(levels)
+    path = tmp_path / "cut.hier"
+    path.write_text(meshio.dump_hierarchy(levels))
+    with pytest.raises(MeshStructureError) as read_err:
+        HierarchicalSpace(meshio.read_hierarchy(str(path)))
+    assert str(read_err.value) == str(kept.value)
+
+
+def test_masks_are_dropped_with_the_level_below(fresh_build):
+    """Domain masks on record hold for the level data below them only: a
+    level 1 replaced by a mesh on the same knots, with fewer cells, builds
+    what a build from scratch does."""
+    start = tensor_space(4, 2)
+    two = refine_by_elements(start, start.elements[:3])
+    levels = list(two.levels)
+    # index line x = 6 loses every segment, so cells on its two sides merge
+    merged = levels[0].mesh.without_segments(vsegs=[(6, y) for y in range(3, 7)])
+    levels[0] = replace(levels[0], mesh=merged)
+    got = HierarchicalSpace(levels)
+    assert got.n_e < two.n_e and got.levels[1].kept[3] is got.levels[0].kept[0]
+    assert_same_build(got, fresh_build(levels))
 
 
 def test_refined_space_survives_pickling(seeded_chains):

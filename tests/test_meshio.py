@@ -85,10 +85,13 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as e:
         parse_mesh("\n".join(lines))
     assert e.value.line == 3
-    lines = good.splitlines()
-    lines[2] = lines[2].replace("0.0", "zero", 1)
-    with pytest.raises(ParseError):
-        parse_mesh("\n".join(lines))
+    # a bad float, an infinite one and bad rationals
+    for tok in ("zero", "inf", "1/0", "a/7"):
+        lines = good.splitlines()
+        lines[2] = lines[2].replace("0.0", tok, 1)
+        with pytest.raises(ParseError) as e:
+            parse_mesh("\n".join(lines))
+        assert e.value.line == 3
     with pytest.raises(ParseError):
         parse_mesh(good.rsplit("\n", 8)[0])  # truncated edge list
 
