@@ -51,7 +51,8 @@ class GlobalKnots:
     """Open global knot vector over index lines 1..m.
 
     The first and last p+1 entries are the domain ends, which must be 0 and
-    1; entries are exact rationals.
+    1; no knot repeats more than p+1 times, so every support has positive
+    area; entries are exact rationals.
     """
 
     def __init__(self, values, p):
@@ -66,6 +67,11 @@ class GlobalKnots:
             raise MeshStructureError("knot vector is not open (end multiplicity < p+1)")
         if lo != 0 or hi != 1:
             raise MeshStructureError(f"knot vector runs from {lo} to {hi}, not from 0 to 1")
+        crowded = next((v for v, w in zip(values, values[p + 1 :]) if v == w), None)
+        if crowded is not None:
+            raise MeshStructureError(
+                f"knot {crowded} repeats {values.count(crowded)} times, more than p+1 = {p + 1}"
+            )
         self.values = values
         self.p = p
         self.m = m

@@ -2,8 +2,9 @@
 run the adaptive solver.
 
 Exit codes: 0 success, 1 domain failure (invalid or non-suitable mesh, solver
-failure), 2 unreadable input.  All numeric output uses 17 significant digits
-and runs are deterministic for a fixed configuration.
+failure), 2 unreadable input or an option the command does not take.  All
+numeric output uses 17 significant digits and runs are deterministic for a
+fixed configuration.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import os
 import sys
 
 from . import benchmarks, meshio
-from .basis import GlobalKnots
 from .extraction import FMT, dump_extraction, extract_all
 from .hierarchy import HierarchicalSpace, LevelMesh
 from .iga import adaptive_loop, sample_field
@@ -24,32 +24,49 @@ from .tmesh import MeshStructureError
 # every option as a flag and as a config key: (default, type, help)
 OPTIONS = {
     "mesh": (None, str, "mesh or hierarchy file"),
-    "p": (2, int, "horizontal degree (benchmark runs)"),
-    "q": (None, int, "vertical degree (defaults to --p)"),
+    "p": (2, int, "horizontal degree of the tensor start"),
+    "q": (None, int, "vertical degree of the tensor start (defaults to --p)"),
     "tol": (1e-3, float, "refinement tolerance (> 0)"),
     "max_levels": (8, int, "level cap, 1..16"),
     "benchmark": ("skew45", str, "benchmark problem"),
     "out": (".", str, "output directory"),
-    "elements": (16, int, "initial elements per side"),
+    "elements": (16, int, "elements per side of the tensor start"),
     "kappa": (None, float, "diffusivity override"),
     "iterations": (5, int, "adaptive iteration cap"),
 }
-CHOICES = {"benchmark": ("skew45", "manufactured", "none")}
+CHOICES = {"benchmark": ("skew45", "manufactured")}
+# range checks, in the order they run, on the options a command reads
+CHECKS = {
+    "tol": (lambda v: v > 0, "tol must be positive"),
+    "max_levels": (lambda v: 1 <= v <= 16, "max-levels must be in 1..16"),
+    "p": (lambda v: v >= 1, "degrees must be >= 1"),
+    "q": (lambda v: v >= 1, "degrees must be >= 1"),
+    "iterations": (lambda v: v >= 1, "iterations must be >= 1"),
+    "elements": (lambda v: v >= 1, "elements must be >= 1"),
+}
+# the options that shape the tensor start, which a mesh file replaces
+TENSOR_START = ("p", "q", "elements")
+# each command: its help text and the options it reads
+COMMANDS = {
+    "validate": ("check a mesh file and report analysis-suitability", ("mesh", "out")),
+    "extract": ("write the Bezier extraction export for a mesh or hierarchy", ("mesh", "out")),
+    "solve": ("run the adaptive SUPG solver on a benchmark", tuple(OPTIONS)),
+}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
 
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="hasts", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, help_ in (
-        ("validate", "check a mesh file and report analysis-suitability"),
-        ("extract", "write the Bezier extraction export for a mesh or hierarchy"),
-        ("solve", "run the adaptive SUPG solver on a benchmark"),
-    ):
+    for name, (help_, keys) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", help="JSON config file; flags override its entries")
-        for key, (_, type_, text) in OPTIONS.items():
-            flag = "--" + key.replace("_", "-")
-            p.add_argument(flag, dest=key, type=type_, choices=CHOICES.get(key), help=text)
+        for key in keys:
+            _, type_, text = OPTIONS[key]
+            p.add_argument(_flag(key), dest=key, type=type_, choices=CHOICES.get(key), help=text)
     return ap
 
 
@@ -62,13 +79,16 @@ def _config_value(key, val):
         return None
     fits = type(val) is type_ or (type_ is float and type(val) is int)
     if not fits or val not in CHOICES.get(key, (val,)):
-        flag = key.replace("_", "-")
-        raise ParseError(0, f"config entry {key}: {json.dumps(val)} is not a valid --{flag} value")
+        raise ParseError(0, f"config entry {key}: {json.dumps(val)} is not a valid {_flag(key)} value")
     return type_(val)
 
 
 def resolve_config(args):
-    cfg = {key: default for key, (default, _, _) in OPTIONS.items()}
+    """The options of ``args.command``: defaults, then config entries, then
+    flags.  A key the command does not read is a parse error, and so is a
+    tensor-start option given with a mesh file."""
+    keys = COMMANDS[args.command][1]
+    given = {}
     if args.config:
         try:
             with open(args.config) as f:
@@ -77,26 +97,22 @@ def resolve_config(args):
             raise ParseError(0, f"config file: {exc}")
         if not isinstance(loaded, dict):
             raise ParseError(0, "config file does not hold a JSON object")
-        unknown = set(loaded) - set(cfg)
+        unknown = set(loaded) - set(keys)
         if unknown:
             raise ParseError(0, f"unknown config keys {sorted(unknown)}")
-        cfg.update((key, _config_value(key, val)) for key, val in loaded.items())
-    for key in cfg:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    if cfg["q"] is None:
+        given.update((key, _config_value(key, val)) for key, val in loaded.items())
+    given.update((key, getattr(args, key)) for key in keys if getattr(args, key) is not None)
+    given = {key: val for key, val in given.items() if val is not None}
+    if "mesh" in given:
+        clash = next((key for key in TENSOR_START if key in given), None)
+        if clash is not None:
+            raise ParseError(0, f"{_flag(clash)} sets the tensor start and cannot be combined with --mesh")
+    cfg = {key: given.get(key, OPTIONS[key][0]) for key in keys}
+    if "q" in cfg and cfg["q"] is None:
         cfg["q"] = cfg["p"]
-    if cfg["tol"] <= 0:
-        raise MeshStructureError("tol must be positive")
-    if not 1 <= cfg["max_levels"] <= 16:
-        raise MeshStructureError("max-levels must be in 1..16")
-    if cfg["p"] < 1 or cfg["q"] < 1:
-        raise MeshStructureError("degrees must be >= 1")
-    if cfg["iterations"] < 1:
-        raise MeshStructureError("iterations must be >= 1")
-    if cfg["elements"] < 1:
-        raise MeshStructureError("elements must be >= 1")
+    for key, (ok, message) in CHECKS.items():
+        if key in cfg and not ok(cfg[key]):
+            raise MeshStructureError(message)
     return cfg
 
 
@@ -109,13 +125,21 @@ def _read_text(path):
 
 
 def _load_space(path):
-    """A mesh file becomes a one-level space; a hierarchy file keeps levels."""
+    """A mesh file becomes a one-level space; a hierarchy file keeps levels.
+    Every level must be valid and analysis-suitable before a space is built."""
     text = _read_text(path)
     head = text.lstrip().splitlines()[0] if text.strip() else ""
     if head == meshio.HIER_MAGIC:
-        return HierarchicalSpace(meshio.parse_hierarchy(text))
-    mesh, hk, vk = meshio.parse_mesh(text)
-    return HierarchicalSpace([LevelMesh(1, mesh, hk, vk)])
+        levels = meshio.parse_hierarchy(text)
+    else:
+        levels = [LevelMesh(1, *meshio.parse_mesh(text))]
+    for lv in levels:
+        bad = lv.mesh.validate()
+        if bad:
+            raise MeshStructureError(f"level {lv.level} invalid: {bad[0]}")
+        if not lv.mesh.is_analysis_suitable()[0]:
+            raise MeshStructureError(f"level {lv.level} mesh is not analysis-suitable")
+    return HierarchicalSpace(levels)
 
 
 def _outpath(cfg, name):
@@ -150,14 +174,6 @@ def run_extract(cfg):
     if not cfg["mesh"]:
         raise ParseError(0, "extract requires --mesh")
     space = _load_space(cfg["mesh"])
-    for lv in space.levels:
-        bad = lv.mesh.validate()
-        if bad:
-            print(f"level {lv.level} invalid: {bad[0]}")
-            return 1
-        if not lv.mesh.is_analysis_suitable()[0]:
-            print(f"level {lv.level} mesh is not analysis-suitable")
-            return 1
     elems = extract_all(space)
     with open(_outpath(cfg, "extraction.txt"), "w") as f:
         f.write(dump_extraction(space, elems))
@@ -183,8 +199,6 @@ def _write_iteration(cfg, k, disc, coeffs, estimates):
 
 
 def run_solve(cfg):
-    if cfg["benchmark"] == "none":
-        raise MeshStructureError("solve requires a benchmark (skew45 or manufactured)")
     problem = benchmarks.benchmark_problem(cfg["benchmark"], cfg["kappa"])
     if cfg["mesh"]:
         space = _load_space(cfg["mesh"])

@@ -141,6 +141,12 @@ def in_domain(spans, table):
 
 # -- subdivision --------------------------------------------------------------
 
+# index points of the largest level that subdivision makes: a level's time
+# and memory grow with its global index grid, and 2^21 points admits the
+# 1029 x 1029 grid of level 7 over a 16 x 16 biquadratic start (about 2 GB)
+# but refuses level 8 (4.2M points, about 7 GB)
+MAX_LEVEL_POINTS = 2**21
+
 
 def index_map(i, m, p):
     """Parent index line -> child index line under span-halving subdivision."""
@@ -177,14 +183,21 @@ def bezier_cells(mesh, lines):
 def subdivide_suitable(parent: LevelMesh):
     """Split every Bezier element of the parent into four congruent children
     and check the child mesh, as the module docstring says; returns the
-    child level, at level+1 with an empty domain.  The parent's cells are
-    those of its level data, made here if no build has kept it yet."""
-    parent = _kept(parent)
+    child level, at level+1 with an empty domain.  A child whose index grid
+    holds more than ``MAX_LEVEL_POINTS`` points is refused before anything
+    is made.  The parent's cells are those of its level data, made here if
+    no build has kept it yet."""
     mesh = parent.mesh
     m, n, p, q = mesh.m, mesh.n, mesh.p, mesh.q
-    ext = mesh.extended()
     mc = 2 * m - 2 * p - 1
     nc = 2 * n - 2 * q - 1
+    if mc * nc > MAX_LEVEL_POINTS:
+        raise MeshStructureError(
+            f"level {parent.level + 1} would hold a {mc} x {nc} index grid, "
+            f"more than the budget of {MAX_LEVEL_POINTS} points"
+        )
+    parent = _kept(parent)
+    ext = mesh.extended()
     fx = np.array([index_map(i, m, p) for i in range(m + 1)])
     fy = np.array([index_map(j, n, q) for j in range(n + 1)])
     hseg = np.zeros((mc + 1, nc + 1), dtype=bool)
@@ -438,10 +451,9 @@ class HierarchicalSpace:
             own, new, masks = _domain_spans(lv, data[k - 1])
             rects = index_spans(own, to[k])
             table = summed_area(rects, grid)
-            # which level-(k-1) and level-k functions and cells lie inside Ω^k;
-            # with none on record, those inside no domain
+            # which level-(k-1) and level-k functions and cells lie inside Ω^k
             if masks is None:
-                masks = tuple((b[:, 0] == b[:, 1]) | (b[:, 2] == b[:, 3]) for b in boxes[k - 1 : k + 1])
+                masks = tuple(np.zeros(len(b), dtype=bool) for b in boxes[k - 1 : k + 1])
             if new:
                 pairs = zip(masks, families[k - 1 : k + 1])
                 masks = tuple(_grow(m, f, rects[-new:], table) for m, f in pairs)

@@ -153,8 +153,6 @@ class Discretization:
         self.q = space.levels[0].mesh.q
         if weights is None or points is None:
             weights, points = default_geometry(space)
-        self.geom_weights = weights
-        self.geom_points = points
         self.elems = extract_all(space, weights, points)
         n_loc = np.array([len(ed.ien) for ed in self.elems])
         wb = np.array([ed.weights for ed in self.elems])      # n_e x n_b

@@ -327,13 +327,8 @@ class TMesh:
 
     def validate(self):
         """Full invariant check; returns a list of violations (empty = valid)."""
-        report = []
-        # domain boundary must be complete edges
-        if not (self.hseg[1 : self.m, 1].all() and self.hseg[1 : self.m, self.n].all()):
-            report.append(Violation("boundary", (0, 0), "incomplete horizontal boundary"))
-        if not (self.vseg[1, 1 : self.n].all() and self.vseg[self.m, 1 : self.n].all()):
-            report.append(Violation("boundary", (0, 0), "incomplete vertical boundary"))
         # cells must be rectangles
+        report = []
         for where in self.cell_components_rectangular():
             report.append(Violation("non-rectangular-cell", where, "cell component is not a rectangle"))
         # interior vertex valence
@@ -346,7 +341,8 @@ class TMesh:
                 if valence[x, y] == 0:
                     report.append(Violation("off-skeleton-vertex", (x, y), "declared vertex not on any edge"))
         # admissibility: no T-junction strictly inside the frame region, and
-        # the frame-region skeleton is a full tensor-product grid
+        # the frame-region skeleton, the domain boundary among it, is a full
+        # tensor-product grid
         x1, x2, y1, y2 = self.region_split()
         for tj in self.t_junctions():
             if not (x1 <= tj.x <= x2 and y1 <= tj.y <= y2):

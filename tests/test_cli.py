@@ -25,6 +25,14 @@ def read(path):
         return f.read()
 
 
+def exit_code(argv):
+    """The exit code of ``main``, also where argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 # -- validate ------------------------------------------------------------------
 
 
@@ -100,7 +108,7 @@ def test_extract_matches_golden_dump(tmp_path, capsys):
 def test_extract_rejects_unsuitable_mesh(tmp_path, capsys):
     rc = main(["extract", "--mesh", sample("extension_unsuitable.mesh"), "--out", str(tmp_path)])
     assert rc == 1
-    assert "not analysis-suitable" in capsys.readouterr().out
+    assert "not analysis-suitable" in capsys.readouterr().err
     assert not (tmp_path / "extraction.txt").exists()
 
 
@@ -206,7 +214,7 @@ def test_solve_at_tiny_peclet_number(tmp_path, kappa):
 def test_solve_rejects_bad_parameters(tmp_path, capsys):
     assert main(solve_args(tmp_path, "--tol", "-1")) == 1
     assert main(solve_args(tmp_path, "--max-levels", "0")) == 1
-    assert main(["solve", "--benchmark", "none", "--out", str(tmp_path)]) == 1
+    assert exit_code(["solve", "--benchmark", "none", "--out", str(tmp_path)]) == 2
     capsys.readouterr()
     assert main(solve_args(tmp_path, "--iterations", "0")) == 1
     err = capsys.readouterr().err.splitlines()
@@ -214,6 +222,58 @@ def test_solve_rejects_bad_parameters(tmp_path, capsys):
     for elements in ("0", "-3"):
         assert main(solve_args(tmp_path, "--elements", elements)) == 1
         assert capsys.readouterr().err == "error: elements must be >= 1\n"
+
+
+def invalid_mesh_file(path):
+    """A 4x4 biquadratic mesh with an L-shaped cell around (4, 4)."""
+    mesh = samples.tensor_mesh(4, 4, 2, 2).without_segments(hsegs=[(4, 5)], vsegs=[(5, 4)])
+    path.write_text(meshio.dump_mesh(mesh, GlobalKnots.uniform_open(mesh.m, 2), GlobalKnots.uniform_open(mesh.n, 2)))
+    return str(path)
+
+
+TENSOR = sample("tensor_4x4_p3.mesh")
+UNSUITABLE = sample("extension_unsuitable.mesh")
+
+# argv, config entries, exit code and a line of stderr; "INVALID" stands for
+# a mesh with an L-shaped cell
+CLASH = "sets the tensor start and cannot be combined with --mesh"
+CONTRACT_CASES = {
+    "validate-flag": (["validate", "--mesh", TENSOR, "--tol", "5"], None, 2, "unrecognized arguments: --tol 5"),
+    "validate-key": (["validate", "--mesh", TENSOR], {"tol": 5}, 2, "unknown config keys ['tol']"),
+    "extract-flag": (["extract", "--mesh", TENSOR, "--p", "2"], None, 2, "unrecognized arguments: --p 2"),
+    "extract-key": (["extract", "--mesh", TENSOR], {"benchmark": "skew45"}, 2, "unknown config keys ['benchmark']"),
+    "solve-flag": (["solve", "--seed", "1"], None, 2, "unrecognized arguments: --seed 1"),
+    "solve-key": (["solve"], {"seed": 1}, 2, "unknown config keys ['seed']"),
+    "solve-mesh-flag-p": (["solve", "--mesh", TENSOR, "--p", "2"], None, 2, "--p " + CLASH),
+    "solve-mesh-key-elements": (["solve", "--mesh", TENSOR], {"elements": 2}, 2, "--elements " + CLASH),
+    "solve-key-mesh-flag-q": (["solve", "--q", "2"], {"mesh": TENSOR}, 2, "--q " + CLASH),
+    "solve-unsuitable": (["solve", "--mesh", UNSUITABLE], None, 1, "error: level 1 mesh is not analysis-suitable"),
+    "solve-invalid": (
+        ["solve", "--mesh", "INVALID"], None, 1,
+        "error: level 1 invalid: non-rectangular-cell at (4, 4): cell component is not a rectangle",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_each_command_reads_only_its_options(case, tmp_path, capsys):
+    """An option a command does not declare, by flag or by config key, and a
+    tensor-start option next to a mesh file exit 2; a mesh that extract
+    rejects stops solve with extract's error line, and neither writes."""
+    argv, config, code, line = CONTRACT_CASES[case]
+    argv = [invalid_mesh_file(tmp_path / "l_cell.mesh") if a == "INVALID" else a for a in argv]
+    out = tmp_path / "out"
+    argv += ["--out", str(out)]
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "run.json")]
+    assert exit_code(argv) == code
+    err = capsys.readouterr().err
+    assert err.endswith(line + "\n")
+    if code == 1:
+        assert exit_code(["extract", "--mesh", argv[2], "--out", str(out)]) == 1
+        assert capsys.readouterr().err == err == line + "\n"
+    assert not out.exists()
 
 
 def test_config_unknown_key_exits_two(tmp_path, capsys):

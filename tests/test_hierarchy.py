@@ -194,6 +194,30 @@ def test_unsuitable_child_is_an_error(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().err == "error: subdivided mesh is not analysis-suitable\n"
 
 
+def test_level_budget_refuses_before_subdividing(monkeypatch, tmp_path, capsys):
+    """A child index grid of more than ``MAX_LEVEL_POINTS`` points is refused
+    before any of it is made: in a refinement that adds a level, and in the
+    solver, which exits 1 and writes nothing."""
+    space = tensor_space(4, 2)  # m = n = 9: the level-2 index grid is 13 x 13
+    monkeypatch.setattr(hierarchy, "MAX_LEVEL_POINTS", 13 * 13)
+    assert subdivide_suitable(space.levels[0]).mesh.m == 13
+
+    def unreachable(knots):
+        raise AssertionError("subdivision went past the level budget")
+
+    monkeypatch.setattr(hierarchy, "MAX_LEVEL_POINTS", 13 * 13 - 1)
+    monkeypatch.setattr(hierarchy, "refine_knots", unreachable)
+    msg = "level 2 would hold a 13 x 13 index grid, more than the budget of 168 points"
+    with pytest.raises(MeshStructureError) as exc:
+        refine_by_elements(space, space.elements[:3])
+    assert str(exc.value) == msg
+    capsys.readouterr()
+    args = ["solve", "--benchmark", "skew45", "--elements", "4", "--iterations", "2"]
+    assert main(args + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {msg}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _float_knot_mesh(hknots):
     """The T-mesh of ``samples/index_vector_c.mesh`` (p = 2, q = 3) with
     the given h knots and uniform eighths as v knots, read from .mesh text,

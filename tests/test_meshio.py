@@ -92,6 +92,13 @@ def test_parse_errors_carry_line_numbers():
         with pytest.raises(ParseError) as e:
             parse_mesh("\n".join(lines))
         assert e.value.line == 3
+    # an interior knot repeated p+2 times: its functions have zero-area supports
+    crowded = samples.tensor_mesh(5, 5, 2, 2)
+    lines = dump_mesh(crowded, *uniform_knots(crowded)).splitlines()
+    lines[2] = "hknots 0 0 0 1/2 1/2 1/2 1/2 1 1 1"
+    with pytest.raises(ParseError) as e:
+        parse_mesh("\n".join(lines))
+    assert e.value.line == 3 and "knot 1/2 repeats 4 times" in str(e.value)
     with pytest.raises(ParseError):
         parse_mesh(good.rsplit("\n", 8)[0])  # truncated edge list
 

@@ -99,7 +99,7 @@ def test_cells_recount_area(as_meshes):
 def test_validate_reports_broken_boundary():
     mesh = TMesh.tensor_grid(8, 8, 2, 2).without_segments(hsegs=[(4, 1)])
     kinds = {v.kind for v in mesh.validate()}
-    assert "boundary" in kinds
+    assert "frame-grid" in kinds
 
 
 def test_validate_reports_incomplete_zero_knot_line():
