@@ -23,7 +23,7 @@ from .tmesh import MeshStructureError
 
 # every option as a flag and as a config key: (default, type, help)
 OPTIONS = {
-    "mesh": (None, str, "mesh or hierarchy file"),
+    "mesh": (None, str, "a .mesh file; extract and solve also take a .hier hierarchy file"),
     "p": (2, int, "horizontal degree of the tensor start"),
     "q": (None, int, "vertical degree of the tensor start (defaults to --p)"),
     "tol": (1e-3, float, "refinement tolerance (> 0)"),

@@ -1,11 +1,11 @@
 """Nested mesh sequences and the hierarchical spline basis.
 
-A level is a mesh plus its global knots plus the parametric domain selected
-for that level.  Subdivision doubles the positive-area index grid, halving
-every knot span, on the level's knots as integers over one denominator
-(``GlobalKnots.numerators``); the hierarchical basis keeps coarse functions
-whose support leaks out of the next level's domain and adopts fine
-functions fully inside it.
+A level k+1 is a mesh, its global knots and its domain Ω^{k+1}, a set of
+level-k Bezier elements.  Subdivision doubles the positive-area index grid,
+halving every knot span, on the level's knots as integers over one
+denominator (``GlobalKnots.numerators``); the hierarchical basis keeps
+coarse functions whose support leaks out of the next level's domain and
+adopts fine functions fully inside it.
 
 The child mesh is the parent's extended mesh, mapped onto the child's
 index lines, plus the midlines of the parent's Bezier cells, so it holds
@@ -18,24 +18,24 @@ analysis-suitable, and raises ``MeshStructureError`` if not.
 Every location test is integer arithmetic on one knot-span grid per
 hierarchy, the finest level's distinct knots numbered from 0, onto which
 each level maps its index lines.  The knots of every level must be knots of
-the next, and a level's domain must be a union of closures of the previous
-level's Bezier elements; the domain becomes a mask over the grid, inside
-which a rectangle lies when the mask's summed-area table covers all of it.
-The build keeps, in canonical order, the grid boxes of the active functions,
-the active elements and the level-1 functions, the grid lines of the local
-knot vectors of the active and the level-1 functions, and each direction's
-grid knots as integers over one denominator.
+the next, and each element of a domain must be a cell of the level below
+that lies in that level's domain; a rectangle lies inside a domain when the
+summed-area table of its elements covers all of it.  Rectangles from files
+become elements once, in ``meshio.parse_hierarchy``.  The build keeps, in
+canonical order, the grid boxes of the active functions, the active
+elements and the level-1 functions, the grid lines of the local knot
+vectors of the active and the level-1 functions, and each direction's grid
+knots as integers over one denominator.
 
 A refinement changes only the domains and adds at most one level, so what
 a build derives from a level travels with it in ``LevelMesh.kept``.  Its
 ``LevelData``, made once: the ``Space``, the Bezier cells, the H functions
 and HE elements, each made on first use, and maps onto the grid, made again
-only when the finest level changes.  The prefix of the domain that a build
-has seen, and the domain masks: as booleans, which functions and cells of
-the level and of the one below lie inside that prefix.  Domains only grow,
-so a build tests only the objects outside the masks whose boxes meet a
-rectangle it has not seen, none on a level with no new rectangle, and it
-checks every domain.  Subdividing a level reads its cells from the same data.
+only when the finest level changes.  The domain a build has seen, and the
+domain masks: which functions and cells of the level and of the one below
+lie inside it.  Domains only grow, so a build finds the new elements as a
+set difference, paints a table only on a level that gained some, and tests
+only the objects outside the masks whose boxes meet a new element.
 
 A coarse function is represented on a finer level by the fine functions'
 dual functionals, blossoms of its pieces (``basis.blossom``), and each
@@ -58,21 +58,21 @@ from .tmesh import MeshStructureError, TMesh
 
 @dataclass(frozen=True)
 class LevelMesh:
-    """One hierarchy level.  ``domain`` is a tuple of closed parametric
-    rectangles (x1, x2, y1, y2) whose union must be a union of closures of
-    the previous level's Bezier elements; None means the whole parametric
-    square (level 1 only).
+    """One hierarchy level.  ``domain`` is a frozenset of the previous
+    level's Bezier elements as index rects (x1, x2, y1, y2), rows of its
+    ``LevelData.cells``, whose closures the domain is the union of; None
+    means the whole parametric square (level 1 only).
 
-    ``kept`` is what a build derived from the level: its ``LevelData`` and
-    a prefix of ``domain`` with the spans of its rectangles on the level's
-    own knot lines.  It is no part of the level's value, and
-    ``dataclasses.replace`` carries it to a level with a grown domain."""
+    ``kept`` is what a build derived from the level: its ``LevelData``, the
+    domain last seen, and the masks with the level data below they index.
+    It is no part of the level's value, and ``dataclasses.replace`` carries
+    it to a level with a grown domain."""
 
     level: int
     mesh: TMesh
     hknots: GlobalKnots
     vknots: GlobalKnots
-    domain: tuple | None = None
+    domain: frozenset | None = None
     kept: tuple | None = field(default=None, compare=False, repr=False)
 
 
@@ -97,29 +97,11 @@ def grid_lines(grid, hknots, vknots):
 
 
 def index_spans(rects, lines):
-    """(n, 4) grid rectangles of index-line rectangles (x1, x2, y1, y2)."""
+    """(n, 4) grid rectangles of index-line rectangles (x1, x2, y1, y2); an
+    index past either end of the lines reads as that end."""
     r = np.array(rects, dtype=np.int64).reshape(-1, 4)
-    hl, vl = lines
-    return np.column_stack([hl[r[:, 0]], hl[r[:, 1]], vl[r[:, 2]], vl[r[:, 3]]])
-
-
-def _rect_text(rect):
-    return "(" + ", ".join(str(v) for v in rect) + ")"
-
-
-def param_spans(grid, rects, level):
-    """(n, 4) grid rectangles of level ``level``'s parametric rectangles on
-    its ``span_grid``; each corner must be a knot of that level."""
-    h, v = grid
-    out = [[g.get(c, -1) for g, c in zip((h, h, v, v), rect)] for rect in rects]
-    out = np.array(out, dtype=np.int64).reshape(-1, 4)
-    on = (out >= 0).all(axis=1)
-    if not on.all():
-        raise MeshStructureError(
-            f"level {level} domain rectangle {_rect_text(rects[int(np.argmin(on))])} "
-            f"is off the level {level} knot grid"
-        )
-    return out
+    hl, vl = (a.take(r[:, cols], mode="clip") for a, cols in zip(lines, ([0, 1], [2, 3])))
+    return np.column_stack([hl, vl])
 
 
 def summed_area(spans, grid):
@@ -247,7 +229,7 @@ def subdivide_suitable(parent: LevelMesh):
         raise MeshStructureError(f"subdivided mesh invalid: {bad[0]}")
     if not child.is_analysis_suitable()[0]:
         raise MeshStructureError("subdivided mesh is not analysis-suitable")
-    return LevelMesh(parent.level + 1, child, chk, cvk, domain=())
+    return LevelMesh(parent.level + 1, child, chk, cvk, domain=frozenset())
 
 
 def _runs_mask(shape, line, lo, hi):
@@ -325,9 +307,9 @@ class LevelData:
         )
 
     def on(self, top):
-        """This level on the grid of ``top``: the grid line of each own
-        distinct knot, the grid lines of the local knot vectors, and the
-        support boxes followed by the cell boxes as a ``_grow`` family, all
+        """This level on the grid of ``top``: the grid line of each index
+        line, the grid lines of the local knot vectors, and the support
+        boxes followed by the cell boxes as a ``_grow`` family, all
         read-only."""
         if self._grid is not top.grid:
             to = tuple(
@@ -337,10 +319,10 @@ class LevelData:
             h, v = hl[self.space.h_indices], vl[self.space.v_indices]
             supports = np.column_stack([h[:, 0], h[:, -1], v[:, 0], v[:, -1]])
             boxes = np.concatenate([supports, index_spans(self.cells, (hl, vl))])
-            for a in (h, v, boxes):
+            for a in (hl, vl, h, v, boxes):
                 a.flags.writeable = False
             family = (boxes, self.order, boxes[self.order, 2], (boxes[:, 3] - boxes[:, 2]).max())
-            self._grid, self._on = top.grid, (to, (h, v), family)
+            self._grid, self._on = top.grid, ((hl, vl), (h, v), family)
         return self._on
 
     def made(self, level, on):
@@ -363,23 +345,15 @@ def _kept(lv):
     mesh and knots, else new data and no domain on record."""
     if lv.kept is not None and lv.kept[0].of(lv):
         return lv
-    return replace(lv, kept=(LevelData(lv.mesh, lv.hknots, lv.vknots), (), _NO_SPANS, None, None))
+    return replace(lv, kept=(LevelData(lv.mesh, lv.hknots, lv.vknots), frozenset(), None))
 
 
-_NO_SPANS = np.zeros((0, 4), dtype=np.int64)
-
-
-def _domain_spans(lv, below):
-    """Spans of the level's domain rectangles on its own knot lines, the
-    number past the prefix on record, which alone are converted, and the
-    masks on record if they were made against the level data ``below``."""
-    data, seen, spans, was, masks = lv.kept
-    if lv.domain[: len(seen)] != seen or was is not below:
-        seen, spans, masks = (), _NO_SPANS, None
-    if len(seen) == len(lv.domain):
-        return spans, 0, masks
-    new = param_spans(data.grid, lv.domain[len(seen) :], lv.level)
-    return np.concatenate([spans, new]), len(new), masks
+def check_nested(lower, upper):
+    """Raise unless every knot of the ``span_grid`` ``lower`` is a knot of
+    the ``span_grid`` ``upper``."""
+    lost = [v for own, nxt in zip(lower, upper) for v in own if v not in nxt]
+    if lost:
+        raise MeshStructureError(f"knot {lost[0]} of a level is not a knot of the next level")
 
 
 def _grow(mask, family, new, table):
@@ -433,44 +407,42 @@ class HierarchicalSpace:
         grid = top.grid
         for a, b in zip(data, data[1:]):
             if a.nested_grid is not b.grid:
-                for own, nxt in zip(a.grid, b.grid):
-                    lost = next((v for v in own if v not in nxt), None)
-                    if lost is not None:
-                        raise MeshStructureError(
-                            f"knot {lost} of a level is not a knot of the next level"
-                        )
+                check_nested(a.grid, b.grid)
                 a.nested_grid = b.grid
         # so every level's knots are knots of the finest level
-        to, fn_lines, families = zip(*(d.on(top) for d in data))
+        lines, fn_lines, families = zip(*(d.on(top) for d in data))
         boxes = [f[0] for f in families]
         nf = [len(d.space.functions) for d in data]
         on = [np.ones(len(boxes[0]), dtype=bool)]
         recorded = [levels[0]]
         for k in range(1, len(levels)):
-            lv = levels[k]
-            own, new, masks = _domain_spans(lv, data[k - 1])
-            rects = index_spans(own, to[k])
-            table = summed_area(rects, grid)
-            # which level-(k-1) and level-k functions and cells lie inside Ω^k
-            if masks is None:
-                masks = tuple(np.zeros(len(b), dtype=bool) for b in boxes[k - 1 : k + 1])
+            lv, below, n = levels[k], data[k - 1], nf[k - 1]
+            # masks made against other data below, for a domain that is no
+            # part of the level's, or with cells outside Ω^{k-1}, are dropped
+            _, seen, masks = lv.kept
+            if masks is None or masks[0] is not below or not seen <= lv.domain or (masks[1] > on[k - 1]).any():
+                seen = frozenset()
+                masks = (below, *(np.zeros(len(b), bool) for b in boxes[k - 1 : k + 1]))
+            new = lv.domain - seen
             if new:
-                pairs = zip(masks, families[k - 1 : k + 1])
-                masks = tuple(_grow(m, f, rects[-new:], table) for m, f in pairs)
-            record = (data[k], lv.domain, own, data[k - 1], masks)
-            same = all(a is b for a, b in zip(record, lv.kept))
-            recorded.append(lv if same else replace(lv, kept=record))
-            # the domain must be the union of the level-k elements of Ω^k it contains
-            inside = boxes[k - 1][nf[k - 1] :][(masks[0] & on[k - 1])[nf[k - 1] :]]
-            area = ((inside[:, 1] - inside[:, 0]) * (inside[:, 3] - inside[:, 2])).sum()
-            if table[-1, -1] != area:
-                bad = lv.domain[int(np.argmin(in_domain(rects, summed_area(inside, grid))))]
-                raise MeshStructureError(
-                    f"level {k + 1} domain rectangle {_rect_text(bad)} is not a union of "
-                    f"level {k} element closures inside the level {k} domain"
-                )
-            on[k - 1] = on[k - 1] & ~masks[0]
-            on.append(masks[1])
+                # paint Ω^k, the level-(k-1) cells on record and the new
+                # rects, and test which level-(k-1) and level-k functions
+                # and cells lie inside it; the new rects must be the cells
+                # of Ω^{k-1} that come inside
+                was, spans = masks[1][n:], index_spans(list(new), lines[k - 1])
+                table = summed_area(np.concatenate([boxes[k - 1][n:][was], spans]), grid)
+                pairs = zip(masks[1:], families[k - 1 : k + 1])
+                masks = (below, *(_grow(m, f, spans, table) for m, f in pairs))
+                came = set(map(tuple, below.cells[(masks[1] & on[k - 1])[n:] & ~was].tolist()))
+                if came != new:
+                    raise MeshStructureError(
+                        f"level {k + 1} domain element {next(iter(new - came))} "
+                        f"is no level {k} element inside the level {k} domain"
+                    )
+                lv = replace(lv, kept=(data[k], lv.domain, masks))
+            recorded.append(lv)
+            on[k - 1] = on[k - 1] & ~masks[1]
+            on.append(masks[2])
         self.levels = tuple(recorded)
         made = [d.made(k + 1, o) for k, (d, o) in enumerate(zip(data, on))]
         count = [int(o[:n].sum()) for o, n in zip(on, nf)]
@@ -489,11 +461,6 @@ class HierarchicalSpace:
         self.element_boxes = np.concatenate([b[n:][o[n:]] for b, o, n in zip(boxes, on, nf)])
         self.geometry_boxes = boxes[0][: nf[0]]
         self.geometry_lines = fn_lines[0]
-
-    def _param_rect(self, k, rect):
-        x1, x2, y1, y2 = rect
-        lv = self.levels[k]
-        return (lv.hknots[x1], lv.hknots[x2], lv.vknots[y1], lv.vknots[y2])
 
     def support(self, hf):
         return tuple(self.spaces[hf.level - 1].support(hf.fn))
@@ -582,17 +549,14 @@ def refine_by_elements(space: HierarchicalSpace, marked, max_levels=8):
     if not marked:
         return space
     levels = list(space.levels)
-    additions = defaultdict(list)
+    additions = defaultdict(set)
     for el in marked:
-        additions[el.level + 1].append(el.param_rect)
+        additions[el.level + 1].add(el.index_rect)
     for tgt in sorted(additions):
         if tgt > max_levels:
             raise MeshStructureError(f"refinement would exceed the level cap {max_levels}")
         if tgt > len(levels):
             levels.append(subdivide_suitable(levels[-1]))
         lv = levels[tgt - 1]
-        # an active element never lies in the next level's domain, so every
-        # marked rectangle is new there
-        new_rects = tuple(dict.fromkeys(additions[tgt]))
-        levels[tgt - 1] = replace(lv, domain=tuple(lv.domain) + new_rects)
+        levels[tgt - 1] = replace(lv, domain=lv.domain | additions[tgt])
     return HierarchicalSpace(levels)

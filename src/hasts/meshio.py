@@ -4,14 +4,21 @@ The mesh format is line-oriented: a header with m n p q, the two global knot
 vectors as decimal text (shortest binary64 round-trip), or as exact
 rationals a/b where a knot is no binary64 value, so save/load is exact, the
 canonical vertex list, and the minimal edge list as vertex index pairs.
-Hierarchies add per-level domain rectangles as exact rationals.
+Hierarchies add per-level domain rectangles as exact rationals; they may
+span several previous-level elements and overlap, and the reader turns them
+into the set of those elements.  A dump writes one rectangle per element in
+cell order, so only a file in that form re-dumps byte for byte.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from .basis import GlobalKnots, minimal_edges
+from .hierarchy import LevelMesh, bezier_cells, check_nested, grid_lines, in_domain, index_spans
+from .hierarchy import span_grid, summed_area
 from .tmesh import MeshStructureError, TMesh
 
 MESH_MAGIC = "hasts-tmesh 1"
@@ -88,11 +95,6 @@ def dump_mesh(mesh, hknots, vknots):
     return "\n".join(out) + "\n"
 
 
-def read_mesh(path):
-    with open(path) as f:
-        return parse_mesh(f.read())
-
-
 def parse_mesh(text):
     r = _Reader(text)
     ln, s = r.next()
@@ -162,21 +164,20 @@ def _parse_frac(tok, ln):
 
 
 def dump_hierarchy(levels):
-    """Serialize a list of LevelMesh records (see hierarchy module)."""
+    """Serialize a list of LevelMesh records (see hierarchy module): each
+    domain element as its rectangle on the previous level's knots."""
     out = [HIER_MAGIC, f"levels {len(levels)}"]
-    for lv in levels:
+    for k, lv in enumerate(levels):
         out.append(f"level {lv.level}")
         out.append(dump_mesh(lv.mesh, lv.hknots, lv.vknots).rstrip("\n"))
-        rects = lv.domain if lv.domain is not None else []
-        out.append(f"domain {len(rects)}")
-        for x1, x2, y1, y2 in rects:
-            out.append(" ".join(_frac_text(v) for v in (x1, x2, y1, y2)))
+        cells = sorted(lv.domain) if k else []
+        out.append(f"domain {len(cells)}")
+        hk, vk = levels[k - 1].hknots, levels[k - 1].vknots
+        out.extend(" ".join(_frac_text(v) for v in (hk[a], hk[b], vk[c], vk[d])) for a, b, c, d in cells)
     return "\n".join(out) + "\n"
 
 
 def parse_hierarchy(text):
-    from .hierarchy import LevelMesh
-
     r = _Reader(text)
     ln, s = r.next()
     if s != HIER_MAGIC:
@@ -192,7 +193,9 @@ def parse_hierarchy(text):
         if s2 != MESH_MAGIC:
             raise ParseError(ln2, "expected embedded mesh section")
         mesh, hknots, vknots = _read_mesh(r)
-        _, (nr,) = _kw_int(r, "domain")
+        ln, (nr,) = _kw_int(r, "domain")
+        if k == 0 and nr:
+            raise ParseError(ln, "level 1 covers the whole parametric square and takes no domain rectangles")
         rects = []
         for _ in range(nr):
             ln3, s3 = r.next()
@@ -200,11 +203,43 @@ def parse_hierarchy(text):
             if len(toks) != 4:
                 raise ParseError(ln3, "expected 4 rationals for domain rectangle")
             rects.append(tuple(_parse_frac(t, ln3) for t in toks))
-        domain = tuple(rects) if k > 0 else None
-        levels.append(LevelMesh(k + 1, mesh, hknots, vknots, domain))
-    return levels
+        levels.append((mesh, hknots, vknots, rects))
+    return _element_domains(levels)
 
 
-def read_hierarchy(path):
-    with open(path) as f:
-        return parse_hierarchy(f.read())
+def _element_domains(levels):
+    """LevelMesh records of parsed levels (mesh, hknots, vknots, domain
+    rectangles).  The knots of every level must be knots of the next; then
+    the rectangles of level k+1, on its ``span_grid``, become the level-k
+    elements inside the level-k domain they cover, and must be their union."""
+    grids = [span_grid(hk, vk) for _, hk, vk, _ in levels]
+    for lower, upper in zip(grids, grids[1:]):
+        check_nested(lower, upper)
+    out, region = [], None
+    for k, ((mesh, hk, vk, rects), grid) in enumerate(zip(levels, grids)):
+        domain = None
+        if k:
+            text = lambda i: "(" + ", ".join(map(str, rects[int(i)])) + ")"
+            (h, v), parent = grid, out[-1]
+            spans = np.array([[g.get(c, -1) for g, c in zip((h, h, v, v), r)] for r in rects]).reshape(-1, 4)
+            off = (spans < 0).any(axis=1)
+            if off.any():
+                raise MeshStructureError(
+                    f"level {k + 1} domain rectangle {text(off.argmax())} is off the level {k + 1} knot grid"
+                )
+            table = summed_area(spans, grid)
+            boxes = index_spans(cells, grid_lines(grid, parent.hknots, parent.vknots))
+            take = in_domain(boxes, table) & inside
+            region = summed_area(boxes[take], grid)
+            if table[-1, -1] != region[-1, -1]:
+                raise MeshStructureError(
+                    f"level {k + 1} domain rectangle {text(np.argmin(in_domain(spans, region)))} is not a "
+                    f"union of level {k} element closures inside the level {k} domain"
+                )
+            domain = frozenset(map(tuple, cells[take].tolist()))
+        out.append(LevelMesh(k + 1, mesh, hk, vk, domain))
+        # this level's cells, and which of them lie inside its domain
+        lines = grid_lines(grid, hk, vk)
+        cells = bezier_cells(mesh, lines)
+        inside = in_domain(index_spans(cells, lines), region) if k else np.ones(len(cells), bool)
+    return out

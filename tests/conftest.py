@@ -174,6 +174,25 @@ def seeded_chains():
     return [refinement_chain(seed, tensor_space(4, p)) for seed in (1, 2, 3) for p in (2, 3)]
 
 
+def param_rect(lv, rect):
+    """The parametric rectangle (s1, s2, t1, t2) of an index rect on the
+    knots of the level ``lv``."""
+    x1, x2, y1, y2 = rect
+    return (lv.hknots[x1], lv.hknots[x2], lv.vknots[y1], lv.vknots[y2])
+
+
+def with_domain(text, level, rects):
+    """Hierarchy file text with the domain section of ``level`` replaced by
+    the parametric rectangles ``rects``."""
+    lines = text.splitlines()
+    at = lines.index(f"level {level}")
+    at = next(i for i in range(at, len(lines)) if lines[i].startswith("domain "))
+    count = int(lines[at].split()[1])
+    rows = [" ".join(f"{Fraction(v).numerator}/{Fraction(v).denominator}" for v in r) for r in rects]
+    lines[at : at + 1 + count] = [f"domain {len(rows)}"] + rows
+    return "\n".join(lines) + "\n"
+
+
 # -- per-entity topology oracles ---------------------------------------------------
 
 

@@ -69,6 +69,16 @@ def test_validate_requires_mesh(tmp_path, capsys):
     assert rc == 2
 
 
+def test_validate_help_names_mesh_files_only(tmp_path, capsys):
+    """``validate`` reads only .mesh files, and its --mesh help says so; a
+    hierarchy file is unreadable input to it."""
+    assert exit_code(["validate", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--mesh MESH a .mesh file; extract and solve also take a .hier hierarchy file" in text
+    assert main(["validate", "--mesh", sample("two_level_p2.hier"), "--out", str(tmp_path)]) == 2
+    assert "bad header 'hasts-hierarchy 1'" in capsys.readouterr().err
+
+
 # -- extract -------------------------------------------------------------------
 
 

@@ -13,6 +13,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +27,11 @@ from conftest import (
     includes,
     insert_knot,
     one_level,
+    param_rect,
     refinement_chain,
     represent_oracle,
     thirds_space,
+    with_domain,
 )
 from hasts import hierarchy, meshio, samples
 from hasts.basis import GlobalKnots, Space
@@ -43,7 +46,6 @@ from hasts.hierarchy import (
     _verify_representation,
     in_domain,
     index_map,
-    param_spans,
     refine_by_elements,
     refine_knots,
     represent_coarse_in_fine,
@@ -86,7 +88,7 @@ def test_subdivide_quarters_every_element():
         parent = space.levels[0]
         child = subdivide_suitable(parent)
         pcells = {
-            tuple(space._param_rect(0, r))
+            param_rect(parent, r)
             for r in reference_cells(parent)
         }
         ccells = [
@@ -266,7 +268,7 @@ def test_shipped_sevenths_sample_subdivides():
     they parse exact and the mesh subdivides twice into valid AS levels; a
     dump writes a/b only for a knot that is no float."""
     path = os.path.join(os.path.dirname(__file__), "..", "samples", "index_vector_c.mesh")
-    mesh, hk, vk = meshio.read_mesh(path)
+    mesh, hk, vk = meshio.parse_mesh(Path(path).read_text())
     assert hk.values[3:9] == tuple(Fraction(k, 7) for k in range(1, 7))
     assert vk.values[4:10] == tuple(Fraction(k, 7) for k in range(1, 7))
     lv = LevelMesh(1, mesh, hk, vk, None)
@@ -330,6 +332,12 @@ def covered(rect, domain):
     return domain is None or rect_covered(rect, domain)
 
 
+def domain_rects(levels, k):
+    """The domain of ``levels[k]`` as the parametric rectangles of its
+    elements, None for the whole square."""
+    return None if k == 0 else [param_rect(levels[k - 1], r) for r in levels[k].domain]
+
+
 def reference_cells(lv):
     """Extended-mesh cells of positive parametric area, by rational comparison."""
     return [
@@ -344,18 +352,18 @@ def reference_build(space):
     re-tested against each level's domain rectangles."""
     levels, spaces = space.levels, space.spaces
     H = [HFunction(1, f) for f in spaces[0].functions]
-    E = [HElement(1, rect, space._param_rect(0, rect)) for rect in reference_cells(levels[0])]
+    E = [HElement(1, rect, param_rect(levels[0], rect)) for rect in reference_cells(levels[0])]
     for k in range(1, len(levels)):
-        dom = levels[k].domain
-        assert all(covered(r, levels[k - 1].domain) for r in dom)
+        dom = domain_rects(levels, k)
+        assert all(covered(r, domain_rects(levels, k - 1)) for r in dom)
         sp = spaces[k]
         H = [hf for hf in H if not covered(space.support(hf), dom)] + [
             HFunction(k + 1, f) for f in sp.functions if covered(tuple(sp.support(f)), dom)
         ]
         E = [he for he in E if not covered(he.param_rect, dom)] + [
-            HElement(k + 1, rect, space._param_rect(k, rect))
+            HElement(k + 1, rect, param_rect(levels[k], rect))
             for rect in reference_cells(levels[k])
-            if covered(space._param_rect(k, rect), dom)
+            if covered(param_rect(levels[k], rect), dom)
         ]
     return tuple(sorted(H, key=HFunction.sort_key)), tuple(sorted(E, key=HElement.sort_key))
 
@@ -375,17 +383,18 @@ def test_rect_covered_exact():
     assert covered(unit, None)
     assert not covered(unit, tuple(quarters[:2]))
     # the span-mask predicate agrees on the grid {0, 1/2, 1}
-    grid = ({Fraction(0): 0, h: 1, Fraction(1): 2},) * 2
-    spans = param_spans(grid, [unit] + quarters, 2)
+    line = {Fraction(0): 0, h: 1, Fraction(1): 2}
+    grid = (line, line)
+    spans = lambda rects: np.array([[line[v] for v in r] for r in rects]).reshape(-1, 4)
     for dom in (quarters, quarters[:3], quarters[:2], [unit]):
-        got = in_domain(spans, summed_area(param_spans(grid, dom, 2), grid))
+        got = in_domain(spans([unit] + quarters), summed_area(spans(dom), grid))
         assert list(got) == [rect_covered(r, dom) for r in [unit] + quarters]
 
 
 def test_build_matches_rational_sweep(hierarchies, seeded_chains):
     spaces = list(hierarchies)
     path = os.path.join(os.path.dirname(__file__), "..", "samples", "two_level_p2.hier")
-    spaces.append(HierarchicalSpace(meshio.read_hierarchy(path)))
+    spaces.append(HierarchicalSpace(meshio.parse_hierarchy(Path(path).read_text())))
     spaces += [chain[-1] for chain in seeded_chains]
     assert max(len(sp.levels) for sp in spaces) == 6
     for space in spaces:
@@ -433,9 +442,10 @@ def assert_same_build(got, want):
 
 def test_refinement_matches_fresh_build(hierarchies, seeded_chains, fresh_build):
     """Every step of the seeded chains, those that add a level and those that
-    do not, builds what a build of its levels from scratch does.  The
-    hierarchy dumps are compared at the end of each chain; on the way, the
-    equal level fields imply them."""
+    do not, builds what a build of its levels from scratch does, and its
+    levels dump to text that parses back to equal levels.  The hierarchy
+    dumps are compared at the end of each chain; on the way, the equal level
+    fields imply them."""
     added = same = 0
     ends = list(hierarchies)
     for chain in seeded_chains:
@@ -445,31 +455,45 @@ def test_refinement_matches_fresh_build(hierarchies, seeded_chains, fresh_build)
             else:
                 same += 1
             assert_same_build(after, fresh_build(after.levels))
+            assert meshio.parse_hierarchy(meshio.dump_hierarchy(after.levels)) == list(after.levels)
         ends.append(chain[-1])
     assert added and same
     for space in ends:
         fresh = fresh_build(space.levels)
         assert_same_build(space, fresh)
-        assert meshio.dump_hierarchy(space.levels) == meshio.dump_hierarchy(fresh.levels)
+        text = meshio.dump_hierarchy(space.levels)
+        assert text == meshio.dump_hierarchy(fresh.levels)
+        assert meshio.parse_hierarchy(text) == list(space.levels)
 
 
-def test_bad_domain_fails_alike_after_refinement_and_from_file(seeded_chains, tmp_path):
-    """A rectangle that cuts a level-k element, added to the level-(k+1)
-    domain of levels that carry kept data, raises what the same levels
-    read from a file raise."""
+def test_bad_domain_fails_after_refinement_and_from_file(seeded_chains):
+    """Added to the level-(k+1) domain of levels that carry kept data, a
+    rect that is no level-k cell, one past the level's index lines and a
+    level-k cell outside the level-k domain raise; the same areas in a
+    hierarchy file, a rectangle that cuts a level-k element and one over
+    that cell, fail to parse."""
     space = seeded_chains[0][-1]
     e = next(e for e in space.elements if 1 < e.level < len(space.levels))
+    lv, below = space.levels[e.level], space.levels[e.level - 1]
+    x1, x2, y1, y2 = e.index_rect
+    assert x2 - x1 == 1 and lv.kept[2] is not None  # masks on record
+    cells = map(tuple, below.kept[0].cells.tolist())
+    out = next(r for r in cells if not rect_covered(param_rect(below, r), domain_rects(space.levels, e.level - 1)))
+    k = e.level
+    for rect in ((x1, x2 + 1, y1, y2), (x1, 10**6, y1, y2), out):
+        levels = list(space.levels)
+        levels[k] = replace(lv, domain=lv.domain | {rect})
+        with pytest.raises(MeshStructureError) as exc:
+            HierarchicalSpace(levels)
+        assert str(exc.value) == f"level {k + 1} domain element {rect} is no level {k} element inside the level {k} domain"
     s1, s2, t1, t2 = e.param_rect
-    cut = (s1, (s1 + s2) / 2, t1, (t1 + t2) / 2)
-    levels = list(space.levels)
-    levels[e.level] = replace(levels[e.level], domain=levels[e.level].domain + (cut,))
-    with pytest.raises(MeshStructureError, match="not a union of") as kept:
-        HierarchicalSpace(levels)
-    path = tmp_path / "cut.hier"
-    path.write_text(meshio.dump_hierarchy(levels))
-    with pytest.raises(MeshStructureError) as read:
-        HierarchicalSpace(meshio.read_hierarchy(str(path)))
-    assert str(read.value) == str(kept.value)
+    text = meshio.dump_hierarchy(space.levels)
+    for rect in ((s1, (s1 + s2) / 2, t1, (t1 + t2) / 2), param_rect(below, out)):
+        rects = domain_rects(space.levels, k) + [rect]
+        with pytest.raises(MeshStructureError) as exc:
+            meshio.parse_hierarchy(with_domain(text, k + 1, rects))
+        why = f"is not a union of level {k} element closures inside the level {k} domain"
+        assert str(exc.value) == f"level {k + 1} domain rectangle ({', '.join(map(str, rect))}) {why}"
 
 
 def test_refinement_cost_follows_change(seeded_chains, monkeypatch):
@@ -528,17 +552,19 @@ def test_domain_tests_follow_change(seeded_chains, monkeypatch, fresh_build):
     assert rows["rows"] > 0.05 * size
 
 
-def test_growth_matches_fresh_build(seeded_chains, fresh_build, tmp_path):
+def test_growth_matches_fresh_build(seeded_chains, fresh_build):
     """Builds that grow recorded domain masks build what builds of the same
-    levels from scratch and from their dumps build: a refinement that adds a
-    level, which changes the finest grid, and grows lower domains in one
-    step; and a level-2 domain read from .hier text, grown by a rectangle
-    over four level-1 elements that overlaps a recorded one.  A rectangle
-    that cuts an element then fails after the growth as it does from file."""
+    levels from scratch and from their dumps build, and the dumps parse back
+    to equal levels: a refinement that adds a level, which changes the
+    finest grid, and grows lower domains in one step; and a level-2 domain
+    read from .hier text, grown by the four level-1 elements under a
+    rectangle, one of them already in it.  The same rectangle added to the
+    file's domain lines reads as the grown domain."""
 
     def check(got):
         assert_same_build(got, fresh_build(got.levels))
         text = meshio.dump_hierarchy(got.levels)
+        assert meshio.parse_hierarchy(text) == list(got.levels)
         assert_same_build(got, HierarchicalSpace(meshio.parse_hierarchy(text)))
         assert text == meshio.dump_hierarchy(fresh_build(got.levels).levels)
 
@@ -552,34 +578,27 @@ def test_growth_matches_fresh_build(seeded_chains, fresh_build, tmp_path):
     assert all(len(grown.levels[e.level].domain) > len(start.levels[e.level].domain) for e in marked[2:])
     check(grown)
 
-    read = HierarchicalSpace(meshio.parse_hierarchy(meshio.dump_hierarchy(chain[-1].levels)))
+    text = meshio.dump_hierarchy(chain[-1].levels)
+    read = HierarchicalSpace(meshio.parse_hierarchy(text))
+    lv1 = read.levels[0]
     within = lambda r, box: box[0] <= r[0] and r[1] <= box[1] and box[2] <= r[2] and r[3] <= box[3]
     ends = [Fraction(k, 4) for k in range(3)]
     box = next(
         box
         for box in ((a, a + Fraction(1, 2), b, b + Fraction(1, 2)) for a in ends for b in ends)
-        if any(within(r, box) for r in read.levels[1].domain)
+        if any(within(param_rect(lv1, r), box) for r in read.levels[1].domain)
         and any(within(e.param_rect, box) for e in read.elements if e.level == 1)
     )
+    under = {r for r in map(tuple, lv1.kept[0].cells.tolist()) if within(param_rect(lv1, r), box)}
+    assert len(under) == 4
     levels = list(read.levels)
-    levels[1] = replace(levels[1], domain=levels[1].domain + (box,))
+    levels[1] = replace(levels[1], domain=levels[1].domain | under)
     assert levels[1].kept is read.levels[1].kept
     big = HierarchicalSpace(levels)
     assert big.n_e > read.n_e
     check(big)
-
-    e = next(e for e in big.elements if 1 < e.level < len(big.levels))
-    s1, s2, t1, t2 = e.param_rect
-    levels = list(big.levels)
-    cut = (s1, (s1 + s2) / 2, t1, t2)
-    levels[e.level] = replace(levels[e.level], domain=levels[e.level].domain + (cut,))
-    with pytest.raises(MeshStructureError, match="not a union of") as kept:
-        HierarchicalSpace(levels)
-    path = tmp_path / "cut.hier"
-    path.write_text(meshio.dump_hierarchy(levels))
-    with pytest.raises(MeshStructureError) as read_err:
-        HierarchicalSpace(meshio.read_hierarchy(str(path)))
-    assert str(read_err.value) == str(kept.value)
+    overlapping = with_domain(text, 2, domain_rects(read.levels, 1) + [box])
+    assert meshio.parse_hierarchy(overlapping) == levels
 
 
 def test_masks_are_dropped_with_the_level_below(fresh_build):
@@ -593,7 +612,7 @@ def test_masks_are_dropped_with_the_level_below(fresh_build):
     merged = levels[0].mesh.without_segments(vsegs=[(6, y) for y in range(3, 7)])
     levels[0] = replace(levels[0], mesh=merged)
     got = HierarchicalSpace(levels)
-    assert got.n_e < two.n_e and got.levels[1].kept[3] is got.levels[0].kept[0]
+    assert got.n_e < two.n_e and got.levels[1].kept[2][0] is got.levels[0].kept[0]
     assert_same_build(got, fresh_build(levels))
 
 
@@ -617,10 +636,10 @@ def recount_elements(space):
         cells = reference_cells(lv)
         nxt = space.levels[k + 1].domain if k + 1 < len(space.levels) else ()
         for rect in cells:
-            pr = space._param_rect(k, rect)
-            if not covered(pr, lv.domain):
+            pr = param_rect(lv, rect)
+            if not covered(pr, domain_rects(space.levels, k)):
                 continue
-            if nxt and covered(pr, nxt):
+            if nxt and covered(pr, domain_rects(space.levels, k + 1)):
                 continue
             count += 1
     return count
@@ -645,7 +664,7 @@ def test_repeated_mark_is_one_mark():
     e = space.elements[5]
     once = refine_by_elements(space, [e])
     twice = refine_by_elements(space, [e, e])
-    assert twice.levels[1].domain == once.levels[1].domain == (e.param_rect,)
+    assert twice.levels[1].domain == once.levels[1].domain == {e.index_rect}
     assert meshio.dump_hierarchy(twice.levels) == meshio.dump_hierarchy(once.levels)
 
 
@@ -685,64 +704,84 @@ def test_level_cap_enforced():
 def test_levels_must_nest(tmp_path, capsys):
     space = tensor_space(2, 2)
     refined = refine_by_elements(space, [space.elements[0]])
-    lv2 = refined.levels[1]
-    bad = LevelMesh(
-        2, lv2.mesh, lv2.hknots, lv2.vknots,
-        ((Fraction(0), Fraction(1), Fraction(0), Fraction(1)),),
+    lv1, lv2 = refined.levels
+    # a level-3 domain escaping the level-2 domain must be rejected: in a
+    # build, a level-2 element outside it; in a file, a rectangle over such
+    # elements
+    whole = refine_by_elements(space, space.elements)
+    escape = [e for e in whole.elements if e.param_rect[0] >= Fraction(1, 2) and e.param_rect[2] == 0]
+    lv3 = replace(subdivide_suitable(whole.levels[1]), domain=frozenset({escape[0].index_rect}))
+    with pytest.raises(MeshStructureError, match="is no level 2 element inside the level 2 domain"):
+        HierarchicalSpace([lv1, lv2, lv3])
+    half = (Fraction(1, 2), Fraction(1), Fraction(0), Fraction(1, 2))
+    text = meshio.dump_hierarchy([lv1, lv2, replace(lv3, domain=frozenset())])
+    with pytest.raises(MeshStructureError) as exc:
+        meshio.parse_hierarchy(with_domain(text, 3, [half]))
+    assert str(exc.value) == (
+        "level 3 domain rectangle (1/2, 1, 0, 1/2) "
+        "is not a union of level 2 element closures inside the level 2 domain"
     )
-    # a level-3 domain escaping the level-2 domain must be rejected
-    lv3 = subdivide_suitable(bad)
-    lv3 = replace(lv3, domain=((Fraction(1, 2), Fraction(1), Fraction(0), Fraction(1, 2)),))
-    with pytest.raises(MeshStructureError):
-        HierarchicalSpace([refined.levels[0], refined.levels[1], lv3])
     # a domain that cuts through parent elements (3/8 is a level-2 knot but
     # no level-1 element boundary), and one with a corner that is no
-    # level-2 knot, in a build and in a hierarchy file
+    # level-2 knot, in a hierarchy file
     lv1 = tensor_space(4, 2).levels[0]
+    text = meshio.dump_hierarchy([lv1, subdivide_suitable(lv1)])
     for cut, why in (
         (Fraction(3, 8), "is not a union of level 1 element closures inside the level 1 domain"),
         (Fraction(1, 16), "is off the level 2 knot grid"),
     ):
-        lv2 = replace(subdivide_suitable(lv1), domain=((Fraction(0), cut, Fraction(0), cut),))
         msg = f"level 2 domain rectangle (0, {cut}, 0, {cut}) {why}"
-        with pytest.raises(MeshStructureError) as exc:
-            HierarchicalSpace([lv1, lv2])
-        assert str(exc.value) == msg
         hier = tmp_path / "domain.hier"
-        hier.write_text(meshio.dump_hierarchy([lv1, lv2]))
+        hier.write_text(with_domain(text, 2, [(0, cut, 0, cut)]))
+        with pytest.raises(MeshStructureError) as exc:
+            meshio.parse_hierarchy(hier.read_text())
+        assert str(exc.value) == msg
         capsys.readouterr()
         assert main(["extract", "--mesh", str(hier), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr() == ("", f"error: {msg}\n")
 
 
 def test_knots_of_each_level_must_be_knots_of_the_next():
-    def level(k, ne, domain):
+    """In a build and, before any domain is read, in a hierarchy file."""
+
+    def level(k, ne, below=None, upto=Fraction(1)):
         mesh = samples.tensor_mesh(ne, ne, 2, 2)
         hk, vk = GlobalKnots.uniform_open(mesh.m, 2), GlobalKnots.uniform_open(mesh.n, 2)
+        if below is None:
+            return LevelMesh(k, mesh, hk, vk, None)
+        cells = one_level(below.mesh).elements
+        domain = frozenset(e.index_rect for e in cells if e.param_rect[1] <= upto and e.param_rect[3] <= upto)
         return LevelMesh(k, mesh, hk, vk, domain)
 
-    unit = (Fraction(0), Fraction(1), Fraction(0), Fraction(1))
-    corner = (Fraction(0), Fraction(1, 3), Fraction(0), Fraction(1, 3))
+    def chain(*sizes):
+        levels = [level(1, sizes[0])]
+        for k, ne in enumerate(sizes[1:], 2):
+            levels.append(level(k, ne, levels[-1], Fraction(1) if k == 2 else Fraction(1, 3)))
+        return levels
+
     # thirds, sixths, twelfths nest
-    space = HierarchicalSpace([level(1, 3, None), level(2, 6, (unit,)), level(3, 12, (corner,))])
+    space = HierarchicalSpace(chain(3, 6, 12))
     assert {hf.level for hf in space.functions} == {2, 3}
+    assert meshio.parse_hierarchy(meshio.dump_hierarchy(space.levels)) == list(space.levels)
     # quarters, thirds, twelfths: every knot is a knot of the finest level,
-    # but level 2 lacks the level-1 knot 1/4
-    with pytest.raises(MeshStructureError, match="knot 1/4 of a level is not a knot of the next level"):
-        HierarchicalSpace([level(1, 4, None), level(2, 3, (unit,)), level(3, 12, (corner,))])
-    # quarters, eighths, thirds: levels 1 and 2 nest, but neither level's
-    # knots are all knots of the finest level
-    with pytest.raises(MeshStructureError, match="knot 1/8 of a level is not a knot of the next level"):
-        HierarchicalSpace([level(1, 4, None), level(2, 8, (unit,)), level(3, 3, (corner,))])
+    # but level 2 lacks the level-1 knot 1/4; quarters, eighths, thirds:
+    # levels 1 and 2 nest, but neither level's knots are all knots of the
+    # finest level
+    for sizes, lost in (((4, 3, 12), "1/4"), ((4, 8, 3), "1/8")):
+        msg = f"knot {lost} of a level is not a knot of the next level"
+        with pytest.raises(MeshStructureError, match=msg):
+            HierarchicalSpace(chain(*sizes))
+        with pytest.raises(MeshStructureError, match=msg):
+            meshio.parse_hierarchy(meshio.dump_hierarchy(chain(*sizes)))
 
 
 def test_levels_must_have_the_same_degrees():
     lv1 = tensor_space(2, 2).levels[0]
     mesh = samples.tensor_mesh(4, 4, 3, 3)
     hk, vk = GlobalKnots.uniform_open(mesh.m, 3), GlobalKnots.uniform_open(mesh.n, 3)
-    half = (Fraction(0), Fraction(1, 2), Fraction(0), Fraction(1, 2))
+    corner = frozenset({tensor_space(2, 2).elements[0].index_rect})
     with pytest.raises(MeshStructureError, match="same degrees"):
-        HierarchicalSpace([lv1, LevelMesh(2, mesh, hk, vk, (half,))])
+        HierarchicalSpace([lv1, LevelMesh(2, mesh, hk, vk, corner)])
 
 
 # -- nesting -------------------------------------------------------------------

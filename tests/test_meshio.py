@@ -2,14 +2,18 @@
 
 import glob
 import os
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import with_domain
 from hasts import samples
 from hasts.basis import GlobalKnots
 from hasts.benchmarks import tensor_space
-from hasts.hierarchy import HierarchicalSpace
+from hasts.cli import main
+from hasts.hierarchy import HierarchicalSpace, refine_by_elements
 from hasts.meshio import (
     HIER_MAGIC,
     MESH_MAGIC,
@@ -18,8 +22,6 @@ from hasts.meshio import (
     dump_mesh,
     parse_hierarchy,
     parse_mesh,
-    read_hierarchy,
-    read_mesh,
 )
 
 SAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "samples")
@@ -49,7 +51,7 @@ def test_shipped_samples_parse_and_validate():
     paths = sorted(glob.glob(os.path.join(SAMPLES_DIR, "*.mesh")))
     assert len(paths) >= 6
     for path in paths:
-        mesh, hk, vk = read_mesh(path)
+        mesh, hk, vk = parse_mesh(Path(path).read_text())
         assert mesh.validate() == []
         with open(path) as f:
             assert dump_mesh(mesh, hk, vk) == f.read()
@@ -57,7 +59,7 @@ def test_shipped_samples_parse_and_validate():
 
 def test_shipped_hierarchy_sample():
     path = os.path.join(SAMPLES_DIR, "two_level_p2.hier")
-    levels = read_hierarchy(path)
+    levels = parse_hierarchy(Path(path).read_text())
     space = HierarchicalSpace(levels)
     assert len(space.levels) == 2 and space.n_f > 0
     with open(path) as f:
@@ -65,9 +67,9 @@ def test_shipped_hierarchy_sample():
 
 
 def test_shipped_suitability_verdicts():
-    mesh, _, _ = read_mesh(os.path.join(SAMPLES_DIR, "extension_suitable.mesh"))
+    mesh, _, _ = parse_mesh(Path(SAMPLES_DIR, "extension_suitable.mesh").read_text())
     assert mesh.is_analysis_suitable()[0]
-    mesh, _, _ = read_mesh(os.path.join(SAMPLES_DIR, "extension_unsuitable.mesh"))
+    mesh, _, _ = parse_mesh(Path(SAMPLES_DIR, "extension_unsuitable.mesh").read_text())
     ok, bad = mesh.is_analysis_suitable()
     assert not ok and bad
 
@@ -144,9 +146,11 @@ def test_hierarchy_parse_errors():
         parse_hierarchy(text.replace(HIER_MAGIC, "wrong"))
     with pytest.raises(ParseError):
         parse_hierarchy(text.replace("levels 1", "levels 2"))
-    with pytest.raises(ParseError):
-        # claims one domain rectangle but the file ends
-        parse_hierarchy(text.replace("domain 0", "domain 1"))
+    two = dump_hierarchy(refine_by_elements(space, space.elements[:1]).levels)
+    assert two.endswith("domain 1\n0/1 1/3 0/1 1/3\n")
+    with pytest.raises(ParseError, match="unexpected end of file"):
+        # claims two domain rectangles but the file ends
+        parse_hierarchy(two.replace("domain 1", "domain 2"))
     # a level's mesh header is checked as in a mesh file, on its own line
     lines = text.splitlines()
     assert lines[4] == "8 8 2 2"
@@ -154,3 +158,47 @@ def test_hierarchy_parse_errors():
     with pytest.raises(ParseError, match="bad dimensions m=1 n=8") as e:
         parse_hierarchy("\n".join(lines))
     assert e.value.line == 5
+
+
+def test_level_one_takes_no_domain_rectangles(tmp_path, capsys):
+    """Level 1 covers the whole square: a rectangle in its domain section,
+    even one off every knot grid, is a parse error at that section's line."""
+    text = dump_hierarchy(tensor_space(3, 2).levels)
+    lines = text.splitlines()
+    at = lines.index("domain 0")
+    lines[at : at + 1] = ["domain 1", "0/1 1/7 0/1 1/3"]
+    with pytest.raises(ParseError, match="level 1 covers the whole parametric square") as e:
+        parse_hierarchy("\n".join(lines))
+    assert e.value.line == at + 1
+    path = tmp_path / "one.hier"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["extract", "--mesh", str(path), "--out", str(tmp_path)]) == 2
+    assert f"line {at + 1}: level 1 covers" in capsys.readouterr().err
+
+
+def test_rectangles_over_several_elements_read_as_elements():
+    """A level-2 domain given as one 1/2 x 1/2 rectangle over four level-1
+    elements, or as two overlapping rectangles over three, reads as those
+    elements: it builds what its canonical dump, one rectangle per element
+    in cell order, builds, and that dump parses to equal levels and dumps
+    again byte for byte."""
+    start = tensor_space(4, 2)
+    q, h = Fraction(1, 4), Fraction(1, 2)
+    square = [(0, h, 0, h)]
+    ell = [(0, h, 0, q), (q, h, 0, h)]
+    for rects, count in ((square, 4), (ell, 3)):
+        inside = lambda e: any(
+            r[0] <= e.param_rect[0] and e.param_rect[1] <= r[1] and r[2] <= e.param_rect[2] and e.param_rect[3] <= r[3]
+            for r in rects
+        )
+        want = refine_by_elements(start, [e for e in start.elements if inside(e)])
+        canonical = dump_hierarchy(want.levels)
+        assert canonical.count("\ndomain ") == 2 and f"\ndomain {count}\n" in canonical
+        levels = parse_hierarchy(with_domain(canonical, 2, rects))
+        assert levels == list(want.levels)
+        got = HierarchicalSpace(levels)
+        assert got.functions == want.functions and got.elements == want.elements
+        assert dump_hierarchy(got.levels) == canonical
+        assert parse_hierarchy(canonical) == list(want.levels)
+        assert dump_hierarchy(parse_hierarchy(canonical)) == canonical
+    assert canonical.endswith("domain 3\n0/1 1/4 0/1 1/4\n1/4 1/2 0/1 1/4\n1/4 1/2 1/4 1/2\n")
