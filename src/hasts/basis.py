@@ -18,16 +18,15 @@ Knot values are stored as exact ``fractions.Fraction`` so that equality and
 interval predicates never see rounding.  One recurrence serves every exact
 coefficient: ``blossom`` evaluates the blossom of one B-spline's polynomial
 piece on a knot span by the de Boor recurrence over integer knots.  A
-B-spline is evaluated one way only: on each span its exact Bernstein
+B-spline is written one way only: on each span its exact Bernstein
 coefficients are the blossoms at (a^(p-j), b^j) (``bezier_coeffs_1d``), and
 floats appear only when such a row multiplies a table of Bernstein
-polynomials on [-1,1] (``bernstein``, ``bernstein_grid``).  A row does not
-change under affine maps of the knots, so the cache of ``bezier_coeffs_1d``,
-keyed by ``extraction`` and ``bspline_eval`` with knot patterns normalised
-to the span (``row_key``), is one store of rows for the whole process.
-``bspline_eval`` locates the span of each point by bisection on the
-distinct knots; the element arrays of ``extraction`` and the quadrature
-and sampling of ``iga`` apply the same rows and tables per element.  The
+polynomials on [-1,1] (``bernstein``, ``bernstein_grid``), as the element
+arrays of ``extraction`` and the quadrature and sampling of ``iga`` do per
+element.  A row does not change under affine maps of the knots, so the
+cache of ``bezier_coeffs_1d``, keyed with knot patterns normalised to the
+span (``row_key``), is one store of rows for the whole process; extraction
+and the exact check of ``hierarchy.represent_in_space`` ask it.  The
 blossoms at a finer function's interior knots are its dual functionals,
 which ``hierarchy.represent_in_space`` applies.
 """
@@ -326,36 +325,6 @@ def bernstein_grid(p, q, xs, etas, dxi=0, deta=0):
     return (bv[:, None, :, None] * bu[None, :, None, :]).reshape(
         len(bv) * len(bu), (q + 1) * (p + 1)
     )
-
-
-def bspline_eval(vals, p, xs):
-    """B-spline N[vals] at the points xs, with local knot vector of length
-    p+2: each point's span is found by bisection on the distinct knots and
-    evaluated from its exact Bezier row, asked of the store under the
-    normalised key (``row_key``) that extraction uses.
-
-    Spans are half-open [v_i, v_{i+1}) except the last, which is closed so
-    that the partition of unity holds at the domain end; outside the support
-    the value is 0.
-    """
-    assert len(vals) == p + 2
-    vals = tuple(Fraction(v) for v in vals)
-    den = lcm(*(v.denominator for v in vals))
-    ints = [v.numerator * (den // v.denominator) for v in vals]
-    knots = sorted(set(ints))
-    breaks = np.array([v / den for v in knots])
-    xs = np.asarray(xs, dtype=float)
-    span = np.searchsorted(breaks, xs, side="right") - 1
-    span[xs == breaks[-1]] = len(knots) - 2
-    out = np.zeros(len(xs))
-    for k in np.unique(span[(span >= 0) & (span < len(knots) - 1)]):
-        at = span == k
-        a, b = breaks[k], breaks[k + 1]
-        xi = (2 * xs[at] - a - b) / (b - a)
-        key = row_key(ints, p, knots[k], knots[k + 1])
-        row = np.array([float(c) for c in bezier_coeffs_1d(*key)])
-        out[at] = bernstein(p, xi) @ row
-    return out
 
 
 def greville_rows(lines, numerators, degrees):

@@ -16,7 +16,7 @@ import sys
 
 from . import benchmarks, meshio
 from .extraction import FMT, dump_extraction, extract_all
-from .hierarchy import HierarchicalSpace, LevelMesh
+from .hierarchy import HierarchicalSpace
 from .iga import adaptive_loop, sample_field
 from .meshio import ParseError
 from .tmesh import MeshStructureError
@@ -127,12 +127,7 @@ def _read_text(path):
 def _load_space(path):
     """A mesh file becomes a one-level space; a hierarchy file keeps levels.
     Every level must be valid and analysis-suitable before a space is built."""
-    text = _read_text(path)
-    head = text.lstrip().splitlines()[0] if text.strip() else ""
-    if head == meshio.HIER_MAGIC:
-        levels = meshio.parse_hierarchy(text)
-    else:
-        levels = [LevelMesh(1, *meshio.parse_mesh(text))]
+    levels = meshio.parse_levels(_read_text(path))
     for lv in levels:
         bad = lv.mesh.validate()
         if bad:

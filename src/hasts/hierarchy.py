@@ -7,25 +7,28 @@ denominator (``GlobalKnots.numerators``); the hierarchical basis keeps
 coarse functions whose support leaks out of the next level's domain and
 adopts fine functions fully inside it.
 
-The child mesh is the parent's extended mesh, mapped onto the child's
-index lines, plus the midlines of the parent's Bezier cells, so it holds
-the parent's extended mesh, which nesting needs, by construction.  Every
+The child mesh is the parent's extended mesh, mapped onto the child's index
+lines, plus the midlines of the parent's Bezier cells, so it holds the
+parent's extended mesh, which nesting needs, by construction.  Every
 extension of the parent is already an edge and the midlines split every
 element alike, so unlike local refinement of AS T-splines, subdivision
 repairs no extensions: it checks once that the child is valid and
-analysis-suitable, and raises ``MeshStructureError`` if not.
+analysis-suitable, and raises ``MeshStructureError`` if not, or before it
+starts if the parent repeats an interior knot, whose multiplicity halving
+the zero-length span would raise.
 
+Levels nest when each holds the knots and the extended mesh of the one
+below, which a build checks once per pair of level data (``check_nested``).
 Every location test is integer arithmetic on one knot-span grid per
 hierarchy, the finest level's distinct knots numbered from 0, onto which
-each level maps its index lines.  The knots of every level must be knots of
-the next, and each element of a domain must be a cell of the level below
-that lies in that level's domain; a rectangle lies inside a domain when the
-summed-area table of its elements covers all of it.  Rectangles from files
-become elements once, in ``meshio.parse_hierarchy``.  The build keeps, in
-canonical order, the grid boxes of the active functions, the active
-elements and the level-1 functions, the grid lines of the local knot
-vectors of the active and the level-1 functions, and each direction's grid
-knots as integers over one denominator.
+each level maps its index lines.  Each element of a domain must be a cell of
+the level below that lies in that level's domain; a rectangle lies inside a
+domain when the summed-area table of its elements covers all of it.
+Rectangles from files become elements once, in ``meshio.parse_hierarchy``.
+The build keeps, in canonical order, the grid boxes of the active functions,
+the active elements and the level-1 functions, the grid lines of the local
+knot vectors of the active and the level-1 functions, and each direction's
+grid knots as integers over one denominator.
 
 A refinement changes only the domains and adds at most one level, so what
 a build derives from a level travels with it in ``LevelMesh.kept``.  Its
@@ -39,7 +42,7 @@ only the objects outside the masks whose boxes meet a new element.
 
 A coarse function is represented on a finer level by the fine functions'
 dual functionals, blossoms of its pieces (``basis.blossom``), and each
-representation is checked at sample points.
+representation is verified exactly on Bezier rows.
 """
 
 from __future__ import annotations
@@ -49,10 +52,11 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
-from .basis import GlobalKnots, Space, blossom, bspline_eval, greville_rows
+from .basis import GlobalKnots, Space, bezier_coeffs_1d, blossom, greville_rows, row_key
 from .tmesh import MeshStructureError, TMesh
 
 
@@ -166,9 +170,9 @@ def subdivide_suitable(parent: LevelMesh):
     """Split every Bezier element of the parent into four congruent children
     and check the child mesh, as the module docstring says; returns the
     child level, at level+1 with an empty domain.  A child whose index grid
-    holds more than ``MAX_LEVEL_POINTS`` points is refused before anything
-    is made.  The parent's cells are those of its level data, made here if
-    no build has kept it yet."""
+    holds more than ``MAX_LEVEL_POINTS`` points, or whose parent repeats an
+    interior knot, is refused before anything is made.  The parent's cells
+    are those of its level data, made here if no build has kept it yet."""
     mesh = parent.mesh
     m, n, p, q = mesh.m, mesh.n, mesh.p, mesh.q
     mc = 2 * m - 2 * p - 1
@@ -177,6 +181,12 @@ def subdivide_suitable(parent: LevelMesh):
         raise MeshStructureError(
             f"level {parent.level + 1} would hold a {mc} x {nc} index grid, "
             f"more than the budget of {MAX_LEVEL_POINTS} points"
+        )
+    dup = [v for k in (parent.hknots, parent.vknots) for v, w in zip(k.values, k.values[1:]) if 0 < v == w < 1]
+    if dup:
+        raise MeshStructureError(
+            f"level {parent.level + 1} cannot be made: level {parent.level} repeats the "
+            f"interior knot {dup[0]}, whose multiplicity subdivision would raise"
         )
     parent = _kept(parent)
     ext = mesh.extended()
@@ -289,14 +299,10 @@ class LevelData:
         lower = np.concatenate([self.space.v_indices[:, 0], self.cells[:, 2]])
         self.order = np.argsort(lower, kind="stable")
         # the grid of the finest level of the last map, and of the next
-        # level this level's knots were checked against: a grid holds no
-        # level data, so these form no reference cycle
+        # level this level was checked to nest in (``check_nested``): a
+        # grid holds no level data, so these form no reference cycle
         self._grid = self.nested_grid = None
         self._on, self._made = None, {}
-
-    def of(self, lv):
-        """Whether this is the data of the level's very mesh and knots."""
-        return self.mesh is lv.mesh and self.hknots is lv.hknots and self.vknots is lv.vknots
 
     @cached_property
     def numerators(self):
@@ -343,17 +349,33 @@ class LevelData:
 def _kept(lv):
     """The level with valid level data: its own if it still matches the
     mesh and knots, else new data and no domain on record."""
-    if lv.kept is not None and lv.kept[0].of(lv):
+    data = lv.kept[0] if lv.kept else None
+    if data and data.mesh is lv.mesh and data.hknots is lv.hknots and data.vknots is lv.vknots:
         return lv
     return replace(lv, kept=(LevelData(lv.mesh, lv.hknots, lv.vknots), frozenset(), None))
 
 
-def check_nested(lower, upper):
-    """Raise unless every knot of the ``span_grid`` ``lower`` is a knot of
-    the ``span_grid`` ``upper``."""
-    lost = [v for own, nxt in zip(lower, upper) for v in own if v not in nxt]
+def check_nested(lower, upper, level):
+    """Raise unless the level data ``upper`` of level ``level`` + 1 nests on
+    ``lower``: its knots and its mesh hold the knots and the extended mesh
+    of ``lower``, the meshes compared by prefix sums of positive-length unit
+    segments (seg[i, j] joins index lines i and i+1 on the crossing line j)
+    along each line of the knot-span grid of ``upper``."""
+    lost = [v for own, nxt in zip(lower.grid, upper.grid) for v in own if v not in nxt]
     if lost:
         raise MeshStructureError(f"knot {lost[0]} of a level is not a knot of the next level")
+    low = [np.array([g[v] for v in own])[ls] for g, own, ls in zip(upper.grid, lower.grid, lower.lines)]
+    ext = lower.mesh.extended()
+    positive = lambda a: np.flatnonzero(a[2:] > a[1:-1]) + 1  # index spans of positive length
+    for d, own, nxt in ((0, ext.hseg, upper.mesh.hseg), (1, ext.vseg.T, upper.mesh.vseg.T)):
+        # per grid line across, the grid spans along it that hold a segment of ``upper``, summed
+        first = np.flatnonzero(np.diff(upper.lines[1 - d][1:], prepend=-1))
+        held = np.logical_or.reduceat(nxt[positive(upper.lines[d]), 1:], first, axis=1)
+        count = np.vstack([np.zeros((1, held.shape[1]), dtype=np.int64), held.cumsum(axis=0)])
+        i, along, across = positive(low[d]), low[d], low[1 - d][1:]
+        got = count[np.ix_(along[i + 1], across)] - count[np.ix_(along[i], across)]
+        if (own[i, 1:] & (got < (along[i + 1] - along[i])[:, None])).any():
+            raise MeshStructureError(f"level {level + 1} mesh does not hold the extended level {level} mesh")
 
 
 def _grow(mask, family, new, table):
@@ -405,9 +427,9 @@ class HierarchicalSpace:
         data = [lv.kept[0] for lv in levels]
         top = data[-1]
         grid = top.grid
-        for a, b in zip(data, data[1:]):
+        for k, (a, b) in enumerate(zip(data, data[1:]), 1):
             if a.nested_grid is not b.grid:
-                check_nested(a.grid, b.grid)
+                check_nested(a, b, k)
                 a.nested_grid = b.grid
         # so every level's knots are knots of the finest level
         lines, fn_lines, families = zip(*(d.on(top) for d in data))
@@ -482,8 +504,8 @@ def represent_in_space(hvals, vvals, fine: Space):
     fine function with local knots (tau_h, tau_v) is the product over both
     directions of the blossom of the coarse B-spline at tau_1..tau_p, taken
     of its piece on tau's first nonempty span.  Only fine functions whose
-    support meets the coarse support are asked; the result is checked at
-    sample points."""
+    support meets the coarse support are asked; the result is verified
+    exactly (``_verify_representation``)."""
     p, q = fine.mesh.p, fine.mesh.q
     axes = ((hvals, p, fine.hknots, fine.h_indices), (vvals, q, fine.vknots, fine.v_indices))
     near = np.ones(len(fine.functions), dtype=bool)
@@ -505,26 +527,44 @@ def represent_in_space(hvals, vvals, fine: Space):
         c = factor(0, f.h_indices) * factor(1, f.v_indices)
         if c != 0:
             out[f] = c
-    _verify_representation(hvals, vvals, p, q, fine, out)
+    _verify_representation(hvals, vvals, fine, out)
     return out
 
 
-def _verify_representation(hvals, vvals, p, q, fine, coeffs, tol=1e-10, samples=20):
-    rng = np.random.default_rng(12345)
-    s, t = rng.random((samples, 2)).T
-    ref = bspline_eval(hvals, p, s) * bspline_eval(vvals, q, t)
-    # each distinct local knot vector is evaluated once per direction
-    h = cache(lambda lines: bspline_eval(fine.hknots.take(lines), p, s))
-    v = cache(lambda lines: bspline_eval(fine.vknots.take(lines), q, t))
-    got = np.zeros(samples)
-    for f, c in coeffs.items():
-        got += float(c) * (h(f.h_indices) * v(f.v_indices))
-    err = np.abs(ref - got)
-    if (err > tol).any():
-        k = int(np.argmax(err > tol))
-        raise MeshStructureError(
-            f"nesting violated: representation residual {err[k]:.3e} at ({s[k]}, {t[k]})"
-        )
+def _verify_representation(hvals, vvals, fine, coeffs):
+    """Raise unless ``coeffs`` give the coarse function of local knot values
+    ``hvals``, ``vvals`` exactly: with each function as its Bezier rows on
+    the fine knot spans under its support (``row_key`` keys into the row
+    store), c_f times each fine function's tensor product of rows, less the
+    coarse function's, must sum to 0 on every span pair, in integers."""
+    grid = span_grid(fine.hknots, fine.vknots)
+    nums = [list(dict.fromkeys(k.numerators[1:].tolist())) for k in (fine.hknots, fine.vknots)]
+    degs = fine.mesh.p, fine.mesh.q
+
+    @cache
+    def rows(d, vals):
+        # where the first row goes, the rows under the support as integers over ``den``, and ``den``
+        g, num, deg = grid[d], nums[d], degs[d]
+        if any(v not in g for v in vals):
+            raise MeshStructureError(f"nesting violated: a knot of {vals} is no knot of the finer level")
+        ints, spans = [num[g[v]] for v in vals], range(g[vals[0]], g[vals[-1]])
+        row = [c for s in spans for c in bezier_coeffs_1d(*row_key(ints, deg, num[s], num[s + 1]))]
+        den = lcm(*(c.denominator for c in row))
+        return spans[0] * (deg + 1), np.array([int(c * den) for c in row], dtype=object), den
+
+    terms = [(-1, rows(0, tuple(hvals)), rows(1, tuple(vvals)))]
+    terms += [(c, rows(0, fine.h_values(f)), rows(1, fine.v_values(f))) for f, c in coeffs.items()]
+    den = lcm(*(Fraction(c, h[2] * v[2]).denominator for c, h, v in terms))
+    lo = [min(t[d][0] for t in terms) for d in (1, 2)]
+    hi = [max(t[d][0] + len(t[d][1]) for t in terms) for d in (1, 2)]
+    total = np.zeros((hi[0] - lo[0], hi[1] - lo[1]), dtype=object)
+    for c, (x, h, dh), (y, v, dv) in terms:
+        x, y = x - lo[0], y - lo[1]
+        total[x : x + len(h), y : y + len(v)] += int(Fraction(c, dh * dv) * den) * np.multiply.outer(h, v)
+    bad = np.argwhere(total != 0)
+    if len(bad):
+        s, t = (list(g)[int(w + a) // (deg + 1)] for g, w, a, deg in zip(grid, bad[0], lo, degs))
+        raise MeshStructureError(f"nesting violated: the representation differs on the spans at ({s}, {t})")
 
 
 def represent_coarse_in_fine(space: HierarchicalSpace, hf: HFunction, fine_level: int):

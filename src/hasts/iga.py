@@ -278,11 +278,13 @@ def assemble(problem: Problem, disc: Discretization, supg=True):
 
 def boundary_functions(space: HierarchicalSpace):
     """Indices of hierarchical functions with nonzero trace on the boundary:
-    a local knot vector whose first or last p+1 (q+1) knots coincide, found
-    from the grid lines of its positions 0 and p, 1 and p+1."""
+    a local knot vector whose first or last p+1 (q+1) knots are the domain
+    end, found from the grid lines of its positions p and 1.  (An interior
+    knot may repeat p+1 times too.)"""
     H, V = space.knot_lines
     p, q = H.shape[1] - 2, V.shape[1] - 2
-    on = (H[:, p] == H[:, 0]) | (H[:, 1] == H[:, -1]) | (V[:, q] == V[:, 0]) | (V[:, 1] == V[:, -1])
+    gh, gv = space.grid_shape
+    on = (H[:, p] == 0) | (H[:, 1] == gh - 1) | (V[:, q] == 0) | (V[:, 1] == gv - 1)
     return np.flatnonzero(on).tolist()
 
 

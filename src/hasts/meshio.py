@@ -7,7 +7,9 @@ canonical vertex list, and the minimal edge list as vertex index pairs.
 Hierarchies add per-level domain rectangles as exact rationals; they may
 span several previous-level elements and overlap, and the reader turns them
 into the set of those elements.  A dump writes one rectangle per element in
-cell order, so only a file in that form re-dumps byte for byte.
+cell order, so only a file in that form re-dumps byte for byte.  Blank lines
+and lines starting with ``#`` are skipped; the first other line names the
+format (``parse_levels``).
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .basis import GlobalKnots, minimal_edges
-from .hierarchy import LevelMesh, bezier_cells, check_nested, grid_lines, in_domain, index_spans
-from .hierarchy import span_grid, summed_area
+from .hierarchy import LevelMesh, bezier_cells, grid_lines, in_domain, index_spans, span_grid, summed_area
 from .tmesh import MeshStructureError, TMesh
 
 MESH_MAGIC = "hasts-tmesh 1"
@@ -177,6 +178,13 @@ def dump_hierarchy(levels):
     return "\n".join(out) + "\n"
 
 
+def parse_levels(text):
+    """The levels of a hierarchy file, or the one level of a mesh file, as its first significant line says."""
+    if _Reader(text).next()[1] == HIER_MAGIC:
+        return parse_hierarchy(text)
+    return [LevelMesh(1, *parse_mesh(text))]
+
+
 def parse_hierarchy(text):
     r = _Reader(text)
     ln, s = r.next()
@@ -209,37 +217,22 @@ def parse_hierarchy(text):
 
 def _element_domains(levels):
     """LevelMesh records of parsed levels (mesh, hknots, vknots, domain
-    rectangles).  The knots of every level must be knots of the next; then
-    the rectangles of level k+1, on its ``span_grid``, become the level-k
-    elements inside the level-k domain they cover, and must be their union."""
-    grids = [span_grid(hk, vk) for _, hk, vk, _ in levels]
-    for lower, upper in zip(grids, grids[1:]):
-        check_nested(lower, upper)
-    out, region = [], None
-    for k, ((mesh, hk, vk, rects), grid) in enumerate(zip(levels, grids)):
-        domain = None
-        if k:
-            text = lambda i: "(" + ", ".join(map(str, rects[int(i)])) + ")"
-            (h, v), parent = grid, out[-1]
-            spans = np.array([[g.get(c, -1) for g, c in zip((h, h, v, v), r)] for r in rects]).reshape(-1, 4)
-            off = (spans < 0).any(axis=1)
-            if off.any():
-                raise MeshStructureError(
-                    f"level {k + 1} domain rectangle {text(off.argmax())} is off the level {k + 1} knot grid"
-                )
-            table = summed_area(spans, grid)
-            boxes = index_spans(cells, grid_lines(grid, parent.hknots, parent.vknots))
-            take = in_domain(boxes, table) & inside
-            region = summed_area(boxes[take], grid)
-            if table[-1, -1] != region[-1, -1]:
-                raise MeshStructureError(
-                    f"level {k + 1} domain rectangle {text(np.argmin(in_domain(spans, region)))} is not a "
-                    f"union of level {k} element closures inside the level {k} domain"
-                )
-            domain = frozenset(map(tuple, cells[take].tolist()))
-        out.append(LevelMesh(k + 1, mesh, hk, vk, domain))
-        # this level's cells, and which of them lie inside its domain
+    rectangles): the rectangles of level k+1, on the knot grid of level k,
+    become the level-k elements they cover, and must be their union.  That
+    the levels and their domains nest is for ``HierarchicalSpace`` to check."""
+    out = [LevelMesh(1, mesh, hk, vk) for mesh, hk, vk, _ in levels[:1]]
+    for k, ((mesh, hk, vk, _), (*child, rects)) in enumerate(zip(levels, levels[1:]), 1):
+        grid = span_grid(hk, vk)
         lines = grid_lines(grid, hk, vk)
         cells = bezier_cells(mesh, lines)
-        inside = in_domain(index_spans(cells, lines), region) if k else np.ones(len(cells), bool)
+        boxes = index_spans(cells, lines)
+        spans = np.array([[grid[i // 2].get(c, -1) for i, c in enumerate(r)] for r in rects]).reshape(-1, 4)
+        off = (spans < 0).any(axis=1)
+        take = in_domain(boxes, summed_area(spans[~off], grid))
+        bad = off | ~in_domain(spans, summed_area(boxes[take], grid))
+        if bad.any():
+            rect = ", ".join(map(str, rects[bad.argmax()]))
+            why = f"is not a union of level {k} element closures"
+            raise MeshStructureError(f"level {k + 1} domain rectangle ({rect}) {why}")
+        out.append(LevelMesh(k + 1, *child, frozenset(map(tuple, cells[take].tolist()))))
     return out

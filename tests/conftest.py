@@ -6,6 +6,9 @@ went through Bezier rows and Bernstein tables: recursive Cox-de Boor, one
 scalar Bernstein row per point, and a field sampler that finds each point's
 element by a linear scan.  Tests that compare extraction with pointwise
 evaluation use them, so those checks stay independent of the library path.
+``bspline_eval`` is the other way round: one B-spline at many points from
+the library's Bezier rows and Bernstein tables, which the tests compare
+with scipy and Cox-de Boor.
 
 The row oracles compute exact Bezier rows and Greville abscissae as the
 library did before it blossomed over integer knots: a queue of single knot
@@ -35,7 +38,7 @@ import random
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, sqrt
+from math import comb, lcm, sqrt
 
 import numpy as np
 import pytest
@@ -44,7 +47,7 @@ from scipy.sparse.csgraph import connected_components
 
 from hasts import samples
 from hasts.benchmarks import tensor_space
-from hasts.basis import Anchor, BlendingFunction, GlobalKnots, bernstein_grid
+from hasts.basis import Anchor, BlendingFunction, GlobalKnots, bernstein, bernstein_grid, bezier_coeffs_1d, row_key
 from hasts.hierarchy import HFunction, HierarchicalSpace, LevelMesh, refine_by_elements
 from hasts.iga import _bern_tables, _gauss, tau_element
 from hasts.tmesh import (
@@ -472,6 +475,30 @@ def _cox_de_boor(knots, i, p, x, closure):
     return left + right
 
 
+def bspline_eval(vals, p, xs):
+    """B-spline N[vals], local knot vector of length p+2, at the points xs
+    from the library's rows: the span of each point by bisection on the
+    distinct knots, its exact Bezier row from the store under the
+    normalised key (``row_key``), times a Bernstein table.  Spans are
+    half-open except the last, which is closed; outside the support the
+    value is 0."""
+    vals = tuple(Fraction(v) for v in vals)
+    den = lcm(*(v.denominator for v in vals))
+    ints = [v.numerator * (den // v.denominator) for v in vals]
+    knots = sorted(set(ints))
+    breaks = np.array([v / den for v in knots])
+    xs = np.asarray(xs, dtype=float)
+    span = np.searchsorted(breaks, xs, side="right") - 1
+    span[xs == breaks[-1]] = len(knots) - 2
+    out = np.zeros(len(xs))
+    for k in np.unique(span[(span >= 0) & (span < len(knots) - 1)]):
+        at = span == k
+        a, b = breaks[k], breaks[k + 1]
+        row = np.array([float(c) for c in bezier_coeffs_1d(*row_key(ints, p, knots[k], knots[k + 1]))])
+        out[at] = bernstein(p, (2 * xs[at] - a - b) / (b - a)) @ row
+    return out
+
+
 def eval_function(space, fn, s, t):
     """One function of a Space (a BlendingFunction) or of a
     HierarchicalSpace (an HFunction) at (s, t), by Cox-de Boor."""
@@ -839,14 +866,14 @@ def _edge_quadrature(disc, ed, side, ng):
 
 def boundary_functions(space):
     """Indices of hierarchical functions with nonzero trace on the boundary,
-    from exact knot values."""
+    from exact knot values: p+1 (q+1) knots at a domain end."""
     out = set()
     for a, hf in enumerate(space.functions):
         sp_ = space.spaces[hf.level - 1]
         hv = sp_.h_values(hf.fn)
         vv = sp_.v_values(hf.fn)
         p, q = sp_.mesh.p, sp_.mesh.q
-        if hv[p] == hv[0] or hv[1] == hv[-1] or vv[q] == vv[0] or vv[1] == vv[-1]:
+        if hv[p] == 0 or hv[1] == 1 or vv[q] == 0 or vv[1] == 1:
             out.add(a)
     return sorted(out)
 

@@ -1,7 +1,9 @@
 """Spline space layer: anchors, local index vectors, B-spline evaluation.
 
-The evaluation oracles are scipy.interpolate.BSpline on identical knot data
-and the Cox-de Boor recursion, and Greville abscissae are checked against a
+B-splines are evaluated from the library's Bezier rows and Bernstein tables
+(``conftest.bspline_eval``).  The evaluation oracles are
+scipy.interpolate.BSpline on identical knot data and the Cox-de Boor
+recursion, and Greville abscissae are checked against a
 Fraction sum; golden index vectors are the published values for the four
 shipped meshes, which ``Space`` and the per-entity marching oracle must both
 give.
@@ -16,7 +18,7 @@ import pytest
 from scipy.interpolate import BSpline
 
 import conftest as oracle
-from conftest import as_mesh_corpus, cox_de_boor, eval_all, eval_function, greville_oracle, greville_points
+from conftest import as_mesh_corpus, bspline_eval, cox_de_boor, eval_all, eval_function, greville_oracle, greville_points
 from hasts import basis, samples
 from hasts.basis import (
     Anchor,
@@ -26,7 +28,6 @@ from hasts.basis import (
     anchors,
     bernstein,
     bezier_coeffs_1d,
-    bspline_eval,
     greville_rows,
     minimal_edges,
 )

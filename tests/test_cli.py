@@ -92,15 +92,22 @@ def test_extract_mesh_deterministic(tmp_path, capsys):
 
 
 def test_extract_hierarchy_file(tmp_path, capsys):
+    """A hierarchy file is told from a mesh file by its first significant
+    line, as the reader skips comments and blank lines: one that starts with
+    them is read as a hierarchy by extract and by solve, like the plain
+    file."""
     space = two_level_space(4, 2)
-    hier = tmp_path / "two_level.hier"
-    hier.write_text(meshio.dump_hierarchy(space.levels))
-    rc = main(["extract", "--mesh", str(hier), "--out", str(tmp_path)])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert f"n_f {space.n_f} n_e {space.n_e}" in out
-    text = read(tmp_path / "extraction.txt")
-    assert text.count("element ") == space.n_e
+    text = meshio.dump_hierarchy(space.levels)
+    for name, body in (("plain", text), ("commented", "# two levels\n\n   \n# p = 2\n" + text)):
+        hier, out = tmp_path / f"{name}.hier", tmp_path / name
+        hier.write_text(body)
+        assert main(["extract", "--mesh", str(hier), "--out", str(out)]) == 0
+        assert f"n_f {space.n_f} n_e {space.n_e}" in capsys.readouterr().out
+        assert read(out / "extraction.txt").count("element ") == space.n_e
+        args = ["--benchmark", "manufactured", "--tol", "1e-2", "--iterations", "1", "--out", str(out)]
+        assert main(["solve", "--mesh", str(hier), *args]) == 0
+        assert capsys.readouterr().out.startswith(f"iterations 1 n_f {space.n_f} n_e {space.n_e} ")
+    assert read(tmp_path / "commented" / "extraction.txt") == read(tmp_path / "plain" / "extraction.txt")
 
 
 def test_extract_matches_golden_dump(tmp_path, capsys):

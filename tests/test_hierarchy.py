@@ -158,12 +158,21 @@ def mapped_extension(lv, child):
     return TMesh(child.m, child.n, child.p, child.q, hseg, vseg)
 
 
+def check_levels_nest(space):
+    """Run the build's nesting check (``hierarchy.check_nested``), on meshes
+    as well as knots, on every pair of the space's levels."""
+    data = [lv.kept[0] for lv in space.levels]
+    for k, (a, b) in enumerate(zip(data, data[1:]), 1):
+        hierarchy.check_nested(a, b, k)
+
+
 def test_subdivide_preserves_suitability_with_t_junctions():
     """Subdividing twice the AS corpus, random AS starts of degrees 1 to 4 in
     each direction and valid non-AS starts gives children that are valid,
-    analysis-suitable and hold the parent's extended mesh.  The second
-    subdivision of ``index_vector_mesh_b`` ends a parent extension inside
-    the frame region; its reflections put that end at each side."""
+    analysis-suitable and hold the parent's extended mesh, as the build's
+    nesting check confirms.  The second subdivision of
+    ``index_vector_mesh_b`` ends a parent extension inside the frame region;
+    its reflections put that end at each side."""
     b = samples.index_vector_mesh_b()
     starts = as_mesh_corpus() + non_as_starts()
     starts += [mirrored(b), transposed(b), transposed(mirrored(b))]
@@ -173,14 +182,16 @@ def test_subdivide_preserves_suitability_with_t_junctions():
     ]
     assert not all(mesh.is_analysis_suitable()[0] for mesh in starts)
     for mesh in starts:
-        lv = one_level(mesh).levels[0]
+        levels = [one_level(mesh).levels[0]]
         for _ in range(2):
+            lv = levels[-1]
             child = subdivide_suitable(lv)
             assert child.level == lv.level + 1
             assert child.mesh.validate() == []
             assert child.mesh.is_analysis_suitable()[0]
             assert includes(child.mesh, mapped_extension(lv, child.mesh))
-            lv = child
+            levels.append(child)
+        check_levels_nest(HierarchicalSpace(levels))
 
 
 def test_unsuitable_child_is_an_error(monkeypatch, tmp_path, capsys):
@@ -216,6 +227,35 @@ def test_level_budget_refuses_before_subdividing(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
     args = ["solve", "--benchmark", "skew45", "--elements", "4", "--iterations", "2"]
     assert main(args + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {msg}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("times", [2, 3])
+def test_repeated_interior_knot_is_not_subdivided(times, monkeypatch, tmp_path, capsys):
+    """Subdivision halves every index span, so the zero-length span between
+    repeated knots would raise the knot's multiplicity: 1/2 twice at p = 2
+    would become p+1 = 3 times, a discontinuity, and 3 times would become 5.
+    A level with a repeated interior knot is refused before any of its
+    child is made, in a refinement and in a solve on a mesh file (exit 1)."""
+    vals = [0, 0, 0, Fraction(1, 4)] + [Fraction(1, 2)] * times + [Fraction(3, 4), 1, 1, 1]
+    mesh = samples.tensor_mesh(len(vals) - 5, 4, 2, 2)
+    hk, vk = GlobalKnots(vals, 2), GlobalKnots.uniform_open(mesh.n, 2)
+    path = tmp_path / "repeated.mesh"
+    path.write_text(meshio.dump_mesh(mesh, hk, vk))
+    assert main(["validate", "--mesh", str(path), "--out", str(tmp_path)]) == 0
+    space = HierarchicalSpace([LevelMesh(1, mesh, hk, vk)])
+
+    def unreachable(knots):
+        raise AssertionError("subdivision went past the repeated knot")
+
+    monkeypatch.setattr(hierarchy, "refine_knots", unreachable)
+    msg = "level 2 cannot be made: level 1 repeats the interior knot 1/2, whose multiplicity subdivision would raise"
+    with pytest.raises(MeshStructureError) as exc:
+        refine_by_elements(space, space.elements[:3])
+    assert str(exc.value) == msg
+    capsys.readouterr()
+    assert main(["solve", "--mesh", str(path), "--iterations", "2", "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {msg}\n"
     assert not (tmp_path / "out").exists()
 
@@ -399,6 +439,7 @@ def test_build_matches_rational_sweep(hierarchies, seeded_chains):
     assert max(len(sp.levels) for sp in spaces) == 6
     for space in spaces:
         assert (space.functions, space.elements) == reference_build(space)
+        check_levels_nest(space)
 
 
 # -- builds that reuse level data ----------------------------------------------
@@ -469,9 +510,9 @@ def test_refinement_matches_fresh_build(hierarchies, seeded_chains, fresh_build)
 def test_bad_domain_fails_after_refinement_and_from_file(seeded_chains):
     """Added to the level-(k+1) domain of levels that carry kept data, a
     rect that is no level-k cell, one past the level's index lines and a
-    level-k cell outside the level-k domain raise; the same areas in a
-    hierarchy file, a rectangle that cuts a level-k element and one over
-    that cell, fail to parse."""
+    level-k cell outside the level-k domain raise.  In a hierarchy file, a
+    rectangle that cuts a level-k element fails to parse, and one over that
+    cell parses to the cell, which the build refuses."""
     space = seeded_chains[0][-1]
     e = next(e for e in space.elements if 1 < e.level < len(space.levels))
     lv, below = space.levels[e.level], space.levels[e.level - 1]
@@ -480,20 +521,25 @@ def test_bad_domain_fails_after_refinement_and_from_file(seeded_chains):
     cells = map(tuple, below.kept[0].cells.tolist())
     out = next(r for r in cells if not rect_covered(param_rect(below, r), domain_rects(space.levels, e.level - 1)))
     k = e.level
+    refused = lambda rect: f"level {k + 1} domain element {rect} is no level {k} element inside the level {k} domain"
     for rect in ((x1, x2 + 1, y1, y2), (x1, 10**6, y1, y2), out):
         levels = list(space.levels)
         levels[k] = replace(lv, domain=lv.domain | {rect})
         with pytest.raises(MeshStructureError) as exc:
             HierarchicalSpace(levels)
-        assert str(exc.value) == f"level {k + 1} domain element {rect} is no level {k} element inside the level {k} domain"
+        assert str(exc.value) == refused(rect)
     s1, s2, t1, t2 = e.param_rect
     text = meshio.dump_hierarchy(space.levels)
-    for rect in ((s1, (s1 + s2) / 2, t1, (t1 + t2) / 2), param_rect(below, out)):
-        rects = domain_rects(space.levels, k) + [rect]
-        with pytest.raises(MeshStructureError) as exc:
-            meshio.parse_hierarchy(with_domain(text, k + 1, rects))
-        why = f"is not a union of level {k} element closures inside the level {k} domain"
-        assert str(exc.value) == f"level {k + 1} domain rectangle ({', '.join(map(str, rect))}) {why}"
+    cut = (s1, (s1 + s2) / 2, t1, (t1 + t2) / 2)
+    with pytest.raises(MeshStructureError) as exc:
+        meshio.parse_hierarchy(with_domain(text, k + 1, domain_rects(space.levels, k) + [cut]))
+    why = f"is not a union of level {k} element closures"
+    assert str(exc.value) == f"level {k + 1} domain rectangle ({', '.join(map(str, cut))}) {why}"
+    levels = meshio.parse_hierarchy(with_domain(text, k + 1, domain_rects(space.levels, k) + [param_rect(below, out)]))
+    assert levels[k].domain == lv.domain | {out}
+    with pytest.raises(MeshStructureError) as exc:
+        HierarchicalSpace(levels)
+    assert str(exc.value) == refused(out)
 
 
 def test_refinement_cost_follows_change(seeded_chains, monkeypatch):
@@ -706,31 +752,27 @@ def test_levels_must_nest(tmp_path, capsys):
     refined = refine_by_elements(space, [space.elements[0]])
     lv1, lv2 = refined.levels
     # a level-3 domain escaping the level-2 domain must be rejected: in a
-    # build, a level-2 element outside it; in a file, a rectangle over such
-    # elements
+    # build, a level-2 element outside it, also when a file's rectangle
+    # over such elements reads as them
     whole = refine_by_elements(space, space.elements)
     escape = [e for e in whole.elements if e.param_rect[0] >= Fraction(1, 2) and e.param_rect[2] == 0]
     lv3 = replace(subdivide_suitable(whole.levels[1]), domain=frozenset({escape[0].index_rect}))
-    with pytest.raises(MeshStructureError, match="is no level 2 element inside the level 2 domain"):
+    outside = r"level 3 domain element \(.*\) is no level 2 element inside the level 2 domain"
+    with pytest.raises(MeshStructureError, match=outside):
         HierarchicalSpace([lv1, lv2, lv3])
     half = (Fraction(1, 2), Fraction(1), Fraction(0), Fraction(1, 2))
     text = meshio.dump_hierarchy([lv1, lv2, replace(lv3, domain=frozenset())])
-    with pytest.raises(MeshStructureError) as exc:
-        meshio.parse_hierarchy(with_domain(text, 3, [half]))
-    assert str(exc.value) == (
-        "level 3 domain rectangle (1/2, 1, 0, 1/2) "
-        "is not a union of level 2 element closures inside the level 2 domain"
-    )
+    levels = meshio.parse_hierarchy(with_domain(text, 3, [half]))
+    assert len(levels[2].domain) == 4
+    with pytest.raises(MeshStructureError, match=outside):
+        HierarchicalSpace(levels)
     # a domain that cuts through parent elements (3/8 is a level-2 knot but
-    # no level-1 element boundary), and one with a corner that is no
-    # level-2 knot, in a hierarchy file
+    # no level-1 element boundary), and one with a corner that is no knot of
+    # either level, in a hierarchy file: corners are judged on level 1's knots
     lv1 = tensor_space(4, 2).levels[0]
     text = meshio.dump_hierarchy([lv1, subdivide_suitable(lv1)])
-    for cut, why in (
-        (Fraction(3, 8), "is not a union of level 1 element closures inside the level 1 domain"),
-        (Fraction(1, 16), "is off the level 2 knot grid"),
-    ):
-        msg = f"level 2 domain rectangle (0, {cut}, 0, {cut}) {why}"
+    for cut in (Fraction(3, 8), Fraction(1, 16)):
+        msg = f"level 2 domain rectangle (0, {cut}, 0, {cut}) is not a union of level 1 element closures"
         hier = tmp_path / "domain.hier"
         hier.write_text(with_domain(text, 2, [(0, cut, 0, cut)]))
         with pytest.raises(MeshStructureError) as exc:
@@ -741,8 +783,43 @@ def test_levels_must_nest(tmp_path, capsys):
         assert capsys.readouterr() == ("", f"error: {msg}\n")
 
 
+def test_level_meshes_must_nest(tmp_path, capsys):
+    """A level-2 mesh that loses the vertical unit segments (7, 5) and
+    (7, 6) of the subdivision of ``tensor_space(4, 2)``, on the line
+    x = 1/2, is still valid and analysis-suitable but no longer holds the
+    level-1 mesh, and 20 of the 36 level-1 functions are no sums of its
+    functions.  The build refuses it, and so do extract and solve with a
+    hierarchy file of it (exit 1)."""
+    lv1 = tensor_space(4, 2).levels[0]
+    lv2 = subdivide_suitable(lv1)
+    assert lv2.hknots[7] == Fraction(1, 2)
+    mesh = lv2.mesh.without_segments(vsegs=[(7, 5), (7, 6)])
+    assert mesh.validate() == [] and mesh.is_analysis_suitable()[0]
+    cut = replace(lv2, mesh=mesh, domain=frozenset(map(tuple, lv1.kept[0].cells[:2].tolist())))
+    coarse, fine = lv1.kept[0].space, Space(mesh, lv2.hknots, lv2.vknots)
+    lost = 0
+    for fn in coarse.functions:
+        try:
+            represent_in_space(coarse.h_values(fn), coarse.v_values(fn), fine)
+        except MeshStructureError as exc:
+            assert "lies strictly inside span" in str(exc)
+            lost += 1
+    assert lost == 20
+    msg = "level 2 mesh does not hold the extended level 1 mesh"
+    with pytest.raises(MeshStructureError, match=msg):
+        HierarchicalSpace([lv1, cut])
+    hier = tmp_path / "cut.hier"
+    hier.write_text(meshio.dump_hierarchy([lv1, cut]))
+    for cmd in (["extract"], ["solve", "--iterations", "1"]):
+        capsys.readouterr()
+        assert main([*cmd, "--mesh", str(hier), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", f"error: {msg}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_knots_of_each_level_must_be_knots_of_the_next():
-    """In a build and, before any domain is read, in a hierarchy file."""
+    """In a build, of levels made in memory or read from a hierarchy file;
+    tensor levels whose knots nest also nest as meshes."""
 
     def level(k, ne, below=None, upto=Fraction(1)):
         mesh = samples.tensor_mesh(ne, ne, 2, 2)
@@ -762,6 +839,7 @@ def test_knots_of_each_level_must_be_knots_of_the_next():
     # thirds, sixths, twelfths nest
     space = HierarchicalSpace(chain(3, 6, 12))
     assert {hf.level for hf in space.functions} == {2, 3}
+    check_levels_nest(space)
     assert meshio.parse_hierarchy(meshio.dump_hierarchy(space.levels)) == list(space.levels)
     # quarters, thirds, twelfths: every knot is a knot of the finest level,
     # but level 2 lacks the level-1 knot 1/4; quarters, eighths, thirds:
@@ -772,7 +850,7 @@ def test_knots_of_each_level_must_be_knots_of_the_next():
         with pytest.raises(MeshStructureError, match=msg):
             HierarchicalSpace(chain(*sizes))
         with pytest.raises(MeshStructureError, match=msg):
-            meshio.parse_hierarchy(meshio.dump_hierarchy(chain(*sizes)))
+            HierarchicalSpace(meshio.parse_hierarchy(meshio.dump_hierarchy(chain(*sizes))))
 
 
 def test_levels_must_have_the_same_degrees():
@@ -811,7 +889,29 @@ def test_representation_check_rejects_wrong_coefficients():
     coeffs = represent_in_space(hv, vv, fine)
     wrong = {f: c * Fraction(1001, 1000) for f, c in coeffs.items()}
     with pytest.raises(MeshStructureError, match="nesting violated"):
-        _verify_representation(hv, vv, 2, 2, fine, wrong)
+        _verify_representation(hv, vv, fine, wrong)
+
+
+def test_exact_check_rejects_doubled_deep_representations():
+    """On a 5-level hierarchy grown like the refine-deep benchmark's set-up
+    (3 seeded random elements of the deepest level per step, seed 1), the
+    first 200 level-4 functions pass the exact check on level 5 and each
+    fails it with every coefficient doubled, although most of their
+    supports hold none of any fixed handful of sample points."""
+    rng = random.Random(1)
+    space = tensor_space(4, 2)
+    while len(space.levels) < 5:
+        deepest = [e for e in space.elements if e.level == max(e.level for e in space.elements)]
+        space = refine_by_elements(space, rng.sample(deepest, 3), max_levels=5)
+    coarse, fine = space.spaces[3], space.spaces[4]
+    assert len(coarse.functions) == 1156
+    for fn in coarse.functions[:200]:
+        hv, vv = coarse.h_values(fn), coarse.v_values(fn)
+        doubled = {f: 2 * c for f, c in represent_in_space(hv, vv, fine).items()}
+        with pytest.raises(MeshStructureError) as exc:
+            _verify_representation(hv, vv, fine, doubled)
+        # the doubled sum is the coarse function again, first seen at its support's corner
+        assert str(exc.value) == f"nesting violated: the representation differs on the spans at ({hv[0]}, {vv[0]})"
 
 
 def test_nesting_across_randomized_refinements():
@@ -829,7 +929,7 @@ def test_nesting_across_randomized_refinements():
         steps += 1
         hf = rng.choice(space.functions)
         if hf.level < len(space.levels):
-            # the representation asserts the 1e-10 pointwise residual internally
+            # the representation verifies itself exactly
             represent_coarse_in_fine(space, hf, hf.level + 1)
     assert steps == 20
 
@@ -860,6 +960,7 @@ def test_representation_matches_knot_insertion_oracle(hierarchies, seeded_chains
     rng = random.Random(5)
     pairs = 0
     for space in spaces:
+        check_levels_nest(space)
         top = len(space.levels)
         for k in range(1, top):
             coarse = space.spaces[k - 1]

@@ -7,6 +7,7 @@ solution whose strong residual vanishes).  The grouped FE evaluation is
 checked bit for bit against the one-element-at-a-time oracles in conftest.
 """
 
+from fractions import Fraction
 from math import cos, cosh, pi, sin, sinh, sqrt
 
 import numpy as np
@@ -24,6 +25,8 @@ from conftest import (
     two_level_space,
 )
 from conftest import sample_field as reference_sample_field
+from hasts import samples
+from hasts.basis import GlobalKnots
 from hasts.benchmarks import (
     manufactured_problem,
     skew45_layer_distance,
@@ -47,7 +50,7 @@ from hasts.iga import (
     tau_element,
     total_estimate,
 )
-from hasts.hierarchy import refine_by_elements
+from hasts.hierarchy import HierarchicalSpace, LevelMesh, refine_by_elements
 from hasts.tmesh import MeshStructureError
 
 
@@ -254,8 +257,14 @@ def test_boundary_function_split():
 
 
 def test_boundary_functions_match_exact_oracle(hierarchies):
+    """Also where an interior knot repeats p+1 times: the functions whose
+    first or last p+1 knots are that knot vanish on the boundary."""
+    mesh = samples.tensor_mesh(6, 4, 2, 2)
+    hk = GlobalKnots([0, 0, 0, Fraction(1, 4)] + [Fraction(1, 2)] * 3 + [Fraction(3, 4), 1, 1, 1], 2)
+    split = HierarchicalSpace([LevelMesh(1, mesh, hk, GlobalKnots.uniform_open(mesh.n, 2))])
+    assert (split.n_f, len(boundary_functions(split))) == (8 * 6, 8 * 6 - 6 * 4)
     spaces = [one_level(mesh) for mesh in as_mesh_corpus()] + list(hierarchies)
-    spaces += [thirds_space(2), thirds_space(3)]
+    spaces += [thirds_space(2), thirds_space(3), split]
     for space in spaces:
         assert boundary_functions(space) == oracle.boundary_functions(space)
 
