@@ -12,7 +12,8 @@ function; its ``functions`` is a read-only sequence over them that makes a
 hierarchy makes objects only for the functions it selects or a
 representation asks for.  Greville points of many functions come from the
 same arrays and the knots as integers over one denominator
-(``GlobalKnots.numerators``, ``greville_rows``).
+(``GlobalKnots.numerators``, ``greville_rows``); the knots own their
+knot-span grid, which every location test reads (``GlobalKnots.onto``).
 
 Knot values are stored as exact ``fractions.Fraction`` so that equality and
 interval predicates never see rounding.  One recurrence serves every exact
@@ -51,7 +52,8 @@ class GlobalKnots:
 
     The first and last p+1 entries are the domain ends, which must be 0 and
     1; no knot repeats more than p+1 times, so every support has positive
-    area; entries are exact rationals.
+    area; entries are exact rationals.  The knots own their knot-span grid,
+    the distinct values numbered from 0, and every map onto grid lines.
     """
 
     def __init__(self, values, p):
@@ -119,6 +121,30 @@ class GlobalKnots:
         index line, slot 0 holding 0."""
         den = lcm(*(v.denominator for v in self.values))
         return np.array([0] + [v.numerator * (den // v.denominator) for v in self.values], dtype=object)
+
+    @cached_property
+    def grid(self):
+        """Each distinct knot value mapped to its grid line (the knots are
+        non-decreasing, so first appearance is grid order)."""
+        return {v: i for i, v in enumerate(dict.fromkeys(self.values))}
+
+    @cached_property
+    def lines(self):
+        """The grid line of each index line, slot 0 holding 0."""
+        return np.array([0] + [self.grid[v] for v in self.values], dtype=np.int64)
+
+    @cached_property
+    def grid_numerators(self):
+        """The grid knots as integers, the distinct ``numerators``."""
+        return list(dict.fromkeys(self.numerators[1:].tolist()))
+
+    def onto(self, finer):
+        """The grid line of ``finer`` of each of these grid lines."""
+        g = finer.grid
+        try:
+            return np.array([g[v] for v in self.grid], dtype=np.int64)
+        except KeyError as exc:
+            raise MeshStructureError(f"knot {exc.args[0]} of a level is not a knot of the next level") from None
 
 
 # -- anchors ------------------------------------------------------------------

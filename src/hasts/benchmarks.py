@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import cos, hypot, pi, sin
 
 from .basis import GlobalKnots
-from .hierarchy import HierarchicalSpace, LevelMesh
+from .hierarchy import HierarchicalSpace, LevelMesh, check_level_points
 from .samples import tensor_mesh
 from .tmesh import MeshStructureError
 
@@ -22,8 +22,10 @@ SKEW_SPLIT = 0.2  # inflow jump position on the x=0 edge
 
 
 def tensor_space(num_elements, p, q=None):
-    """Hierarchical space over a plain tensor-product start."""
+    """Hierarchical space over a plain tensor-product start, whose index
+    grid must be within the level budget."""
     q = p if q is None else q
+    check_level_points("level 1", num_elements + 2 * p + 1, num_elements + 2 * q + 1)
     mesh = tensor_mesh(num_elements, num_elements, p, q)
     return HierarchicalSpace(
         [

@@ -20,10 +20,11 @@ the zero-length span would raise.
 Levels nest when each holds the knots and the extended mesh of the one
 below, which a build checks once per pair of level data (``check_nested``).
 Every location test is integer arithmetic on one knot-span grid per
-hierarchy, the finest level's distinct knots numbered from 0, onto which
-each level maps its index lines.  Each element of a domain must be a cell of
-the level below that lies in that level's domain; a rectangle lies inside a
-domain when the summed-area table of its elements covers all of it.
+hierarchy, the finest level's distinct knots numbered from 0, which each
+level reaches through its knots' own map (``GlobalKnots.onto``).  Each
+element of a domain must be a cell of the level below that lies in that
+level's domain; a rectangle lies inside a domain when the summed-area table
+of its elements covers all of it.
 Rectangles from files become elements once, in ``meshio.parse_hierarchy``.
 The build keeps, in canonical order, the grid boxes of the active functions,
 the active elements and the level-1 functions, the grid lines of the local
@@ -50,7 +51,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
+from functools import cache
 from fractions import Fraction
 from math import lcm
 
@@ -83,23 +84,6 @@ class LevelMesh:
 # -- the knot-span grid and domain masks --------------------------------------
 
 
-def span_grid(hknots, vknots):
-    """Exact maps from the distinct horizontal and vertical knot values to
-    their lines on the knot-span grid, numbered from 0 (global knots are
-    non-decreasing, so first appearance is grid order)."""
-    return tuple(
-        {v: i for i, v in enumerate(dict.fromkeys(knots.values))} for knots in (hknots, vknots)
-    )
-
-
-def grid_lines(grid, hknots, vknots):
-    """Grid line of each index line of the knots (slot 0 unused), on the
-    ``span_grid`` of the same knots."""
-    return tuple(
-        np.array([0] + [g[v] for v in knots.values]) for g, knots in zip(grid, (hknots, vknots))
-    )
-
-
 def index_spans(rects, lines):
     """(n, 4) grid rectangles of index-line rectangles (x1, x2, y1, y2); an
     index past either end of the lines reads as that end."""
@@ -108,10 +92,11 @@ def index_spans(rects, lines):
     return np.column_stack([hl, vl])
 
 
-def summed_area(spans, grid):
-    """Summed-area table of the union of grid rectangles: entry (a, b) counts
-    the covered spans left of grid line a and below grid line b."""
-    table = np.zeros((len(grid[0]), len(grid[1])), dtype=np.int64)
+def summed_area(spans, shape):
+    """Summed-area table of the union of grid rectangles on a grid of
+    ``shape`` lines per direction: entry (a, b) counts the covered spans
+    left of grid line a and below grid line b."""
+    table = np.zeros(shape, dtype=np.int64)
     for a1, a2, b1, b2 in spans.tolist():
         table[a1 + 1 : a2 + 1, b1 + 1 : b2 + 1] = 1
     return table.cumsum(0, out=table).cumsum(1, out=table)
@@ -127,11 +112,20 @@ def in_domain(spans, table):
 
 # -- subdivision --------------------------------------------------------------
 
-# index points of the largest level that subdivision makes: a level's time
-# and memory grow with its global index grid, and 2^21 points admits the
-# 1029 x 1029 grid of level 7 over a 16 x 16 biquadratic start (about 2 GB)
-# but refuses level 8 (4.2M points, about 7 GB)
+# index points of the largest level made by subdivision, started or read: a
+# level's time and memory grow with its global index grid, and 2^21 points
+# admits the 1029 x 1029 grid of level 7 over a 16 x 16 biquadratic start
+# (about 2 GB) but refuses level 8 (4.2M points, about 7 GB)
 MAX_LEVEL_POINTS = 2**21
+
+
+def check_level_points(what, m, n):
+    """Raise unless an m x n index grid, which ``what`` would hold, is within
+    ``MAX_LEVEL_POINTS``; callers ask before any of it is made."""
+    if m * n > MAX_LEVEL_POINTS:
+        raise MeshStructureError(
+            f"{what} would hold a {m} x {n} index grid, more than the budget of {MAX_LEVEL_POINTS} points"
+        )
 
 
 def index_map(i, m, p):
@@ -156,11 +150,10 @@ def refine_knots(knots):
     return GlobalKnots([Fraction(c, den) for c in child[1:].tolist()], p)
 
 
-def bezier_cells(mesh, lines):
+def bezier_cells(mesh, hknots, vknots):
     """Positive-parametric-area cells of the extended mesh, as an (n, 4)
-    array of index rects; ``lines`` maps the mesh's index lines to
-    knot-span grid lines."""
-    hl, vl = lines
+    array of index rects."""
+    hl, vl = hknots.lines, vknots.lines
     cells = mesh.extended().cell_rows
     keep = (hl[cells[:, 1]] > hl[cells[:, 0]]) & (vl[cells[:, 3]] > vl[cells[:, 2]])
     return cells[keep]
@@ -177,11 +170,7 @@ def subdivide_suitable(parent: LevelMesh):
     m, n, p, q = mesh.m, mesh.n, mesh.p, mesh.q
     mc = 2 * m - 2 * p - 1
     nc = 2 * n - 2 * q - 1
-    if mc * nc > MAX_LEVEL_POINTS:
-        raise MeshStructureError(
-            f"level {parent.level + 1} would hold a {mc} x {nc} index grid, "
-            f"more than the budget of {MAX_LEVEL_POINTS} points"
-        )
+    check_level_points(f"level {parent.level + 1}", mc, nc)
     dup = [v for k in (parent.hknots, parent.vknots) for v, w in zip(k.values, k.values[1:]) if 0 < v == w < 1]
     if dup:
         raise MeshStructureError(
@@ -281,54 +270,41 @@ class LevelData:
 
     On the level's own index lines: its ``Space``, which holds the index
     lines of its functions' local knot vectors, and its Bezier cells
-    (``cells``).  ``grid`` numbers the level's distinct knots from 0 and
-    ``lines`` maps its index lines onto those numbers.  ``on(top)`` maps all
-    of it onto the knot-span grid of the finest level ``top``, which holds
-    every knot of the level once the build has checked that each level's
-    knots are knots of the next, and keeps the last map, so it is
-    recomputed only when the finest level changes, which ``top.grid``
-    identifies."""
+    (``cells``).  ``on(top)`` maps all of it, through the knots' own grids
+    (``GlobalKnots.onto``), onto the knot-span grid of the finest level
+    ``top``, which holds every knot of the level once the build has checked
+    that each level nests in the next, and keeps the last map, so it is
+    recomputed only when the finest level's knots change.  ``nests_on`` is
+    the level data below that this level was checked to nest on
+    (``check_nested``)."""
 
     def __init__(self, mesh, hknots, vknots):
         self.mesh, self.hknots, self.vknots = mesh, hknots, vknots
         self.space = Space(mesh, hknots, vknots)
-        self.grid = span_grid(hknots, vknots)
-        self.lines = grid_lines(self.grid, hknots, vknots)
-        self.cells = bezier_cells(mesh, self.lines)
+        self.cells = bezier_cells(mesh, hknots, vknots)
         # the supports, then the cells, by lower edge: every map onto a grid keeps this order
         lower = np.concatenate([self.space.v_indices[:, 0], self.cells[:, 2]])
         self.order = np.argsort(lower, kind="stable")
-        # the grid of the finest level of the last map, and of the next
-        # level this level was checked to nest in (``check_nested``): a
-        # grid holds no level data, so these form no reference cycle
-        self._grid = self.nested_grid = None
+        # the knots of the finest level of the last map hold no level data,
+        # and ``nests_on`` points down only, so these form no reference cycle
+        self._top = self.nests_on = None
         self._on, self._made = None, {}
-
-    @cached_property
-    def numerators(self):
-        """Each direction's grid knots as integers over one denominator,
-        the distinct values of ``GlobalKnots.numerators``."""
-        return tuple(
-            list(dict.fromkeys(k.numerators[1:].tolist())) for k in (self.hknots, self.vknots)
-        )
 
     def on(self, top):
         """This level on the grid of ``top``: the grid line of each index
         line, the grid lines of the local knot vectors, and the support
         boxes followed by the cell boxes as a ``_grow`` family, all
         read-only."""
-        if self._grid is not top.grid:
-            to = tuple(
-                np.array([g[v] for v in own], dtype=np.int64) for g, own in zip(top.grid, self.grid)
-            )
-            hl, vl = (t[ls] for t, ls in zip(to, self.lines))
+        knots = top.hknots, top.vknots
+        if self._top != knots:
+            hl, vl = (k.onto(t)[k.lines] for k, t in zip((self.hknots, self.vknots), knots))
             h, v = hl[self.space.h_indices], vl[self.space.v_indices]
             supports = np.column_stack([h[:, 0], h[:, -1], v[:, 0], v[:, -1]])
             boxes = np.concatenate([supports, index_spans(self.cells, (hl, vl))])
             for a in (hl, vl, h, v, boxes):
                 a.flags.writeable = False
             family = (boxes, self.order, boxes[self.order, 2], (boxes[:, 3] - boxes[:, 2]).max())
-            self._grid, self._on = top.grid, ((hl, vl), (h, v), family)
+            self._top, self._on = knots, ((hl, vl), (h, v), family)
         return self._on
 
     def made(self, level, on):
@@ -361,16 +337,15 @@ def check_nested(lower, upper, level):
     of ``lower``, the meshes compared by prefix sums of positive-length unit
     segments (seg[i, j] joins index lines i and i+1 on the crossing line j)
     along each line of the knot-span grid of ``upper``."""
-    lost = [v for own, nxt in zip(lower.grid, upper.grid) for v in own if v not in nxt]
-    if lost:
-        raise MeshStructureError(f"knot {lost[0]} of a level is not a knot of the next level")
-    low = [np.array([g[v] for v in own])[ls] for g, own, ls in zip(upper.grid, lower.grid, lower.lines)]
+    pairs = ((lower.hknots, upper.hknots), (lower.vknots, upper.vknots))
+    low = [k.onto(nxt)[k.lines] for k, nxt in pairs]
+    top = [nxt.lines for _, nxt in pairs]
     ext = lower.mesh.extended()
     positive = lambda a: np.flatnonzero(a[2:] > a[1:-1]) + 1  # index spans of positive length
     for d, own, nxt in ((0, ext.hseg, upper.mesh.hseg), (1, ext.vseg.T, upper.mesh.vseg.T)):
         # per grid line across, the grid spans along it that hold a segment of ``upper``, summed
-        first = np.flatnonzero(np.diff(upper.lines[1 - d][1:], prepend=-1))
-        held = np.logical_or.reduceat(nxt[positive(upper.lines[d]), 1:], first, axis=1)
+        first = np.flatnonzero(np.diff(top[1 - d][1:], prepend=-1))
+        held = np.logical_or.reduceat(nxt[positive(top[d]), 1:], first, axis=1)
         count = np.vstack([np.zeros((1, held.shape[1]), dtype=np.int64), held.cumsum(axis=0)])
         i, along, across = positive(low[d]), low[d], low[1 - d][1:]
         got = count[np.ix_(along[i + 1], across)] - count[np.ix_(along[i], across)]
@@ -426,11 +401,11 @@ class HierarchicalSpace:
         levels = self.levels
         data = [lv.kept[0] for lv in levels]
         top = data[-1]
-        grid = top.grid
+        shape = len(top.hknots.grid), len(top.vknots.grid)
         for k, (a, b) in enumerate(zip(data, data[1:]), 1):
-            if a.nested_grid is not b.grid:
+            if b.nests_on is not a:
                 check_nested(a, b, k)
-                a.nested_grid = b.grid
+                b.nests_on = a
         # so every level's knots are knots of the finest level
         lines, fn_lines, families = zip(*(d.on(top) for d in data))
         boxes = [f[0] for f in families]
@@ -452,7 +427,7 @@ class HierarchicalSpace:
                 # and cells lie inside it; the new rects must be the cells
                 # of Ω^{k-1} that come inside
                 was, spans = masks[1][n:], index_spans(list(new), lines[k - 1])
-                table = summed_area(np.concatenate([boxes[k - 1][n:][was], spans]), grid)
+                table = summed_area(np.concatenate([boxes[k - 1][n:][was], spans]), shape)
                 pairs = zip(masks[1:], families[k - 1 : k + 1])
                 masks = (below, *(_grow(m, f, spans, table) for m, f in pairs))
                 came = set(map(tuple, below.cells[(masks[1] & on[k - 1])[n:] & ~was].tolist()))
@@ -474,8 +449,8 @@ class HierarchicalSpace:
         self.n_e = len(self.elements)
         # integer location data in canonical order, on a grid of
         # ``grid_shape`` lines per direction with ``grid_numerators`` as knots
-        self.grid_shape = tuple(len(g) for g in grid)
-        self.grid_numerators = top.numerators
+        self.grid_shape = shape
+        self.grid_numerators = top.hknots.grid_numerators, top.vknots.grid_numerators
         self.knot_lines = tuple(
             np.concatenate([fl[d][o[:n]] for fl, o, n in zip(fn_lines, on, nf)]) for d in (0, 1)
         )
@@ -537,14 +512,12 @@ def _verify_representation(hvals, vvals, fine, coeffs):
     the fine knot spans under its support (``row_key`` keys into the row
     store), c_f times each fine function's tensor product of rows, less the
     coarse function's, must sum to 0 on every span pair, in integers."""
-    grid = span_grid(fine.hknots, fine.vknots)
-    nums = [list(dict.fromkeys(k.numerators[1:].tolist())) for k in (fine.hknots, fine.vknots)]
-    degs = fine.mesh.p, fine.mesh.q
+    knots, degs = (fine.hknots, fine.vknots), (fine.mesh.p, fine.mesh.q)
 
     @cache
     def rows(d, vals):
         # where the first row goes, the rows under the support as integers over ``den``, and ``den``
-        g, num, deg = grid[d], nums[d], degs[d]
+        g, num, deg = knots[d].grid, knots[d].grid_numerators, degs[d]
         if any(v not in g for v in vals):
             raise MeshStructureError(f"nesting violated: a knot of {vals} is no knot of the finer level")
         ints, spans = [num[g[v]] for v in vals], range(g[vals[0]], g[vals[-1]])
@@ -563,7 +536,7 @@ def _verify_representation(hvals, vvals, fine, coeffs):
         total[x : x + len(h), y : y + len(v)] += int(Fraction(c, dh * dv) * den) * np.multiply.outer(h, v)
     bad = np.argwhere(total != 0)
     if len(bad):
-        s, t = (list(g)[int(w + a) // (deg + 1)] for g, w, a, deg in zip(grid, bad[0], lo, degs))
+        s, t = (list(k.grid)[int(w + a) // (deg + 1)] for k, w, a, deg in zip(knots, bad[0], lo, degs))
         raise MeshStructureError(f"nesting violated: the representation differs on the spans at ({s}, {t})")
 
 

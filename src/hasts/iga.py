@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import cosh, sinh, sqrt
+from math import cosh, isfinite, sinh, sqrt
 
 import numpy as np
 import numpy.polynomial.legendre as npleg
@@ -60,6 +60,8 @@ class Problem:
     def __post_init__(self):
         if self.kappa <= 0:
             raise MeshStructureError("diffusivity must be positive")
+        if not isfinite(self.kappa):
+            raise MeshStructureError(f"diffusivity must be finite, not {self.kappa}")
 
 
 @lru_cache(maxsize=None)
@@ -371,7 +373,10 @@ def solve_linear(K, F):
     """Sparse direct solve with a residual check."""
     if K.shape[0] == 0:
         return np.zeros(0)
-    lu = spla.splu(K.tocsc())
+    try:
+        lu = spla.splu(K.tocsc())
+    except RuntimeError as exc:  # a singular matrix
+        raise MeshStructureError(f"linear solve failed: {exc}") from None
     x = lu.solve(F)
     denom = np.linalg.norm(F)
     res = np.linalg.norm(K @ x - F) / (denom if denom > 0 else 1.0)

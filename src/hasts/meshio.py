@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .basis import GlobalKnots, minimal_edges
-from .hierarchy import LevelMesh, bezier_cells, grid_lines, in_domain, index_spans, span_grid, summed_area
+from .hierarchy import LevelMesh, bezier_cells, check_level_points, in_domain, index_spans, summed_area
 from .tmesh import MeshStructureError, TMesh
 
 MESH_MAGIC = "hasts-tmesh 1"
@@ -109,6 +109,7 @@ def _read_mesh(r):
     ln, (m, n, p, q) = r.ints(4, "header")
     if m < 2 or n < 2:
         raise ParseError(ln, f"bad dimensions m={m} n={n}")
+    check_level_points(f"line {ln}: the mesh", m, n)
     hknots = _read_knots(r, "hknots", m, p)
     vknots = _read_knots(r, "vknots", n, q)
     _, (nv,) = _kw_int(r, "vertices")
@@ -222,14 +223,13 @@ def _element_domains(levels):
     the levels and their domains nest is for ``HierarchicalSpace`` to check."""
     out = [LevelMesh(1, mesh, hk, vk) for mesh, hk, vk, _ in levels[:1]]
     for k, ((mesh, hk, vk, _), (*child, rects)) in enumerate(zip(levels, levels[1:]), 1):
-        grid = span_grid(hk, vk)
-        lines = grid_lines(grid, hk, vk)
-        cells = bezier_cells(mesh, lines)
-        boxes = index_spans(cells, lines)
+        grid, shape = (hk.grid, vk.grid), (len(hk.grid), len(vk.grid))
+        cells = bezier_cells(mesh, hk, vk)
+        boxes = index_spans(cells, (hk.lines, vk.lines))
         spans = np.array([[grid[i // 2].get(c, -1) for i, c in enumerate(r)] for r in rects]).reshape(-1, 4)
         off = (spans < 0).any(axis=1)
-        take = in_domain(boxes, summed_area(spans[~off], grid))
-        bad = off | ~in_domain(spans, summed_area(boxes[take], grid))
+        take = in_domain(boxes, summed_area(spans[~off], shape))
+        bad = off | ~in_domain(spans, summed_area(boxes[take], shape))
         if bad.any():
             rect = ", ".join(map(str, rects[bad.argmax()]))
             why = f"is not a union of level {k} element closures"

@@ -9,6 +9,7 @@ shipped meshes, which ``Space`` and the per-entity marching oracle must both
 give.
 """
 
+import os
 import random
 from fractions import Fraction
 from math import lcm
@@ -19,7 +20,7 @@ from scipy.interpolate import BSpline
 
 import conftest as oracle
 from conftest import as_mesh_corpus, bspline_eval, cox_de_boor, eval_all, eval_function, greville_oracle, greville_points
-from hasts import basis, samples
+from hasts import basis, meshio, samples
 from hasts.basis import (
     Anchor,
     BlendingFunction,
@@ -33,7 +34,7 @@ from hasts.basis import (
 )
 from hasts.benchmarks import tensor_space
 from hasts.extraction import default_geometry
-from hasts.hierarchy import refine_by_elements
+from hasts.hierarchy import refine_by_elements, refine_knots
 from hasts.tmesh import MeshStructureError
 
 
@@ -112,6 +113,55 @@ def test_knot_vector_rejects_bad_input():
         GlobalKnots([0, 0, 1, 1], 2)  # too short
     with pytest.raises(MeshStructureError):
         GlobalKnots([0, 0, 1, 2, 2, 2], 2)  # not open at the left end
+
+
+def knot_grid_pairs():
+    """Pairs of knot vectors whose second holds every knot of the first:
+    sevenths (``samples/index_vector_c.mesh``) and their halves, the levels
+    of ``thirds_space`` (thirds, sixths, twelfths), the interior knot 1/2
+    repeated p+1 times, and float knots over 2^62 with their midpoints."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "samples", "index_vector_c.mesh")) as f:
+        _, hk, vk = meshio.parse_mesh(f.read())
+    pairs = [(hk, refine_knots(hk)), (vk, refine_knots(vk))]
+    for p in (2, 3):
+        lv1, lv2, lv3 = oracle.thirds_space(p).levels
+        pairs += [(lv1.hknots, lv2.hknots), (lv2.vknots, lv3.vknots), (lv1.hknots, lv3.hknots)]
+    h, third = Fraction(1, 2), Fraction(1, 3)
+    pairs.append((
+        GlobalKnots([0, 0, 0, third, h, h, h, 2 * third, 1, 1, 1], 2),
+        GlobalKnots([0, 0, 0, Fraction(1, 4), third, h, h, h, 2 * third, Fraction(5, 6), 1, 1, 1], 2),
+    ))
+    u = Fraction(2**49 + 1, 2**62)
+    wide = GlobalKnots([0, 0, 0, u, 2 * u, 3 * u, 4 * u, h, Fraction(3, 4), 1, 1, 1], 2)
+    pairs.append((wide, refine_knots(wide)))
+    return pairs
+
+
+def test_knot_grid_matches_plain_oracle():
+    """Each knot vector's grid numbers its sorted distinct values from 0,
+    ``lines`` gives each index line the position of its value there, the
+    grid knots as integers are the values times their least common
+    denominator, and ``onto`` gives each distinct value its position among
+    the finer distinct values.  Mapped the other way, the first finer value
+    that the coarse knots lack is named."""
+    pairs = knot_grid_pairs()
+    assert any(k.values.count(Fraction(1, 2)) == k.p + 1 for k, _ in pairs)
+    assert max(v.denominator for _, k in pairs for v in k.values) > 2**55
+    for coarse, fine in pairs:
+        for k in (coarse, fine):
+            distinct = sorted(set(k.values))
+            den = lcm(*(v.denominator for v in distinct))
+            assert list(k.grid.items()) == [(v, distinct.index(v)) for v in distinct]
+            assert k.lines.dtype == np.int64
+            assert k.lines.tolist() == [0] + [distinct.index(v) for v in k.values]
+            assert k.grid_numerators == [int(v * den) for v in distinct]
+            assert k.onto(k).tolist() == list(range(len(distinct)))
+        finer = sorted(set(fine.values))
+        assert coarse.onto(fine).tolist() == [finer.index(v) for v in sorted(set(coarse.values))]
+        lost = next(v for v in finer if v not in coarse.values)
+        with pytest.raises(MeshStructureError) as exc:
+            fine.onto(coarse)
+        assert str(exc.value) == f"knot {lost} of a level is not a knot of the next level"
 
 
 # -- evaluation against scipy --------------------------------------------------

@@ -33,7 +33,7 @@ from conftest import (
     thirds_space,
     with_domain,
 )
-from hasts import hierarchy, meshio, samples
+from hasts import benchmarks, hierarchy, meshio, samples
 from hasts.basis import GlobalKnots, Space
 from hasts.benchmarks import tensor_space
 from hasts.cli import main
@@ -231,6 +231,72 @@ def test_level_budget_refuses_before_subdividing(monkeypatch, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_level_budget_bounds_starts_and_files(monkeypatch, tmp_path, capsys):
+    """The level budget also bounds a tensor start and every mesh a file
+    declares, each refused before any of it is made: the start before its
+    mesh, a mesh of a file right after its header line (exit 1, nothing
+    written)."""
+    start = tensor_space(4, 2)
+    two = refine_by_elements(start, start.elements[:3])  # 9 x 9, then 13 x 13
+    lv1 = two.levels[0]
+    mesh_file, hier_file = tmp_path / "start.mesh", tmp_path / "two.hier"
+    mesh_file.write_text(meshio.dump_mesh(lv1.mesh, lv1.hknots, lv1.vknots))
+    hier_file.write_text(meshio.dump_hierarchy(two.levels))
+
+    def unreachable(*args):
+        raise AssertionError("a level went past the budget")
+
+    monkeypatch.setattr(benchmarks, "tensor_mesh", unreachable)
+    monkeypatch.setattr(meshio, "_read_knots", unreachable)
+    monkeypatch.setattr(hierarchy, "MAX_LEVEL_POINTS", 9 * 9 - 1)
+    msg = "level 1 would hold a 9 x 9 index grid, more than the budget of 80 points"
+    with pytest.raises(MeshStructureError) as exc:
+        tensor_space(4, 2)
+    assert str(exc.value) == msg
+    args = ["solve", "--benchmark", "skew45", "--elements", "4", "--iterations", "1", "--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {msg}\n"
+    msg = "line 2: the mesh would hold a 9 x 9 index grid, more than the budget of 80 points"
+    with pytest.raises(MeshStructureError) as exc:
+        meshio.parse_mesh(mesh_file.read_text())
+    assert str(exc.value) == msg
+    for command in ("validate", "extract", "solve"):
+        assert main([command, "--mesh", str(mesh_file), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {msg}\n"
+    monkeypatch.undo()
+    monkeypatch.setattr(hierarchy, "MAX_LEVEL_POINTS", 9 * 9)
+    read, knots = [], meshio._read_knots
+    monkeypatch.setattr(meshio, "_read_knots", lambda *args: read.append(args[1]) or knots(*args))
+    header = hier_file.read_text().splitlines().index(meshio.MESH_MAGIC, 4) + 2
+    msg = f"line {header}: the mesh would hold a 13 x 13 index grid, more than the budget of 81 points"
+    with pytest.raises(MeshStructureError) as exc:
+        meshio.parse_hierarchy(hier_file.read_text())
+    assert str(exc.value) == msg and read == ["hknots", "vknots"]  # level 1's only
+    assert main(["extract", "--mesh", str(hier_file), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {msg}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_nesting_is_checked_once_per_pair(monkeypatch):
+    """Each pair of level data is checked to nest once (``check_nested``),
+    also when builds alternate between a chain's space and a refinement of
+    an earlier space of the chain that added its own next level on the
+    same level data below."""
+    pairs = []
+    check = hierarchy.check_nested
+    monkeypatch.setattr(hierarchy, "check_nested", lambda a, b, k: pairs.append((a, b)) or check(a, b, k))
+    start = tensor_space(4, 2)
+    two = refine_by_elements(start, start.elements[:3])
+    lv2 = [e for e in two.elements if e.level == 2]
+    chain, other = refine_by_elements(two, lv2[:3]), refine_by_elements(two, lv2[-3:])
+    data = lambda sp: [lv.kept[0] for lv in sp.levels]
+    assert data(chain)[:2] == data(other)[:2] and data(chain)[2] is not data(other)[2]
+    for _ in range(3):
+        for space in (chain, other):
+            HierarchicalSpace(space.levels)
+    assert len(pairs) == len(set(pairs)) == 3
+
+
 @pytest.mark.parametrize("times", [2, 3])
 def test_repeated_interior_knot_is_not_subdivided(times, monkeypatch, tmp_path, capsys):
     """Subdivision halves every index span, so the zero-length span between
@@ -424,10 +490,9 @@ def test_rect_covered_exact():
     assert not covered(unit, tuple(quarters[:2]))
     # the span-mask predicate agrees on the grid {0, 1/2, 1}
     line = {Fraction(0): 0, h: 1, Fraction(1): 2}
-    grid = (line, line)
     spans = lambda rects: np.array([[line[v] for v in r] for r in rects]).reshape(-1, 4)
     for dom in (quarters, quarters[:3], quarters[:2], [unit]):
-        got = in_domain(spans([unit] + quarters), summed_area(spans(dom), grid))
+        got = in_domain(spans([unit] + quarters), summed_area(spans(dom), (3, 3)))
         assert list(got) == [rect_covered(r, dom) for r in [unit] + quarters]
 
 

@@ -237,6 +237,12 @@ def test_problem_rejects_nonpositive_diffusivity():
         Problem((1.0, 0.0), -1.0, lambda x, y: 0.0)
 
 
+def test_problem_rejects_nonfinite_diffusivity():
+    for kappa in (float("nan"), float("inf")):
+        with pytest.raises(MeshStructureError, match="diffusivity must be finite"):
+            Problem((1.0, 0.0), kappa, lambda x, y: 0.0)
+
+
 # -- boundary handling ---------------------------------------------------------
 
 
@@ -311,6 +317,13 @@ def test_solve_linear_residual_and_empty_system():
     x = solve_linear(K, F)
     assert np.linalg.norm(K @ x - F) / np.linalg.norm(F) < 1e-10
     assert solve_linear(sp.csr_matrix((0, 0)), np.zeros(0)).shape == (0,)
+
+
+def test_solve_linear_refuses_singular_system():
+    import scipy.sparse as sp
+
+    with pytest.raises(MeshStructureError, match="^linear solve failed: "):
+        solve_linear(sp.csr_matrix(np.ones((3, 3))), np.ones(3))
 
 
 # -- convergence ---------------------------------------------------------------
