@@ -12,10 +12,10 @@ lines, plus the midlines of the parent's Bezier cells, so it holds the
 parent's extended mesh, which nesting needs, by construction.  Every
 extension of the parent is already an edge and the midlines split every
 element alike, so unlike local refinement of AS T-splines, subdivision
-repairs no extensions: it checks once that the child is valid and
-analysis-suitable, and raises ``MeshStructureError`` if not, or before it
-starts if the parent repeats an interior knot, whose multiplicity halving
-the zero-length span would raise.
+repairs no extensions; it refuses a parent that repeats an interior knot,
+whose multiplicity halving the zero-length span would raise.  Every level,
+the child as a start or a file's, is admitted once, where its level data
+is made: its mesh must be valid and analysis-suitable.
 
 Levels nest when each holds the knots and the extended mesh of the one
 below, which a build checks once per pair of level data (``check_nested``).
@@ -58,7 +58,7 @@ from math import lcm
 import numpy as np
 
 from .basis import GlobalKnots, Space, bezier_coeffs_1d, blossom, greville_rows, row_key
-from .tmesh import MeshStructureError, TMesh
+from .tmesh import MeshStructureError, TMesh, runs_mask
 
 
 @dataclass(frozen=True)
@@ -160,12 +160,13 @@ def bezier_cells(mesh, hknots, vknots):
 
 
 def subdivide_suitable(parent: LevelMesh):
-    """Split every Bezier element of the parent into four congruent children
-    and check the child mesh, as the module docstring says; returns the
-    child level, at level+1 with an empty domain.  A child whose index grid
-    holds more than ``MAX_LEVEL_POINTS`` points, or whose parent repeats an
-    interior knot, is refused before anything is made.  The parent's cells
-    are those of its level data, made here if no build has kept it yet."""
+    """Split every Bezier element of the parent into four congruent
+    children, as the module docstring says; returns the child level, at
+    level+1 with an empty domain, for a build to admit.  A child whose
+    index grid holds more than ``MAX_LEVEL_POINTS`` points, or whose parent
+    repeats an interior knot, is refused before anything is made.  The
+    parent's cells are those of its level data, made (and the parent
+    admitted) here if no build has kept it yet."""
     mesh = parent.mesh
     m, n, p, q = mesh.m, mesh.n, mesh.p, mesh.q
     mc = 2 * m - 2 * p - 1
@@ -213,8 +214,8 @@ def subdivide_suitable(parent: LevelMesh):
     ylo[ylo == q + 1], yhi[yhi == nc - q] = 1, nc
     xlo, xhi = fx[x1], fx[x2]
     xlo[xlo == p + 1], xhi[xhi == mc - p] = 1, mc
-    vseg |= _runs_mask(vseg.shape, cx, ylo, yhi)
-    hseg |= _runs_mask(hseg.T.shape, cy, xlo, xhi).T
+    vseg |= runs_mask(vseg.shape, cx, ylo, yhi)
+    hseg |= runs_mask(hseg.T.shape, cy, xlo, xhi).T
     # a parent extension that ends inside the frame region, where no
     # T-junction may lie, is carried on to the boundary
     dp, dq = (p + 1) // 2, (q + 1) // 2
@@ -222,22 +223,7 @@ def subdivide_suitable(parent: LevelMesh):
     hseg[mc - dp + 1 : mc] |= hseg[mc - dp]
     vseg[:, 1:dq] |= vseg[:, dq, None]
     vseg[:, nc - dq + 1 : nc] |= vseg[:, nc - dq, None]
-    child = TMesh(mc, nc, p, q, hseg, vseg)
-    bad = child.validate()
-    if bad:
-        raise MeshStructureError(f"subdivided mesh invalid: {bad[0]}")
-    if not child.is_analysis_suitable()[0]:
-        raise MeshStructureError("subdivided mesh is not analysis-suitable")
-    return LevelMesh(parent.level + 1, child, chk, cvk, domain=frozenset())
-
-
-def _runs_mask(shape, line, lo, hi):
-    """Boolean array of ``shape`` that is True on [lo[k], hi[k]) of row
-    line[k] for every k, where each lo[k] < hi[k]."""
-    step = np.zeros((shape[0], shape[1] + 1), dtype=np.int64)
-    np.add.at(step, (line, lo), 1)
-    np.add.at(step, (line, hi), -1)
-    return step.cumsum(axis=1)[:, :-1] > 0
+    return LevelMesh(parent.level + 1, TMesh(mc, nc, p, q, hseg, vseg), chk, cvk, domain=frozenset())
 
 
 # -- hierarchical space -------------------------------------------------------
@@ -324,10 +310,17 @@ class LevelData:
 
 def _kept(lv):
     """The level with valid level data: its own if it still matches the
-    mesh and knots, else new data and no domain on record."""
+    mesh and knots, else new data and no domain on record.  New data is
+    made only for a valid, analysis-suitable mesh, so every level is
+    admitted here, once per level data."""
     data = lv.kept[0] if lv.kept else None
     if data and data.mesh is lv.mesh and data.hknots is lv.hknots and data.vknots is lv.vknots:
         return lv
+    bad = lv.mesh.validate()
+    if bad:
+        raise MeshStructureError(f"level {lv.level} invalid: {bad[0]}")
+    if not lv.mesh.is_analysis_suitable()[0]:
+        raise MeshStructureError(f"level {lv.level} mesh is not analysis-suitable")
     return replace(lv, kept=(LevelData(lv.mesh, lv.hknots, lv.vknots), frozenset(), None))
 
 
@@ -375,15 +368,14 @@ def _grow(mask, family, new, table):
 
 
 class HierarchicalSpace:
-    """The hierarchical basis H and element set HE over nested levels."""
+    """The hierarchical basis H and element set HE over nested levels 1, 2,
+    ... of one pair of degrees, each admitted where its data is made."""
 
     def __init__(self, levels):
         levels = tuple(levels)
-        if not levels:
-            raise MeshStructureError("hierarchy needs at least one level")
+        if not levels or [lv.level for lv in levels] != list(range(1, len(levels) + 1)):
+            raise MeshStructureError("a hierarchy holds levels 1, 2, ... in order")
         for a, b in zip(levels, levels[1:]):
-            if b.level != a.level + 1:
-                raise MeshStructureError("levels must be consecutively numbered")
             if b.domain is None:
                 raise MeshStructureError("only level 1 may cover the whole domain")
             if (b.mesh.p, b.mesh.q) != (a.mesh.p, a.mesh.q):

@@ -241,8 +241,9 @@ def _at_points(fn, x):
     return np.array([fn(px, py) for px, py in pts]).reshape(len(x), 1, -1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def assemble(problem: Problem, disc: Discretization, supg=True):
-    """Global (K, F) with Galerkin + SUPG terms, before boundary conditions."""
+    """Global (K, F) with Galerkin + SUPG terms, before boundary conditions; ``solve_linear`` judges overflow."""
     ux, uy = problem.velocity
     unorm = sqrt(ux * ux + uy * uy)
     kappa = problem.kappa
@@ -369,8 +370,9 @@ def apply_dirichlet(K, F, problem, disc):
     return Kii, Fi, interior, full
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_linear(K, F):
-    """Sparse direct solve with a residual check."""
+    """Sparse direct solve, checked by its factorization and its residual."""
     if K.shape[0] == 0:
         return np.zeros(0)
     try:
@@ -396,8 +398,9 @@ def solve(problem, disc):
 # -- error estimation and marking ---------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_error(problem, disc, coeffs):
-    """Per-element tau^e times the L2 norm of the strong residual."""
+    """Per-element tau^e times the L2 norm of the strong residual; each must be finite."""
     ux, uy = problem.velocity
     unorm = sqrt(ux * ux + uy * uy)
     out = np.zeros(len(disc.elems))
@@ -411,6 +414,10 @@ def estimate_error(problem, disc, coeffs):
             resid = resid - fg
         tau = np.array([tau_element(h, unorm, problem.kappa) for h in g.h.tolist()])
         out[g.pos] = tau * np.sqrt((resid**2 * g.dvol)[:, 0].sum(axis=1))
+    bad = np.flatnonzero(~np.isfinite(out))
+    if len(bad):
+        el, est = disc.space.elements[bad[0]], out[bad[0]]
+        raise MeshStructureError(f"error estimate of level {el.level} element {el.index_rect} is {est}, not finite")
     return out
 
 

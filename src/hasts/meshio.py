@@ -14,6 +14,7 @@ format (``parse_levels``).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -74,25 +75,29 @@ class _Reader:
         except ValueError:
             raise ParseError(ln, f"non-integer token in {what}") from None
 
-
-def _edges_of(mesh):
-    """Minimal edges as canonical-vertex pairs, sorted."""
-    edges = [((x1, y), (x2, y)) for x1, x2, y in minimal_edges(mesh, "h")]
-    edges += [((x, y1), (x, y2)) for x, y1, y2 in minimal_edges(mesh, "v")]
-    edges.sort()
-    return edges
+    def rows(self, rows, count, what):
+        """The next ``rows`` significant lines of ``count`` integers each, in
+        one flat int64 array if they are plain lines as a dump writes them,
+        else read one by one by ``ints``, with its errors, into a list."""
+        block = self.lines[self.pos : self.pos + rows]
+        plain = " ".join(["[0-9]{1,18}"] * count)  # at most 18 digits, so within int64
+        if len(block) == rows and re.fullmatch(f"(?:{plain}\n)*", "\n".join(block) + "\n"):
+            self.pos += rows
+            return np.fromstring(" ".join(block), dtype=np.int64, sep=" ")
+        return [v for _ in range(rows) for v in self.ints(count, what)[1]]
 
 
 def dump_mesh(mesh, hknots, vknots):
+    """Mesh text: the canonical vertices, sorted, and the minimal edges as
+    sorted canonical-vertex pairs, each section formatted as one block."""
+    h, v = (np.array(minimal_edges(mesh, axis), dtype=np.int64).reshape(-1, 3) for axis in "hv")
+    edges = np.concatenate([h[:, [0, 2, 1, 2]], v[:, [0, 1, 0, 2]]])
     out = [MESH_MAGIC, f"{mesh.m} {mesh.n} {mesh.p} {mesh.q}"]
-    out.append("hknots " + _knot_text(hknots.values))
-    out.append("vknots " + _knot_text(vknots.values))
-    verts = sorted(mesh.canonical_vertices)
-    out.append(f"vertices {len(verts)}")
-    out.extend(f"{x} {y}" for x, y in verts)
-    edges = _edges_of(mesh)
-    out.append(f"edges {len(edges)}")
-    out.extend(f"{a[0]} {a[1]} {b[0]} {b[1]}" for a, b in edges)
+    out += ["hknots " + _knot_text(hknots.values), "vknots " + _knot_text(vknots.values)]
+    for name, rows in (("vertices", np.argwhere(mesh.vertex_mask)), ("edges", edges[np.lexsort(edges.T[::-1])])):
+        out.append(f"{name} {len(rows)}")
+        if len(rows):
+            out.append("\n".join([" ".join(["%d"] * rows.shape[1])] * len(rows)) % tuple(rows.ravel().tolist()))
     return "\n".join(out) + "\n"
 
 
@@ -113,12 +118,9 @@ def _read_mesh(r):
     hknots = _read_knots(r, "hknots", m, p)
     vknots = _read_knots(r, "vknots", n, q)
     _, (nv,) = _kw_int(r, "vertices")
-    verts = [tuple(r.ints(2, "vertex")[1]) for _ in range(nv)]
+    verts = r.rows(nv, 2, "vertex")
     _, (ne,) = _kw_int(r, "edges")
-    edges = []
-    for _ in range(ne):
-        _, (x1, y1, x2, y2) = r.ints(4, "edge")
-        edges.append(((x1, y1), (x2, y2)))
+    edges = r.rows(ne, 4, "edge")
     return TMesh.from_vertices_edges(m, n, p, q, verts, edges), hknots, vknots
 
 

@@ -40,6 +40,15 @@ def _points(mask, offset=0):
     return list(zip((xs + offset).tolist(), (ys + offset).tolist()))
 
 
+def runs_mask(shape, line, lo, hi):
+    """Boolean array of ``shape`` that is True on [lo[k], hi[k]) of row
+    line[k] for every k, where each lo[k] < hi[k]."""
+    step = np.zeros((shape[0], shape[1] + 1), dtype=np.int64)
+    np.add.at(step, (line, lo), 1)
+    np.add.at(step, (line, hi), -1)
+    return step.cumsum(axis=1)[:, :-1] > 0
+
+
 def _areas(boxes):
     """Areas in unit cells of (k, 4) index boxes (x1, x2, y1, y2)."""
     return (boxes[:, 1] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 2])
@@ -139,31 +148,33 @@ class TMesh:
 
     @classmethod
     def from_vertices_edges(cls, m, n, p, q, vertices, edges):
-        """Build from an explicit vertex list and axis-aligned vertex-pair edges.
-
-        A dangling edge endpoint (not in the vertex list) is a hard error, not
-        a validation finding.
-        """
-        vset = set(map(tuple, vertices))
-        for (x, y) in vset:
-            if not (1 <= x <= m and 1 <= y <= n):
-                raise MeshStructureError(f"vertex {(x, y)} outside index domain")
-        hseg = np.zeros((m + 1, n + 1), dtype=bool)
-        vseg = np.zeros((m + 1, n + 1), dtype=bool)
-        for a, b in edges:
-            a, b = tuple(a), tuple(b)
-            if a not in vset or b not in vset:
-                raise MeshStructureError(f"edge {(a, b)} has dangling endpoint")
-            (xa, ya), (xb, yb) = a, b
-            if ya == yb and xa != xb:
-                lo, hi = sorted((xa, xb))
-                hseg[lo:hi, ya] = True
-            elif xa == xb and ya != yb:
-                lo, hi = sorted((ya, yb))
-                vseg[xa, lo:hi] = True
-            else:
-                raise MeshStructureError(f"edge {(a, b)} is not axis-aligned")
-        return cls(m, n, p, q, hseg, vseg, declared_vertices=vset)
+        """Build from vertex rows (x, y) and axis-aligned edges, as rows
+        (x1, y1, x2, y2) or vertex pairs.  A vertex outside the index domain
+        and an edge with an endpoint not in the vertex list (dangling) or
+        that is not axis-aligned are hard errors, not validation findings;
+        the first in order is named."""
+        rows = ((vertices, 2), (edges, 4))
+        try:  # a coordinate past int64 lies outside any index domain
+            v, e = (np.array(a if isinstance(a, np.ndarray) else [*a], np.int64).reshape(-1, k) for a, k in rows)
+        except OverflowError:
+            raise MeshStructureError("a vertex or edge endpoint lies outside the index domain") from None
+        out = (v < 1).any(axis=1) | (v[:, 0] > m) | (v[:, 1] > n)
+        if out.any():
+            raise MeshStructureError(f"vertex {tuple(v[out.argmax()].tolist())} outside index domain")
+        declared = np.zeros((m + 2, n + 2), dtype=bool)  # a frame of points off the index domain
+        declared[v[:, 0], v[:, 1]] = True
+        x, y = e[:, 0::2], e[:, 1::2]
+        dangling = ~declared[x.clip(0, m + 1), y.clip(0, n + 1)].all(axis=1)
+        along = (y[:, 0] == y[:, 1]) & (x[:, 0] != x[:, 1])
+        bad = dangling | ~along & ((x[:, 0] != x[:, 1]) | (y[:, 0] == y[:, 1]))
+        if bad.any():
+            k = int(bad.argmax())
+            why = "has dangling endpoint" if dangling[k] else "is not axis-aligned"
+            raise MeshStructureError(f"edge {tuple(map(tuple, e[k].reshape(2, 2).tolist()))} {why}")
+        x, y = np.sort(x, axis=1), np.sort(y, axis=1)
+        hseg = runs_mask((n + 1, m + 1), y[along, 0], x[along, 0], x[along, 1]).T
+        vseg = runs_mask((m + 1, n + 1), x[~along, 0], y[~along, 0], y[~along, 1])
+        return cls(m, n, p, q, hseg, vseg, declared_vertices=map(tuple, v.tolist()))
 
     @classmethod
     def tensor_grid(cls, m, n, p, q):

@@ -228,20 +228,22 @@ def test_solve_at_tiny_peclet_number(tmp_path, kappa):
     assert float(read(tmp_path / "history.txt").splitlines()[1].split()[3]) > 0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "kappa, message",
     [
         ("nan", "diffusivity must be finite, not nan"),
         ("inf", "diffusivity must be finite, not inf"),
+        ("1e200", "linear solve residual nan exceeds 1e-10"),
+        ("1e300", "error estimate of level 1 element (3, 4, 3, 4) is inf, not finite"),
         ("1e308", "linear solve failed: Factor is exactly singular"),
     ],
 )
 def test_solve_refuses_diffusivity_it_cannot_use(kappa, message, tmp_path, capsys):
     """A diffusivity that is not finite is refused by the problem; one whose
-    stiffness matrix overflows to a singular factor is refused by the linear
-    solve.  Each exits 1 with one error line, no traceback, and writes
-    nothing."""
+    stiffness matrix overflows to a singular factor or to a residual that is
+    not finite is refused by the linear solve, and one whose error estimates
+    overflow by the estimator.  Each exits 1 with one error line, no warning
+    and no traceback, and writes nothing."""
     out = tmp_path / "out"
     assert main(["solve", "--elements", "2", "--iterations", "1", "--kappa", kappa, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -53,7 +53,7 @@ from hasts.hierarchy import (
     subdivide_suitable,
     summed_area,
 )
-from hasts.tmesh import MeshStructureError, TMesh
+from hasts.tmesh import MeshStructureError, TMesh, Violation
 
 
 # -- subdivision ---------------------------------------------------------------
@@ -167,20 +167,24 @@ def check_levels_nest(space):
 
 
 def test_subdivide_preserves_suitability_with_t_junctions():
-    """Subdividing twice the AS corpus, random AS starts of degrees 1 to 4 in
-    each direction and valid non-AS starts gives children that are valid,
-    analysis-suitable and hold the parent's extended mesh, as the build's
-    nesting check confirms.  The second subdivision of
-    ``index_vector_mesh_b`` ends a parent extension inside the frame region;
-    its reflections put that end at each side."""
+    """Subdividing twice the AS corpus and random AS starts of degrees 1 to
+    4 in each direction gives children that are valid, analysis-suitable
+    and hold the parent's extended mesh, as the build's nesting check
+    confirms.  The second subdivision of ``index_vector_mesh_b`` ends a
+    parent extension inside the frame region; its reflections put that end
+    at each side.  A valid non-AS start is no level, so it is not
+    subdivided."""
     b = samples.index_vector_mesh_b()
-    starts = as_mesh_corpus() + non_as_starts()
-    starts += [mirrored(b), transposed(b), transposed(mirrored(b))]
+    starts = as_mesh_corpus() + [mirrored(b), transposed(b), transposed(mirrored(b))]
     starts += [
         samples.random_as_mesh(p, q, num_elements=5, removals=6, seed=seed)
         for p in range(1, 5) for q in range(1, 5) for seed in (1, 2)
     ]
-    assert not all(mesh.is_analysis_suitable()[0] for mesh in starts)
+    for mesh in non_as_starts():
+        assert mesh.validate() == []
+        lv = LevelMesh(1, mesh, GlobalKnots.uniform_open(mesh.m, mesh.p), GlobalKnots.uniform_open(mesh.n, mesh.q))
+        with pytest.raises(MeshStructureError, match="^level 1 mesh is not analysis-suitable$"):
+            subdivide_suitable(lv)
     for mesh in starts:
         levels = [one_level(mesh).levels[0]]
         for _ in range(2):
@@ -196,15 +200,66 @@ def test_subdivide_preserves_suitability_with_t_junctions():
 
 def test_unsuitable_child_is_an_error(monkeypatch, tmp_path, capsys):
     """A child that is not analysis-suitable is not repaired: a refinement
-    that adds a level raises, and the solver exits 1."""
+    that adds a level raises, and the solver exits 1.  The level-2 meshes of
+    a 4 x 4 biquadratic start, 13 index lines a side, are made non-AS."""
     space = tensor_space(4, 2)
-    monkeypatch.setattr(TMesh, "is_analysis_suitable", lambda self: (False, []))
-    with pytest.raises(MeshStructureError, match="subdivided mesh is not analysis-suitable"):
+    suitable = TMesh.is_analysis_suitable
+    monkeypatch.setattr(TMesh, "is_analysis_suitable", lambda self: (False, []) if self.m == 13 else suitable(self))
+    with pytest.raises(MeshStructureError, match="^level 2 mesh is not analysis-suitable$"):
         refine_by_elements(space, space.elements[:3])
     capsys.readouterr()
     args = ["solve", "--benchmark", "skew45", "--elements", "4", "--iterations", "2"]
     assert main(args + ["--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == "error: subdivided mesh is not analysis-suitable\n"
+    assert capsys.readouterr().err == "error: level 2 mesh is not analysis-suitable\n"
+
+
+def test_levels_are_admitted_where_their_data_is_made(monkeypatch):
+    """A level's data is made only for a valid, analysis-suitable mesh: a
+    build over the crossing-extension mesh or over a mesh with an L-shaped
+    cell raises, and so does their subdivision, before any of the child is
+    made; a refinement whose new level-2 mesh is not AS, or not valid,
+    raises with that level's number."""
+    invalid = samples.tensor_mesh(4, 4, 2, 2).without_segments(hsegs=[(4, 5)], vsegs=[(5, 4)])
+    cases = (
+        (samples.extension_mesh_unsuitable(), "level 1 mesh is not analysis-suitable"),
+        (invalid, "level 1 invalid: non-rectangular-cell at (4, 4): cell component is not a rectangle"),
+    )
+
+    def unreachable(knots):
+        raise AssertionError("a level that was not admitted was subdivided")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hierarchy, "refine_knots", unreachable)
+        for mesh, message in cases:
+            lv = LevelMesh(1, mesh, GlobalKnots.uniform_open(mesh.m, mesh.p), GlobalKnots.uniform_open(mesh.n, mesh.q))
+            for make in (lambda: HierarchicalSpace([lv]), lambda: subdivide_suitable(lv)):
+                with pytest.raises(MeshStructureError) as exc:
+                    make()
+                assert str(exc.value) == message
+    space = tensor_space(4, 2)  # level 2 has 13 index lines a side
+    suitable, valid = TMesh.is_analysis_suitable, TMesh.validate
+    finding = Violation("valence", (7, 7), "interior vertex has valence 2")
+    for name, fake, message in (
+        ("is_analysis_suitable", lambda self: (False, []) if self.m == 13 else suitable(self), "mesh is not analysis-suitable"),
+        ("validate", lambda self: [finding] if self.m == 13 else valid(self), f"invalid: {finding}"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(TMesh, name, fake)
+            with pytest.raises(MeshStructureError) as exc:
+                refine_by_elements(space, space.elements[:3])
+            assert str(exc.value) == f"level 2 {message}"
+
+
+def test_hierarchy_starts_at_level_1():
+    """A hierarchy holds levels 1, 2, ... in order.  A start at level 2
+    would label its functions level 1, and a refinement of it would dump a
+    file that does not parse back."""
+    start = tensor_space(4, 2)
+    lv, child = refine_by_elements(start, start.elements[:3]).levels
+    cases = ([], [replace(lv, level=2)], [replace(lv, level=0)], [lv, replace(child, level=3)], [child, lv])
+    for levels in cases:
+        with pytest.raises(MeshStructureError, match=r"^a hierarchy holds levels 1, 2, \.\.\. in order$"):
+            HierarchicalSpace(levels)
 
 
 def test_level_budget_refuses_before_subdividing(monkeypatch, tmp_path, capsys):
@@ -608,10 +663,11 @@ def test_bad_domain_fails_after_refinement_and_from_file(seeded_chains):
 
 
 def test_refinement_cost_follows_change(seeded_chains, monkeypatch):
-    """A refinement that adds no level makes no ``Space`` and no Bezier cells
-    and asks no mesh for its extension; one that adds a level makes one
-    ``Space`` and the new level's cells only, subdividing the parent with
-    the cells it keeps."""
+    """A refinement that adds no level makes no ``Space`` and no Bezier cells,
+    asks no mesh for its extension and checks no mesh; one that adds a
+    level makes one ``Space`` and the new level's cells only, subdividing
+    the parent with the cells it keeps, and checks the new level's mesh
+    once for validity and once for suitability."""
     calls = Counter()
 
     def counted(name, fn):
@@ -624,6 +680,8 @@ def test_refinement_cost_follows_change(seeded_chains, monkeypatch):
     monkeypatch.setattr(hierarchy, "Space", counted("Space", Space))
     monkeypatch.setattr(hierarchy, "bezier_cells", counted("bezier_cells", hierarchy.bezier_cells))
     monkeypatch.setattr(TMesh, "extended", counted("extended", TMesh.extended))
+    monkeypatch.setattr(TMesh, "validate", counted("validate", TMesh.validate))
+    monkeypatch.setattr(TMesh, "is_analysis_suitable", counted("is_analysis_suitable", TMesh.is_analysis_suitable))
     deep = seeded_chains[0][-1]
     start = tensor_space(4, 2)
     calls.clear()
@@ -631,6 +689,7 @@ def test_refinement_cost_follows_change(seeded_chains, monkeypatch):
     assert len(same.levels) == len(deep.levels) and calls == Counter()
     two = refine_by_elements(start, start.elements[:3])
     assert len(two.levels) == 2 and calls["Space"] == calls["bezier_cells"] == 1
+    assert calls["validate"] == calls["is_analysis_suitable"] == 1
     calls.clear()
     still = refine_by_elements(two, [e for e in two.elements if e.level == 1][:3])
     assert len(still.levels) == 2 and calls == Counter()

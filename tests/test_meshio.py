@@ -23,6 +23,7 @@ from hasts.meshio import (
     parse_hierarchy,
     parse_mesh,
 )
+from hasts.tmesh import MeshStructureError
 
 SAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "samples")
 
@@ -103,6 +104,49 @@ def test_parse_errors_carry_line_numbers():
     assert e.value.line == 3 and "knot 1/2 repeats 4 times" in str(e.value)
     with pytest.raises(ParseError):
         parse_mesh(good.rsplit("\n", 8)[0])  # truncated edge list
+
+
+def test_vertex_and_edge_blocks_read_as_lines():
+    """Vertices and edges are read as blocks, with the line reader's results:
+    comments, blank lines, spaces and signs inside a block read as before,
+    and a bad line, one after a comment, or a block cut short raises the
+    line reader's error at its line."""
+    mesh = samples.extension_mesh_suitable()
+    lines = dump_mesh(mesh, *uniform_knots(mesh)).splitlines()
+    vi = next(k for k, s in enumerate(lines) if s.startswith("vertices "))
+    ei = next(k for k, s in enumerate(lines) if s.startswith("edges "))
+    nv, ne = int(lines[vi].split()[1]), int(lines[ei].split()[1])
+    assert ne > 5 and ei == vi + nv + 1 and len(lines) == ei + ne + 1
+
+    def edit(*changes):
+        out = list(lines)
+        for at, text in sorted(changes, reverse=True):  # (index, replacement lines)
+            out[at : at + 1] = text
+        return "\n".join(out) + "\n"
+
+    x, y = lines[vi + 2].split()
+    noisy = edit(
+        (vi + 2, ["# a note", "", f" \t+{x}\t0{y} "]),
+        (ei + 3, [lines[ei + 3], "   ", "# another"]),
+    )
+    again, _, _ = parse_mesh(noisy)
+    assert again == mesh and again.declared_vertices == parse_mesh("\n".join(lines))[0].declared_vertices
+    cases = [
+        (edit((vi + 3, ["1 2 3"])), vi + 4, "expected 2 integers for vertex, got 3"),
+        (edit((ei + 5, ["1 2 x 4"])), ei + 6, "non-integer token in edge"),
+        (edit((vi + 1, ["# note"]), (vi + 4, ["7"])), vi + 5, "expected 2 integers for vertex, got 1"),
+        (edit((ei, [f"edges {ne + 1}"])), len(lines), "unexpected end of file"),
+        (edit((ei, [f"edges {ne + 1}"]), (ei + 2, ["", "1 2"])), ei + 4, "expected 4 integers for edge, got 2"),
+    ]
+    for text, line, message in cases:
+        with pytest.raises(ParseError) as e:
+            parse_mesh(text)
+        assert (e.value.line, str(e.value)) == (line, f"line {line}: {message}")
+    for x, message in (("1" + "0" * 18, f"vertex ({10**18}, 1) outside index domain"),
+                       ("9" * 30, "a vertex or edge endpoint lies outside the index domain")):
+        with pytest.raises(MeshStructureError) as e:
+            parse_mesh(edit((vi + 1, [f"{x} 1"])))
+        assert not isinstance(e.value, ParseError) and str(e.value) == message
 
 
 def test_parse_rejects_non_open_knots():

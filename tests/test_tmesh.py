@@ -171,6 +171,30 @@ def test_from_vertices_edges_rejects_diagonal():
         TMesh.from_vertices_edges(6, 6, 2, 2, [(1, 1), (2, 2)], [((1, 1), (2, 2))])
 
 
+def test_from_vertices_edges_names_the_first_bad_entry():
+    """Vertices are checked before edges, and edges in order, an edge's
+    dangling endpoint before its direction; an endpoint off the index
+    domain dangles.  Edges given as rows build what vertex pairs build."""
+    verts = [(1, 1), (1, 6), (6, 1), (2, 2)]
+    good = [((1, 1), (1, 6)), ((6, 1), (1, 1))]
+    cases = [
+        (verts + [(7, 1)], good, "vertex (7, 1) outside index domain"),
+        (verts, good + [((2, 2), (2, 6)), ((1, 1), (2, 2))], "edge ((2, 2), (2, 6)) has dangling endpoint"),
+        (verts, good + [((1, 1), (2, 2)), ((2, 2), (2, 6))], "edge ((1, 1), (2, 2)) is not axis-aligned"),
+        (verts, good + [((2, 2), (2, 2))], "edge ((2, 2), (2, 2)) is not axis-aligned"),
+        (verts, good + [((0, 1), (1, 1))], "edge ((0, 1), (1, 1)) has dangling endpoint"),
+        (verts, good + [((1, 10**30), (1, 1))], "a vertex or edge endpoint lies outside the index domain"),
+    ]
+    for vs, es, message in cases:
+        with pytest.raises(MeshStructureError) as exc:
+            TMesh.from_vertices_edges(6, 6, 2, 2, vs, es)
+        assert str(exc.value) == message
+    pairs = TMesh.from_vertices_edges(6, 6, 2, 2, verts, good)
+    rows = TMesh.from_vertices_edges(6, 6, 2, 2, np.array(verts), np.array(good).reshape(-1, 4))
+    assert pairs == rows and pairs.declared_vertices == rows.declared_vertices == frozenset(verts)
+    assert pairs.vseg[1, 1:6].all() and pairs.hseg[1:6, 1].all() and pairs.hseg.sum() + pairs.vseg.sum() == 10
+
+
 # -- extensions and analysis-suitability --------------------------------------
 
 
