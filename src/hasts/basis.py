@@ -26,7 +26,7 @@ polynomials on [-1,1] (``bernstein``, ``bernstein_grid``), as the element
 arrays of ``extraction`` and the quadrature and sampling of ``iga`` do per
 element.  A row does not change under affine maps of the knots, so the
 cache of ``bezier_coeffs_1d``, keyed with knot patterns normalised to the
-span (``row_key``), is one store of rows for the whole process; extraction
+span (``row_keys``), is one store of rows for the whole process; extraction
 and the exact check of ``hierarchy.represent_in_space`` ask it.  The
 blossoms at a finer function's interior knots are its dual functionals,
 which ``hierarchy.represent_in_space`` applies.
@@ -40,7 +40,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, gcd, lcm
+from math import comb, lcm
 
 import numpy as np
 
@@ -311,13 +311,16 @@ def bezier_coeffs_1d(vals, p, a, b):
     return blossom(vals, p, a, b, [[a] * (p - j) + [b] * j for j in range(p + 1)])
 
 
-def row_key(knots, p, a, b):
-    """The normalised ``bezier_coeffs_1d`` arguments for the row of integer
-    ``knots`` on the span [a, b]: the knots shifted to a and divided, with
-    b - a, by their gcd.  Affine images of one pattern share the key."""
-    rel = [k - a for k in knots]
-    g = gcd(b - a, *rel)
-    return tuple(v // g for v in rel), p, 0, (b - a) // g
+def row_keys(knots, p):
+    """The normalised ``bezier_coeffs_1d`` arguments of many rows.  Each row
+    of ``knots`` holds one function's p+2 integer knots, then its span's
+    ends a < b; its key is the knots shifted to a and divided, with b - a,
+    by their gcd.  Affine images of one pattern share the key.  The array
+    holds Python ints, so the keys are exact at any size."""
+    rel = np.asarray(knots, dtype=object)
+    rel = rel - rel[:, p + 2, None]
+    rel //= np.gcd.reduce(rel, axis=1)[:, None]
+    return [(tuple(r[: p + 2]), p, 0, r[-1]) for r in rel.tolist()]
 
 
 def _bernstein_1d(p, x, order):

@@ -6,14 +6,17 @@ B-splines, so each row of C^e is the product of two 1D Bezier rows.  A 1D
 row is exact (``basis.bezier_coeffs_1d``, a blossom, re-exported here with
 its cache) and invariant under affine maps, so ``extract_all`` keys it by
 the function's knots normalised to the element's span: integers shifted to
-the span's start and divided by their gcd with its length.  The cache of
-``bezier_coeffs_1d`` is thus one store of rows for every element, call and
-hierarchy of the process.  Each entry of a 2D row is the exact product of
-two 1D entries, rounded to float once, in the column order of
-``basis.bernstein_grid``, and is kept as long, numbered per pair of keys,
-in one growing float array per row width.  A call normalises each
-distinct (function, element) pair of grid lines once and gathers the
-element arrays with numpy.
+the span's start and divided by their gcd with its length
+(``basis.row_keys``).  The cache of ``bezier_coeffs_1d`` is thus one store
+of rows for every element, call and hierarchy of the process, and one dict
+gives each key an int id (``_key_ids``).  Each entry of a 2D row is the
+exact product of two 1D entries, rounded to float once, in the column order
+of ``basis.bernstein_grid``, and is kept as long in one growing float array
+per row width, found by the int64 code of its pair of key ids in a sorted
+array.  A call normalises each distinct (function, element) column of grid
+lines once, asks the row store once per distinct key, looks up all its pair
+codes with one search and gathers the element arrays with numpy.  Ids and
+codes are numbered in first-seen order, which no result depends on.
 
 Which functions meet an element (the IEN, and the level-1 functions that
 carry the geometry) is decided on the hierarchy's knot-span grid: a support
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import bezier_coeffs_1d, greville_rows, row_key
+from .basis import bezier_coeffs_1d, greville_rows, row_keys
 from .hierarchy import HierarchicalSpace
 from .tmesh import MeshStructureError
 
@@ -95,57 +98,54 @@ def _codes(columns, base):
     return code
 
 
-def _row_keys(lines, spans, num, p):
-    """Normalised 1D row keys of (function, element) pairs in one direction,
-    from each pair's p+2 knot grid lines and the element's two; ``num`` are
-    the grid knots as integers.  A key is ``basis.row_key`` of the pair's
-    knots and the element's span.  Returns each pair's number into the
-    distinct keys, the keys and their exact rows from the store as integer
-    ratios."""
-    cols = np.column_stack([lines, spans])
-    _, first, inverse = np.unique(_codes(cols.T, len(num)), return_index=True, return_inverse=True)
-    number = {}
-    ids = []
-    for *ls, e1, e2 in cols[first].tolist():
-        key = row_key([num[i] for i in ls], p, num[e1], num[e2])
-        ids.append(number.setdefault(key, len(number)))
-    keys = list(number)
-    rows = [[c.as_integer_ratio() for c in bezier_coeffs_1d(*k)] for k in keys]
-    return np.array(ids)[inverse], keys, rows
+def _row_keys(lines, fn, spans, elem, num, p):
+    """Numbered 1D row keys of (function, element) pairs in one direction:
+    pair k joins a function's p+2 knot grid lines ``lines[fn[k]]`` and an
+    element's two ``spans[elem[k]]``, ``num`` the grid knots as integers.
+    Distinct columns are normalised together (``basis.row_keys``) and
+    numbered for the process (``_key_ids``).  Returns each pair's key id
+    and, per id of the call, the exact row from the store as int ratios."""
+    f, e = (np.unique(_codes(a.T, len(num)), return_inverse=True)[1] for a in (lines, spans))
+    distinct, inverse = np.unique(f[fn] * (e.max() + 1) + e[elem], return_inverse=True)
+    first = np.empty(len(distinct), dtype=np.int64)
+    first[inverse] = np.arange(len(inverse))  # a pair of each distinct column
+    keys = row_keys(np.array(num, dtype=object)[np.column_stack([lines[fn[first]], spans[elem[first]]])], p)
+    ids = [_key_ids.setdefault(k, len(_key_ids)) for k in keys]
+    rows = {i: [c.as_integer_ratio() for c in bezier_coeffs_1d(*k)] for i, k in dict(zip(ids, keys)).items()}
+    return np.array(ids, dtype=np.int64)[inverse], rows
 
 
 class _ProductRows:
     """Rounded 2D rows of C^e of one width, kept for the process like the
-    exact rows: one growing float array, and the number of each row by its
-    (h key, v key), so that a call asks the store once per distinct key
-    and gathers C^e and the geometry rows straight from the array."""
+    exact rows: one growing float array, and the number of each row by the
+    int64 code h id * 2^32 + v id of its pair of key ids, in an array kept
+    sorted, so that a call looks up all its pairs with one search and
+    gathers C^e and the geometry rows straight from the array."""
 
     def __init__(self, width):
-        self.number = {}
+        self.codes = np.empty(0, dtype=np.int64)
+        self.number = np.empty(0, dtype=np.int64)  # row number of each code
         self.rows = np.empty((0, width))
 
-    def numbers(self, pairs, hkeys, vkeys, hrows, vrows):
-        """Row numbers of the (h, v) pairs of key numbers; a row not kept
-        yet is made and appended."""
-        out, new = [], []
-        for h, v in pairs:
-            key = (hkeys[h], vkeys[v])
-            i = self.number.get(key)
-            if i is None:
-                i = self.number[key] = len(self.number)
-                new.append((h, v))
-            out.append(i)
-        if new:
-            rows = np.empty((len(self.number), self.rows.shape[1]))
-            rows[: len(self.rows)] = self.rows
-            for i, (h, v) in enumerate(new, len(self.rows)):
-                # float(ch[i] * cv[j]) in bivariate Bernstein order: int true
-                # division rounds the exact product once
-                rows[i] = [(an * bn) / (ad * bd) for bn, bd in vrows[v] for an, ad in hrows[h]]
-            self.rows = rows
-        return np.array(out, dtype=np.int64)
+    def numbers(self, codes, rows):
+        """Row numbers of the sorted distinct pair ``codes``, ``rows`` the
+        exact 1D rows by key id; a row not kept yet is made and appended."""
+        at = np.searchsorted(self.codes, codes)
+        new = np.flatnonzero(np.append(self.codes, -1)[at] != codes)
+        if len(new):
+            # float(ch[i] * cv[j]) in bivariate Bernstein order: int true
+            # division rounds the exact product once
+            hv = zip(*(a.tolist() for a in np.divmod(codes[new], 1 << 32)))
+            made = [[(an * bn) / (ad * bd) for bn, bd in rows[v] for an, ad in rows[h]] for h, v in hv]
+            n = len(self.rows)
+            self.rows = np.concatenate([self.rows, np.reshape(made, (len(new), -1))])
+            self.codes = np.insert(self.codes, at[new], codes[new])
+            self.number = np.insert(self.number, at[new], np.arange(n, n + len(new)))
+            at = np.searchsorted(self.codes, codes)
+        return self.number[at]
 
 
+_key_ids = {}  # normalised 1D row key -> its id, in first-seen order
 _products = {}  # row width -> _ProductRows
 
 
@@ -160,20 +160,19 @@ def extract_all(space, weights=None, points=None):
     # every (function, element) pair: the IEN's, then the geometry's
     n_loc = [len(row) for row in ien]
     elem = np.concatenate([np.repeat(np.arange(space.n_e), n_loc), ge])
-    (hid, hkeys, hrows), (vid, vkeys, vrows) = (
+    fn = np.concatenate([fns, space.n_f + gf])  # rows of the lines below
+    (hid, hrows), (vid, vrows) = (
         _row_keys(
-            np.concatenate([space.knot_lines[d][fns], space.geometry_lines[d][gf]]),
-            space.element_boxes[elem, 2 * d : 2 * d + 2],
-            space.grid_numerators[d],
-            deg,
+            np.concatenate([space.knot_lines[d], space.geometry_lines[d]]), fn,
+            space.element_boxes[:, 2 * d : 2 * d + 2], elem,
+            space.grid_numerators[d], deg,
         )
         for d, deg in ((0, p), (1, q))
     )
-    pairs, at = np.unique(hid * len(vkeys) + vid, return_inverse=True)
+    codes, at = np.unique((hid << 32) + vid, return_inverse=True)
     n_b = (p + 1) * (q + 1)
     store = _products.setdefault(n_b, _ProductRows(n_b))
-    hv = zip(*(a.tolist() for a in np.divmod(pairs, len(vkeys))))
-    numbers = store.numbers(hv, hkeys, vkeys, hrows, vrows)[at]
+    numbers = store.numbers(codes, hrows | vrows)[at]
     C, G = store.rows[numbers[: len(fns)]], store.rows[numbers[len(fns) :]]
     # the geometry, stacked by the number k of level-1 functions per element
     w, P = np.asarray(weights, dtype=float), np.asarray(points, dtype=float)

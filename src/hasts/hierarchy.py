@@ -57,7 +57,7 @@ from math import lcm
 
 import numpy as np
 
-from .basis import GlobalKnots, Space, bezier_coeffs_1d, blossom, greville_rows, row_key
+from .basis import GlobalKnots, Space, bezier_coeffs_1d, blossom, greville_rows, row_keys
 from .tmesh import MeshStructureError, TMesh, runs_mask
 
 
@@ -501,7 +501,7 @@ def represent_in_space(hvals, vvals, fine: Space):
 def _verify_representation(hvals, vvals, fine, coeffs):
     """Raise unless ``coeffs`` give the coarse function of local knot values
     ``hvals``, ``vvals`` exactly: with each function as its Bezier rows on
-    the fine knot spans under its support (``row_key`` keys into the row
+    the fine knot spans under its support (``row_keys`` keys into the row
     store), c_f times each fine function's tensor product of rows, less the
     coarse function's, must sum to 0 on every span pair, in integers."""
     knots, degs = (fine.hknots, fine.vknots), (fine.mesh.p, fine.mesh.q)
@@ -513,7 +513,7 @@ def _verify_representation(hvals, vvals, fine, coeffs):
         if any(v not in g for v in vals):
             raise MeshStructureError(f"nesting violated: a knot of {vals} is no knot of the finer level")
         ints, spans = [num[g[v]] for v in vals], range(g[vals[0]], g[vals[-1]])
-        row = [c for s in spans for c in bezier_coeffs_1d(*row_key(ints, deg, num[s], num[s + 1]))]
+        row = [c for k in row_keys([ints + num[s : s + 2] for s in spans], deg) for c in bezier_coeffs_1d(*k)]
         den = lcm(*(c.denominator for c in row))
         return spans[0] * (deg + 1), np.array([int(c * den) for c in row], dtype=object), den
 

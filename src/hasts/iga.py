@@ -15,11 +15,15 @@ element axis first).  Assembly, the estimator and the edge quadrature of the
 Dirichlet projection work on these stacks.  Each element's numbers equal
 those of a one-element loop bit for bit: the basis products are one 2-D
 product per stack, every product with a vector stays one vector product per
-element (a stacked ``matmul`` of shape (1, n) or (n, 1)), and every sum over
-elements (the COO triplets, F, the boundary mass matrix) runs in canonical
-element order.  ``problem.source`` and ``problem.dirichlet`` are called
-with Python floats; the source is evaluated once per ``Discretization``
-and shared by assembly and the estimator.
+element (a stacked ``matmul`` of shape (1, n) or (n, 1)), and the entries
+of every group are laid out one element at a time in canonical element
+order (``_in_order``).  F and the boundary mass matrix sum in that order.
+K's duplicate COO triplets do not: scipy sums them after an unstable sort
+per row, so K's bits follow the triplet sequence, and equal a one-element
+loop's because both hand scipy the same sequence.  ``problem.source`` and
+``problem.dirichlet`` are called with Python floats; the source is
+evaluated once per ``Discretization`` and shared by assembly and the
+estimator.
 
 Second derivatives, which the strong residual needs, take the element map
 to be affine.  ``Discretization`` enforces that: it raises
@@ -248,7 +252,7 @@ def assemble(problem: Problem, disc: Discretization, supg=True):
     unorm = sqrt(ux * ux + uy * uy)
     kappa = problem.kappa
     n = disc.space.n_f
-    parts = [None] * len(disc.elems)  # per element: rows, cols, K entries, ien, F entries
+    blocks = []  # per group: positions, ien, K^e, F^e
     source = [None] * len(disc.groups)
     if problem.source is not None:
         source = disc.at_gauss_points(problem.source)
@@ -265,15 +269,30 @@ def assemble(problem: Problem, disc: Discretization, supg=True):
             Ke += (tau * (adv * g.dvol)) @ _t(adv - kappa * g.lap)
             if fg is not None:
                 Fe += ((tau * (adv * g.dvol)) @ f)[:, :, 0]
-        nl = g.ien.shape[1]
-        rows, cols = np.repeat(g.ien, nl, axis=1), np.tile(g.ien, (1, nl))
-        for k, *part in zip(g.pos.tolist(), rows, cols, Ke.reshape(len(Ke), -1), g.ien, Fe):
-            parts[k] = part
-    # triplets and load entries in canonical element order, so duplicate
-    # entries sum in the same order as one element at a time
-    r, c, v, i, f = (np.concatenate(col) for col in zip(*parts))
+        blocks.append((g.pos, g.ien, Ke, Fe))
+    # scipy sums K's duplicates after an unstable sort per row, so K's bits
+    # follow this triplet sequence, a one-element loop's; F sums in its order
+    r, c, v, i, f = _in_order([len(ed.ien) for ed in disc.elems], blocks)
     K = sp.coo_matrix((v, (r, c)), shape=(n, n)).tocsr()
     return K, np.bincount(i, weights=f, minlength=n)
+
+
+def _in_order(n_loc, blocks):
+    """Triplets (rows, columns, entries) of the (E, n, n) matrices and pairs
+    (rows, entries) of the (E, n) vectors of per-group stacks, laid out one
+    item at a time in canonical order; a block holds its items' positions,
+    (E, n) function numbers, matrices and vectors, ``n_loc`` each item's n."""
+    n_loc = np.asarray(n_loc, dtype=np.int64)
+    sq, ln = (np.concatenate([[0], np.cumsum(a)]) for a in (n_loc * n_loc, n_loc))  # item offsets
+    r, c, i = (np.empty(m, dtype=np.int64) for m in (sq[-1], sq[-1], ln[-1]))
+    v, f = np.empty(sq[-1]), np.empty(ln[-1])
+    for pos, ien, M, vec in blocks:
+        n = ien.shape[1]
+        at = sq[pos, None] + np.arange(n * n)
+        r[at], c[at], v[at] = np.repeat(ien, n, axis=1), np.tile(ien, (1, n)), M.reshape(len(M), -1)
+        at = ln[pos, None] + np.arange(n)
+        i[at], f[at] = ien, vec
+    return r, c, v, i, f
 
 
 # -- Dirichlet conditions -----------------------------------------------------
@@ -340,26 +359,20 @@ def apply_dirichlet(K, F, problem, disc):
     gh, gv = space.grid_shape
     pos, side = np.nonzero(space.element_boxes == [0, gh - 1, 0, gv - 1])
     n_loc = np.array([len(disc.elems[k].ien) for k in pos], dtype=int)
-    parts = [None] * len(pos)  # per pair: rows, cols, M entries, rhs rows, rhs entries
+    blocks = []  # per n_loc: pair positions, boundary numbers, M^e, rhs^e
     for n in np.unique(n_loc):
         sel = np.flatnonzero(n_loc == n)
         elems = [disc.elems[k] for k in pos[sel]]
         x, dw, N = _edge_quadrature(disc, elems, side[sel], ng)
         g = _t(_at_points(problem.dirichlet, x))            # E x n_g x 1
         gi = bpos[np.stack([ed.ien for ed in elems])]  # -1: not on the boundary
-        Me = ((N * dw) @ _t(N)).reshape(len(sel), -1)
-        be = ((N * dw) @ g)[:, :, 0]
-        for j, *part in zip(sel.tolist(), np.repeat(gi, n, axis=1), np.tile(gi, (1, n)), Me, gi, be):
-            parts[j] = part
+        blocks.append((sel, gi, (N * dw) @ _t(N), ((N * dw) @ g)[:, :, 0]))
     # accumulate in canonical pair order, as one element side at a time;
     # the entries of functions without a boundary trace drop out
-    M = np.zeros((nb, nb))
-    rhs = np.zeros(nb)
-    if parts:
-        r, c, v, i, b = (np.concatenate(col) for col in zip(*parts))
-        on = (r >= 0) & (c >= 0)
-        M = np.bincount(r[on] * nb + c[on], weights=v[on], minlength=nb * nb).reshape(nb, nb)
-        rhs = np.bincount(i[i >= 0], weights=b[i >= 0], minlength=nb)
+    r, c, v, i, b = _in_order(n_loc, blocks)
+    on = (r >= 0) & (c >= 0)
+    M = np.bincount(r[on] * nb + c[on], weights=v[on], minlength=nb * nb).reshape(nb, nb)
+    rhs = np.bincount(i[i >= 0], weights=b[i >= 0], minlength=nb)
     gb = np.linalg.solve(M, rhs)
     full = np.zeros(space.n_f)
     full[bidx] = gb
@@ -380,8 +393,9 @@ def solve_linear(K, F):
     except RuntimeError as exc:  # a singular matrix
         raise MeshStructureError(f"linear solve failed: {exc}") from None
     x = lu.solve(F)
-    denom = np.linalg.norm(F)
-    res = np.linalg.norm(K @ x - F) / (denom if denom > 0 else 1.0)
+    # both norms in units of max|F|, so that no finite F overflows them
+    s = np.abs(F).max() or 1.0
+    res = np.linalg.norm((K @ x - F) / s) / (np.linalg.norm(F / s) or 1.0)
     if not np.isfinite(res) or res > 1e-10:
         raise MeshStructureError(f"linear solve residual {res:.3e} exceeds 1e-10")
     return x

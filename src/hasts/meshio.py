@@ -197,8 +197,7 @@ def parse_hierarchy(text):
     levels = []
     for k in range(nlev):
         ln, s = r.next()
-        toks = s.split()
-        if len(toks) != 2 or toks[0] != "level" or int(toks[1]) != k + 1:
+        if s.split() != ["level", str(k + 1)]:
             raise ParseError(ln, f"expected 'level {k + 1}'")
         ln2, s2 = r.next()
         if s2 != MESH_MAGIC:

@@ -34,6 +34,7 @@ boundary functions and element sides by comparing exact knot values, as the
 library did before it compared grid lines.
 """
 
+import os
 import random
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -45,9 +46,9 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from hasts import samples
+from hasts import meshio, samples
 from hasts.benchmarks import tensor_space
-from hasts.basis import Anchor, BlendingFunction, GlobalKnots, bernstein, bernstein_grid, bezier_coeffs_1d, row_key
+from hasts.basis import Anchor, BlendingFunction, GlobalKnots, bernstein, bernstein_grid, bezier_coeffs_1d, row_keys
 from hasts.hierarchy import HFunction, HierarchicalSpace, LevelMesh, refine_by_elements
 from hasts.iga import _bern_tables, _gauss, tau_element
 from hasts.tmesh import (
@@ -151,6 +152,32 @@ def extract_solve_space(seed, start=4):
     space = refine_by_elements(space, rng.sample(list(space.elements), space.n_e // 2))
     lv2 = [e for e in space.elements if e.level == 2]
     return refine_by_elements(space, rng.sample(lv2, len(lv2) // 2))
+
+
+_U = (2**49 + 1) / 2**62  # exact; its multiples up to 4 _U are floats too
+FLOAT_KNOTS = (0.0, 0.0, 0.0, _U, 2 * _U, 3 * _U, 4 * _U, 0.5, 0.75, 1.0, 1.0, 1.0)
+
+
+def float_knot_mesh(hknots):
+    """The T-mesh of ``samples/index_vector_c.mesh`` (p = 2, q = 3) with
+    the given h knots and uniform eighths as v knots, read from .mesh text,
+    so that each knot is the exact Fraction of a float."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "samples", "index_vector_c.mesh")) as f:
+        lines = f.read().splitlines()
+    lines[2] = "hknots " + " ".join(map(repr, hknots))
+    lines[3] = "vknots " + " ".join(map(repr, [0.0] * 4 + [k / 8 for k in range(1, 7)] + [1.0] * 4))
+    return meshio.parse_mesh("\n".join(lines) + "\n")
+
+
+def float_knot_space():
+    """Four levels over ``float_knot_mesh(FLOAT_KNOTS)``, whose knots have
+    denominator 2^62: each refinement marks two elements of the deepest
+    level.  Grid numerators of the finest level leave int64."""
+    space = HierarchicalSpace([LevelMesh(1, *float_knot_mesh(FLOAT_KNOTS), None)])
+    for _ in range(3):
+        top = max(e.level for e in space.elements)
+        space = refine_by_elements(space, [e for e in space.elements if e.level == top][:2])
+    return space
 
 
 @pytest.fixture(scope="session")
@@ -479,7 +506,7 @@ def bspline_eval(vals, p, xs):
     """B-spline N[vals], local knot vector of length p+2, at the points xs
     from the library's rows: the span of each point by bisection on the
     distinct knots, its exact Bezier row from the store under the
-    normalised key (``row_key``), times a Bernstein table.  Spans are
+    normalised key (``row_keys``), times a Bernstein table.  Spans are
     half-open except the last, which is closed; outside the support the
     value is 0."""
     vals = tuple(Fraction(v) for v in vals)
@@ -494,7 +521,8 @@ def bspline_eval(vals, p, xs):
     for k in np.unique(span[(span >= 0) & (span < len(knots) - 1)]):
         at = span == k
         a, b = breaks[k], breaks[k + 1]
-        row = np.array([float(c) for c in bezier_coeffs_1d(*row_key(ints, p, knots[k], knots[k + 1]))])
+        (key,) = row_keys([ints + knots[k : k + 2]], p)
+        row = np.array([float(c) for c in bezier_coeffs_1d(*key)])
         out[at] = bernstein(p, (2 * xs[at] - a - b) / (b - a)) @ row
     return out
 

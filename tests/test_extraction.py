@@ -24,6 +24,7 @@ from conftest import (
     eval_all,
     eval_function,
     extract_solve_space,
+    float_knot_space,
     one_level,
     sample_hierarchies,
     thirds_space,
@@ -417,3 +418,30 @@ def test_extract_all_bit_identical_with_weights_and_3d_points():
     rng = np.random.default_rng(5)
     n = len(space.spaces[0].functions)
     assert_bit_identical(space, rng.uniform(0.5, 2.0, n), rng.normal(size=(n, 3)))
+
+
+def test_extract_all_bit_identical_past_int64():
+    """Four levels over knots of denominator 2^62: the grid knots as
+    integers leave int64, and the row keys stay exact in Python ints."""
+    space = float_knot_space()
+    assert max(space.grid_numerators[0]) > 2**63
+    assert_bit_identical(space)
+
+
+def test_extraction_does_not_depend_on_call_order(monkeypatch):
+    """Key ids and pair codes are numbered in first-seen order.  From fresh
+    process-wide stores, two spaces of one degree extracted in either order
+    give the same element data, bit for bit."""
+    import hasts.extraction
+
+    spaces = (thirds_space(3), extract_solve_space(1))
+    got = []
+    for order in (spaces, spaces[::-1]):
+        monkeypatch.setattr(hasts.extraction, "_key_ids", {})
+        monkeypatch.setattr(hasts.extraction, "_products", {})
+        got.append({id(space): extract_all(space) for space in order})
+    for space in spaces:
+        for a, b in zip(got[0][id(space)], got[1][id(space)], strict=True):
+            assert (a.level, a.param_rect) == (b.level, b.param_rect)
+            for name in ("ien", "C", "weights", "points"):
+                assert same_bits(getattr(a, name), getattr(b, name))

@@ -19,10 +19,13 @@ import numpy as np
 import pytest
 
 from conftest import (
+    FLOAT_KNOTS,
     as_mesh_corpus,
     cox_de_boor,
     eval_all,
     eval_function,
+    float_knot_mesh,
+    float_knot_space,
     greville_points,
     includes,
     insert_knot,
@@ -381,17 +384,6 @@ def test_repeated_interior_knot_is_not_subdivided(times, monkeypatch, tmp_path, 
     assert not (tmp_path / "out").exists()
 
 
-def _float_knot_mesh(hknots):
-    """The T-mesh of ``samples/index_vector_c.mesh`` (p = 2, q = 3) with
-    the given h knots and uniform eighths as v knots, read from .mesh text,
-    so that each knot is the exact Fraction of a float."""
-    with open(os.path.join(os.path.dirname(__file__), "..", "samples", "index_vector_c.mesh")) as f:
-        lines = f.read().splitlines()
-    lines[2] = "hknots " + " ".join(map(repr, hknots))
-    lines[3] = "vknots " + " ".join(map(repr, [0.0] * 4 + [k / 8 for k in range(1, 7)] + [1.0] * 4))
-    return meshio.parse_mesh("\n".join(lines) + "\n")
-
-
 def test_subdivision_of_parsed_float_knots_is_exact():
     """Float knots parsed from .mesh text can have denominators near 2^63:
     with knots over 2^62, doubled numerators and the Greville sums of the
@@ -399,14 +391,8 @@ def test_subdivision_of_parsed_float_knots_is_exact():
     Three levels refine, every child knot is the exact midpoint or copy of
     its parents, and every Greville point equals the per-function oracle;
     an interior knot moved by 2^-60 still makes its element rejected."""
-    u = (2**49 + 1) / 2**62  # exact; its multiples up to 4u are floats too
-    knots = [0.0, 0.0, 0.0, u, 2 * u, 3 * u, 4 * u, 0.5, 0.75, 1.0, 1.0, 1.0]
-    mesh, hk, vk = _float_knot_mesh(knots)
-    assert max(v.denominator for v in hk.values) == 2**62
-    space = HierarchicalSpace([LevelMesh(1, mesh, hk, vk, None)])
-    for _ in range(3):
-        top = max(e.level for e in space.elements)
-        space = refine_by_elements(space, [e for e in space.elements if e.level == top][:2])
+    space = float_knot_space()
+    assert max(v.denominator for v in space.levels[0].hknots.values) == 2**62
     assert len(space.levels) == 4
     for parent, child in zip(space.levels, space.levels[1:]):
         for pk, ck in ((parent.hknots, child.hknots), (parent.vknots, child.vknots)):
@@ -418,8 +404,9 @@ def test_subdivision_of_parsed_float_knots_is_exact():
     want = [greville_points(space.spaces[hf.level - 1], [hf.fn])[0].tolist() for hf in space.functions]
     assert space.greville_points().tolist() == want
     assert default_geometry(space)[1].tolist() == greville_points(space.spaces[0]).tolist()
+    knots = list(FLOAT_KNOTS)
     knots[4] += 2**-60
-    mesh, hk, vk = _float_knot_mesh(knots)
+    mesh, hk, vk = float_knot_mesh(knots)
     with pytest.raises(MeshStructureError, match=r"element \(4, 7, .* has no parametric-midpoint index line"):
         subdivide_suitable(LevelMesh(1, mesh, hk, vk, None))
 

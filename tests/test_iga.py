@@ -7,6 +7,7 @@ solution whose strong residual vanishes).  The grouped FE evaluation is
 checked bit for bit against the one-element-at-a-time oracles in conftest.
 """
 
+import warnings
 from fractions import Fraction
 from math import cos, cosh, pi, sin, sinh, sqrt
 
@@ -25,6 +26,7 @@ from conftest import (
     two_level_space,
 )
 from conftest import sample_field as reference_sample_field
+import hasts.iga
 from hasts import samples
 from hasts.basis import GlobalKnots
 from hasts.benchmarks import (
@@ -317,6 +319,35 @@ def test_solve_linear_residual_and_empty_system():
     x = solve_linear(K, F)
     assert np.linalg.norm(K @ x - F) / np.linalg.norm(F) < 1e-10
     assert solve_linear(sp.csr_matrix((0, 0)), np.zeros(0)).shape == (0,)
+
+
+def test_solve_linear_judges_finite_systems_near_overflow():
+    """K = 1e300 I and F = 1e308 per entry: ||F|| itself overflows, so the
+    norms are taken in units of max|F|.  The exact solve is accepted with no
+    warning."""
+    import scipy.sparse as sp
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = solve_linear(1e300 * sp.identity(3, format="csr"), np.full(3, 1e308))
+    assert np.allclose(x, 1e8, rtol=1e-15, atol=0)
+
+
+def test_solve_linear_refuses_perturbed_solution_near_overflow(monkeypatch):
+    """A solution off by 1e-8 relative is refused with its finite residual,
+    not with nan."""
+    import scipy.sparse as sp
+
+    class Off:
+        def __init__(self, K):
+            pass
+
+        def solve(self, F):
+            return np.full(3, 1e8 * (1 + 1e-8))
+
+    monkeypatch.setattr(hasts.iga.spla, "splu", Off)
+    with pytest.raises(MeshStructureError, match=r"^linear solve residual 1\.0\d\de-08 exceeds 1e-10$"):
+        solve_linear(1e300 * sp.identity(3, format="csr"), np.full(3, 1e308))
 
 
 def test_solve_linear_refuses_singular_system():
