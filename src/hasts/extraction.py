@@ -22,11 +22,14 @@ Which functions meet an element (the IEN, and the level-1 functions that
 carry the geometry) is decided on the hierarchy's knot-span grid: a support
 meets an element when their open grid boxes overlap.  Grid lines number the
 distinct knot values in order, so this is the open overlap of the exact
-rational rectangles.
+rational rectangles.  ``extract_all`` returns its stacks (``ElementStacks``),
+which ``iga`` reads by index and which, as a sequence, make each element's
+``ElementData`` when it is read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,16 +59,10 @@ def _overlaps(element_boxes, boxes):
 
 
 def build_ien(space: HierarchicalSpace):
-    """Per element, the positions (into space.functions) of the hierarchical
-    functions nonzero on its interior, in canonical function order."""
+    """Positions (into space.functions) of the functions nonzero on each element's
+    interior, element after element in canonical function order; n_loc per element."""
     e, f = _overlaps(space.element_boxes, space.function_boxes)
-    return _runs(f, np.bincount(e, minlength=space.n_e))
-
-
-def _runs(a, counts):
-    """``a`` cut into consecutive views of the given lengths."""
-    ends = np.cumsum(counts).tolist()
-    return [a[s:t] for s, t in zip([0] + ends, ends)]
+    return f, np.bincount(e, minlength=space.n_e)
 
 
 @dataclass
@@ -76,6 +73,31 @@ class ElementData:
     C: np.ndarray       # n_loc x n_b
     weights: np.ndarray  # n_b element Bezier weights
     points: np.ndarray   # n_b x d element Bezier control points
+
+
+class ElementStacks(Sequence):
+    """The element arrays of a space in canonical order as stacks: n_loc per
+    element, the IEN and C^e rows flat (element k's from ``start[k]``), weights
+    n_e x n_b, points n_e x n_b x d.  Item k is element k's ``ElementData``."""
+
+    def __init__(self, elements, n_loc, ien, C, weights, points):
+        self.elements, self.n_loc, self.ien, self.C = elements, n_loc, ien, C
+        self.weights, self.points = weights, points
+        self.start = np.concatenate([[0], np.cumsum(n_loc)])
+
+    def rows(self, pos, n):
+        """Flat rows (len(pos) x n) of the elements at ``pos``, of n functions each."""
+        return self.start[pos, None] + np.arange(n)
+
+    def __len__(self):
+        return len(self.n_loc)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        k = range(len(self))[k]
+        at, he = slice(self.start[k], self.start[k + 1]), self.elements[k]
+        return ElementData(he.level, he.param_rect, self.ien[at], self.C[at], self.weights[k], self.points[k])
 
 
 def default_geometry(space: HierarchicalSpace):
@@ -150,15 +172,18 @@ _products = {}  # row width -> _ProductRows
 
 
 def extract_all(space, weights=None, points=None):
-    """Element arrays for every element of the space, in canonical order."""
+    """``ElementStacks`` of every element of the space, from one finite weight
+    and one finite point (a row) per level-1 function."""
     p, q = space.levels[0].mesh.p, space.levels[0].mesh.q
     if weights is None or points is None:
         weights, points = default_geometry(space)
-    ien = build_ien(space)
-    fns = np.concatenate(ien)
+    w, P, n1 = np.asarray(weights, dtype=float), np.asarray(points, dtype=float), len(space.geometry_boxes)
+    if w.shape != (n1,) or P.ndim != 2 or len(P) != n1 or not (np.isfinite(w).all() and np.isfinite(P).all()):
+        raise MeshStructureError(f"the geometry needs one finite weight and one finite point per level-1 function "
+                                 f"({n1}), not weights of shape {w.shape} and points of shape {P.shape}")
+    fns, n_loc = build_ien(space)
     ge, gf = _overlaps(space.element_boxes, space.geometry_boxes)
     # every (function, element) pair: the IEN's, then the geometry's
-    n_loc = [len(row) for row in ien]
     elem = np.concatenate([np.repeat(np.arange(space.n_e), n_loc), ge])
     fn = np.concatenate([fns, space.n_f + gf])  # rows of the lines below
     (hid, hrows), (vid, vrows) = (
@@ -175,7 +200,6 @@ def extract_all(space, weights=None, points=None):
     numbers = store.numbers(codes, hrows | vrows)[at]
     C, G = store.rows[numbers[: len(fns)]], store.rows[numbers[len(fns) :]]
     # the geometry, stacked by the number k of level-1 functions per element
-    w, P = np.asarray(weights, dtype=float), np.asarray(points, dtype=float)
     count = np.bincount(ge, minlength=space.n_e)
     start = np.cumsum(count) - count
     dim = P.shape[1]
@@ -197,26 +221,7 @@ def extract_all(space, weights=None, points=None):
             f"nonpositive element Bezier weight on element {space.elements[int(bad.argmax())]}"
         )
     qb /= wb[:, :, None]
-    return [
-        ElementData(he.level, he.param_rect, row, c, wbf, qbf)
-        for he, row, c, wbf, qbf in zip(space.elements, ien, _runs(C, n_loc), wb, qb)
-    ]
-
-
-def local_linear_independence(edata, tol=1e-10):
-    """rank(C^e) == n_loc with a relative singular-value tolerance.
-
-    Holds on every element of a single-level analysis-suitable space.  On a
-    partially refined hierarchy an element near the refinement boundary can
-    carry more functions than Bernstein modes (coarse survivors overlap fine
-    elements), in which case this truthfully reports False.
-    """
-    if edata.C.shape[0] == 0:
-        return True
-    if edata.C.shape[0] > edata.C.shape[1]:
-        return False
-    sv = np.linalg.svd(edata.C, compute_uv=False)
-    return bool(sv[-1] > tol * sv[0])
+    return ElementStacks(space.elements, n_loc, fns, C, wb, qb)
 
 
 # -- export -------------------------------------------------------------------

@@ -8,11 +8,13 @@ points inside one element), geometry from the element Bezier points and
 weights.
 
 Elements are evaluated in groups.  ``Discretization`` sorts the elements by
-their number of local functions n_loc, stacks the C^e, Bezier weights and
-points of the elements with one n_loc into 3-D arrays and
-computes the Gauss-point data of the whole stack at once (``ElementGroup``,
-element axis first).  Assembly, the estimator and the edge quadrature of the
-Dirichlet projection work on these stacks.  Each element's numbers equal
+their number of local functions n_loc, gathers by index the C^e, IEN,
+Bezier weights and points of the elements with one n_loc from the stacks
+of ``extract_all`` and computes the Gauss-point data of the whole stack at
+once (``ElementGroup``, element axis first), its chain rules and element
+matrices in place (``_less``).  Assembly, the estimator and the edge
+quadrature of the Dirichlet projection work on these stacks and make no
+``ElementData``.  Each element's numbers equal
 those of a one-element loop bit for bit: the basis products are one 2-D
 product per stack, every product with a vector stays one vector product per
 element (a stacked ``matmul`` of shape (1, n) or (n, 1)), and the entries
@@ -44,7 +46,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .basis import bernstein_grid
-from .extraction import extract_all, default_geometry
+from .extraction import extract_all
 from .hierarchy import HierarchicalSpace, refine_by_elements
 from .tmesh import MeshStructureError
 
@@ -110,7 +112,7 @@ class ElementGroup:
     """Gauss-point data of the elements with one n_loc, stacked along axis 0
     in canonical element order."""
 
-    pos: np.ndarray   # (E,) positions in Discretization.elems
+    pos: np.ndarray   # (E,) element numbers, in canonical order, into the stacks Discretization.elems
     ien: np.ndarray   # (E, n_loc) global function indices
     x: np.ndarray     # (E, d, n_g) physical Gauss points
     dvol: np.ndarray  # (E, 1, n_g) quadrature weight times jacobian
@@ -126,7 +128,25 @@ def _t(a):
     return a.swapaxes(1, 2)
 
 
-def _check_affine(elems, wb, Qb, p, q):
+def _times(out, *factors):
+    """The product of the factors, left to right, written into ``out``."""
+    np.multiply(*factors[:2], out=out)
+    for f in factors[2:]:
+        out *= f
+    return out
+
+
+def _less(a, t, *terms, over=None):
+    """a - term - ... [/ over] in place in ``a``, each term a tuple of factors
+    multiplied in the scratch ``t``: the roundings of the plain expression."""
+    for f in terms:
+        a -= _times(t, *f)
+    if over is not None:
+        a /= over
+    return a
+
+
+def _check_affine(elements, wb, Qb, p, q):
     """Constant Bezier weights to 1e-12 relative, and Bezier points on the
     affine image of the Bernstein control grid fixed by three corners, to
     1e-12 of the element size plus 1e-13 of the coordinates (the roundoff
@@ -144,7 +164,7 @@ def _check_affine(elems, wb, Qb, p, q):
     bad = (off > tol) | (wdev > 1e-12 * np.abs(wb[:, 0]))
     if bad.any():
         raise MeshStructureError(
-            f"element {elems[bad.argmax()].param_rect}: the element map is not affine "
+            f"element {elements[bad.argmax()].param_rect}: the element map is not affine "
             "(second derivatives assume constant Bezier weights and affine Bezier points)"
         )
 
@@ -157,33 +177,24 @@ class Discretization:
         self.space = space
         self.p = space.levels[0].mesh.p
         self.q = space.levels[0].mesh.q
-        if weights is None or points is None:
-            weights, points = default_geometry(space)
-        self.elems = extract_all(space, weights, points)
-        n_loc = np.array([len(ed.ien) for ed in self.elems])
-        wb = np.array([ed.weights for ed in self.elems])      # n_e x n_b
-        Qb = np.array([ed.points for ed in self.elems])       # n_e x n_b x d
-        _check_affine(self.elems, wb, Qb, self.p, self.q)
-        self.groups = [
-            self._quadrature(pos, wb[pos], Qb[pos])
-            for pos in (np.flatnonzero(n_loc == n) for n in np.unique(n_loc))
-        ]
+        self.elems = el = extract_all(space, weights, points)
+        _check_affine(space.elements, el.weights, el.points, self.p, self.q)
+        self.groups = [self._quadrature(np.flatnonzero(el.n_loc == n), n) for n in np.unique(el.n_loc).tolist()]
         self._at_gauss = {}
 
-    def _quadrature(self, pos, wb, Qb):
-        """Per Gauss point of every element in ``pos`` (Bezier weights ``wb``
-        and points ``Qb``): physical coords, jacobian factors, basis values,
-        physical gradients and laplacians."""
+    def _quadrature(self, pos, n_loc):
+        """Per Gauss point of every element in ``pos``, each with ``n_loc``
+        functions: physical coords, jacobian factors, basis values, physical
+        gradients and laplacians."""
         wts, tabs = _bern_tables(self.p, self.q)
         T = {key: tab.T for key, tab in tabs.items()}  # n_b x n_g
-        elems = [self.elems[k] for k in pos]
-        C = np.array([ed.C for ed in elems])                # E x n_loc x n_b
-        # one 2-D product for the whole stack computes the same dot products,
-        # bit for bit, as one product per element
-        E, n_loc, n_b = C.shape
-        C2 = C.reshape(E * n_loc, n_b)
+        rows = self.elems.rows(pos, n_loc)
+        wb, Qb = self.elems.weights[pos], self.elems.points[pos]
+        # one 2-D product for the whole stack of C^e rows computes the same
+        # dot products, bit for bit, as one product per element
+        C2 = self.elems.C[rows.ravel()]                     # E*n_loc x n_b
         N, Nxi, Neta, Nxixi, Nxieta, Netaeta = (
-            (C2 @ T[key]).reshape(E, n_loc, -1)             # E x n_loc x n_g
+            (C2 @ T[key]).reshape(len(pos), n_loc, -1)      # E x n_loc x n_g
             for key in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
         )
         # (E, 1, n_b) rows: a vector-matrix product per element, like the
@@ -195,13 +206,14 @@ class Discretization:
         wxixi = wrow @ T[(2, 0)]
         wxieta = wrow @ T[(1, 1)]
         wetaeta = wrow @ T[(0, 2)]
-        # rational basis R = N / w by the quotient rule
-        R = N / w
-        Rxi = (Nxi - R * wxi) / w
-        Reta = (Neta - R * weta) / w
-        Rxixi = (Nxixi - 2 * Rxi * wxi - R * wxixi) / w
-        Rxieta = (Nxieta - Rxi * weta - Reta * wxi - R * wxieta) / w
-        Retaeta = (Netaeta - 2 * Reta * weta - R * wetaeta) / w
+        # rational basis R = N / w by the quotient rule, in place: N becomes R, ...
+        t = np.empty_like(N)  # scratch of each product
+        R = _less(N, t, over=w)
+        Rxi = _less(Nxi, t, (R, wxi), over=w)
+        Reta = _less(Neta, t, (R, weta), over=w)
+        Rxixi = _less(Nxixi, t, (2, Rxi, wxi), (R, wxixi), over=w)
+        Rxieta = _less(Nxieta, t, (Rxi, weta), (Reta, wxi), (R, wxieta), over=w)
+        Retaeta = _less(Netaeta, t, (2, Reta, weta), (R, wetaeta), over=w)
         # geometry map x = (Qb * wb) B / w
         Pt = _t(Qb * wb[:, :, None])                        # E x d x n_b
         x = (Pt @ T[(0, 0)]) / w                            # E x d x n_g
@@ -212,21 +224,20 @@ class Discretization:
         det = x_xi[:, xs] * x_eta[:, ys] - x_xi[:, ys] * x_eta[:, xs]
         if (det <= 0).any():
             k = pos[(det <= 0).any(axis=(1, 2)).argmax()]
-            raise MeshStructureError(f"singular element jacobian on element {self.elems[k].param_rect}")
-        # grad_x = J^{-T} grad_xi with J columns (x_xi, x_eta)
-        Rx = (x_eta[:, ys] * Rxi - x_xi[:, ys] * Reta) / det
-        Ry = (-x_eta[:, xs] * Rxi + x_xi[:, xs] * Reta) / det
-        # second derivatives under an affine map: H_x = J^{-T} H_xi J^{-1}
-        a11 = x_eta[:, ys] / det
-        a12 = -x_xi[:, ys] / det
-        a21 = -x_eta[:, xs] / det
-        a22 = x_xi[:, xs] / det
-        Rxx = a11 * (a11 * Rxixi + a12 * Rxieta) + a12 * (a11 * Rxieta + a12 * Retaeta)
-        Ryy = a21 * (a21 * Rxixi + a22 * Rxieta) + a22 * (a21 * Rxieta + a22 * Retaeta)
+            raise MeshStructureError(f"singular element jacobian on element {self.space.elements[k].param_rect}")
+        # grad_x = J^{-T} grad_xi with J columns (x_xi, x_eta); b - c is -c + b
+        Rx = _less(x_eta[:, ys] * Rxi, t, (x_xi[:, ys], Reta), over=det)
+        Ry = _less(x_xi[:, xs] * Reta, t, (x_eta[:, xs], Rxi), over=det)
+        # second derivatives under an affine map, H_x = J^{-T} H_xi J^{-1}, with
+        # Rxx = a11 (a11 Rxixi + a12 Rxieta) + a12 (a11 Rxieta + a12 Retaeta), Ryy
+        # alike; a12 = -b12 and a21 = -b21 turn each sum into form's differences
+        a11, b12, b21, a22 = (v / det for v in (x_eta[:, ys], x_xi[:, ys], x_eta[:, xs], x_xi[:, xs]))
+        form = lambda a, b, X, Y, Z: _less(a * _less(a * X, t, (b, Y)), t, (b, _less(a * Y, t, (b, Z))))
+        lap = form(a11, b12, Rxixi, Rxieta, Retaeta)
+        lap += form(a22, b21, Retaeta, Rxieta, Rxixi)
         dvol = wts * det
         h = np.sqrt(dvol[:, 0].sum(axis=1))
-        ien = np.stack([ed.ien for ed in elems])
-        return ElementGroup(pos, ien, x, dvol, h, R, Rx, Ry, Rxx + Ryy)
+        return ElementGroup(pos, self.elems.ien[rows], x, dvol, h, R, Rx, Ry, lap)
 
     def at_gauss_points(self, fn):
         """fn(x, y) at the Gauss points of each group, (E, 1, n_g) per group.
@@ -258,21 +269,24 @@ def assemble(problem: Problem, disc: Discretization, supg=True):
         source = disc.at_gauss_points(problem.source)
     for g, fg in zip(disc.groups, source):
         adv = ux * g.Rx + uy * g.Ry
-        Ke = (kappa * (g.Rx * g.dvol) @ _t(g.Rx) + kappa * (g.Ry * g.dvol) @ _t(g.Ry)
-              + (g.R * g.dvol) @ _t(adv))
+        t = np.empty_like(g.R)  # scratch of each product; K^e sums in place
+        Ke = _times(t, g.Rx, g.dvol, kappa) @ _t(g.Rx)
+        m = np.matmul(_times(t, g.Ry, g.dvol, kappa), _t(g.Ry))
+        Ke += m
+        Ke += np.matmul(_times(t, g.R, g.dvol), _t(adv), out=m)
         Fe = np.zeros(g.ien.shape)
         if fg is not None:
             f = _t(fg)                                      # E x n_g x 1
-            Fe += ((g.R * g.dvol) @ f)[:, :, 0]
+            Fe += (t @ f)[:, :, 0]                          # t holds R dvol
         if supg and unorm > 0:
             tau = np.array([tau_element(h, unorm, kappa) for h in g.h.tolist()])[:, None, None]
-            Ke += (tau * (adv * g.dvol)) @ _t(adv - kappa * g.lap)
+            Ke += np.matmul(_times(t, adv, g.dvol, tau), _t(adv - kappa * g.lap), out=m)
             if fg is not None:
-                Fe += ((tau * (adv * g.dvol)) @ f)[:, :, 0]
+                Fe += (t @ f)[:, :, 0]                      # t holds tau adv dvol
         blocks.append((g.pos, g.ien, Ke, Fe))
     # scipy sums K's duplicates after an unstable sort per row, so K's bits
     # follow this triplet sequence, a one-element loop's; F sums in its order
-    r, c, v, i, f = _in_order([len(ed.ien) for ed in disc.elems], blocks)
+    r, c, v, i, f = _in_order(disc.elems.n_loc, blocks)
     K = sp.coo_matrix((v, (r, c)), shape=(n, n)).tocsr()
     return K, np.bincount(i, weights=f, minlength=n)
 
@@ -321,21 +335,22 @@ def _edge_tables(p, q, ng):
     return gw, B, Bd
 
 
-def _edge_quadrature(disc, elems, sides, ng):
+def _edge_quadrature(disc, pos, sides, rows):
     """Gauss points along one boundary side (0..3 for s0, s1, t0, t1) of each
-    element of a stack with one n_loc: physical points (E x d x n_g), arc
+    element at ``pos`` (C^e ``rows``): physical points (E x d x n_g), arc
     weights (E x 1 x n_g) and local basis values (E x n_loc x n_g)."""
-    gw, B4, Bd4 = _edge_tables(disc.p, disc.q, ng)
+    gw, B4, Bd4 = _edge_tables(disc.p, disc.q, max(disc.p, disc.q) + 2)
     B, Bd = B4[sides], Bd4[sides]                              # E x n_g x n_b
-    rect = np.array([[float(v) for v in ed.param_rect] for ed in elems])
-    # an s side runs along t, a t side along s
-    jac = (np.where(sides < 2, rect[:, 3] - rect[:, 2], rect[:, 1] - rect[:, 0]) / 2)[:, None, None]
-    C = np.array([ed.C for ed in elems])
-    wb = np.array([ed.weights for ed in elems])[:, :, None]   # E x n_b x 1
+    # an s side runs along t, a t side along s; int division rounds as float(Fraction)
+    num, box = disc.space.grid_numerators, disc.space.element_boxes[pos].tolist()
+    ends = [(num[1], b[2:]) if s < 2 else (num[0], b[:2]) for b, s in zip(box, sides.tolist())]
+    jac = (np.array([n[b] / n[-1] - n[a] / n[-1] for n, (a, b) in ends]) / 2)[:, None, None]
+    C = disc.elems.C[rows]
+    wb = disc.elems.weights[pos][:, :, None]                   # E x n_b x 1
     # matrix-vector products per element, as (n_g, n_b) @ (n_b, 1)
     w = _t(B @ wb)                                             # E x 1 x n_g
     N = C @ _t(B) / w
-    Pt = _t(np.array([ed.points for ed in elems]) * wb)
+    Pt = _t(disc.elems.points[pos] * wb)
     x = (Pt @ _t(B)) / w
     # physical arc length element along the edge
     dxd = (Pt @ _t(Bd) - x * _t(Bd @ wb)) / w
@@ -352,20 +367,19 @@ def apply_dirichlet(K, F, problem, disc):
     nb = len(bidx)
     bpos = np.full(space.n_f, -1)
     bpos[bidx] = np.arange(nb)
-    ng = max(disc.p, disc.q) + 2
     # every (element, side) pair on the domain boundary, in canonical order:
     # the sides s0, s1, t0, t1 of an element's grid box on the first or last
     # grid line
     gh, gv = space.grid_shape
     pos, side = np.nonzero(space.element_boxes == [0, gh - 1, 0, gv - 1])
-    n_loc = np.array([len(disc.elems[k].ien) for k in pos], dtype=int)
+    n_loc = disc.elems.n_loc[pos]
     blocks = []  # per n_loc: pair positions, boundary numbers, M^e, rhs^e
-    for n in np.unique(n_loc):
+    for n in np.unique(n_loc).tolist():
         sel = np.flatnonzero(n_loc == n)
-        elems = [disc.elems[k] for k in pos[sel]]
-        x, dw, N = _edge_quadrature(disc, elems, side[sel], ng)
+        rows = disc.elems.rows(pos[sel], n)
+        x, dw, N = _edge_quadrature(disc, pos[sel], side[sel], rows)
         g = _t(_at_points(problem.dirichlet, x))            # E x n_g x 1
-        gi = bpos[np.stack([ed.ien for ed in elems])]  # -1: not on the boundary
+        gi = bpos[disc.elems.ien[rows]]  # -1: not on the boundary
         blocks.append((sel, gi, (N * dw) @ _t(N), ((N * dw) @ g)[:, :, 0]))
     # accumulate in canonical pair order, as one element side at a time;
     # the entries of functions without a boundary trace drop out

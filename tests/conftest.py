@@ -781,6 +781,22 @@ def _locate(rects, s, t):
     raise MeshStructureError(f"no element contains parametric point ({s}, {t})")
 
 
+def local_linear_independence(edata, tol=1e-10):
+    """rank(C^e) == n_loc with a relative singular-value tolerance.
+
+    Holds on every element of a single-level analysis-suitable space.  On a
+    partially refined hierarchy an element near the refinement boundary can
+    carry more functions than Bernstein modes (coarse survivors overlap fine
+    elements), in which case this truthfully reports False.
+    """
+    if edata.C.shape[0] == 0:
+        return True
+    if edata.C.shape[0] > edata.C.shape[1]:
+        return False
+    sv = np.linalg.svd(edata.C, compute_uv=False)
+    return bool(sv[-1] > tol * sv[0])
+
+
 # -- per-element FE oracles -------------------------------------------------------
 
 

@@ -26,6 +26,7 @@ from conftest import (
     bernstein_row,
     eval_all,
     eval_function,
+    local_linear_independence,
     one_level,
     sample_hierarchies,
     two_level_space,
@@ -37,7 +38,7 @@ from hasts.benchmarks import (
     skew45_rect_layer_distance,
     tensor_space,
 )
-from hasts.extraction import extract_all, local_linear_independence
+from hasts.extraction import extract_all
 from hasts.hierarchy import (
     refine_by_elements,
     represent_coarse_in_fine,

@@ -9,6 +9,7 @@ oracle ``conftest.bezier_coeffs_oracle``.
 """
 
 import random
+import warnings
 from fractions import Fraction
 from math import comb
 
@@ -25,6 +26,7 @@ from conftest import (
     eval_function,
     extract_solve_space,
     float_knot_space,
+    local_linear_independence,
     one_level,
     sample_hierarchies,
     thirds_space,
@@ -37,7 +39,6 @@ from hasts.extraction import (
     default_geometry,
     dump_extraction,
     extract_all,
-    local_linear_independence,
 )
 from hasts.hierarchy import refine_by_elements
 from hasts.tmesh import MeshStructureError
@@ -305,7 +306,8 @@ def test_local_dependence_at_refinement_boundary(hierarchies):
 def test_ien_matches_pointwise_support(hierarchies):
     rng = np.random.default_rng(17)
     for space in hierarchies[:2]:
-        ien = build_ien(space)
+        fns, n_loc = build_ien(space)
+        ien = np.split(fns, np.cumsum(n_loc)[:-1])
         for he, row in zip(space.elements, ien):
             s1, s2, t1, t2 = (float(v) for v in he.param_rect)
             for _ in range(3):
@@ -426,6 +428,53 @@ def test_extract_all_bit_identical_past_int64():
     space = float_knot_space()
     assert max(space.grid_numerators[0]) > 2**63
     assert_bit_identical(space)
+
+
+def same_element(a, b):
+    return (a.level, a.param_rect) == (b.level, b.param_rect) and all(
+        same_bits(getattr(a, name), getattr(b, name)) for name in ("ien", "C", "weights", "points")
+    )
+
+
+def test_extract_all_items_are_views_of_its_stacks():
+    space = extract_solve_space(2)
+    stacks = extract_all(space)
+    assert len(stacks) == space.n_e
+    assert len(stacks.ien) == len(stacks.C) == stacks.n_loc.sum()
+    items = list(stacks)
+    for k, (ed, he) in enumerate(zip(items, space.elements, strict=True)):
+        at = slice(stacks.n_loc[:k].sum(), stacks.n_loc[: k + 1].sum())
+        assert (ed.level, ed.param_rect) == (he.level, he.param_rect)
+        assert same_bits(ed.ien, stacks.ien[at]) and same_bits(ed.C, stacks.C[at])
+        assert same_bits(ed.weights, stacks.weights[k]) and same_bits(ed.points, stacks.points[k])
+    assert same_element(stacks[-1], items[-1]) and same_element(stacks[-space.n_e], items[0])
+    for cut in (slice(3, 40, 7), slice(None, None, -1), slice(-5, None)):
+        assert len(stacks[cut]) == len(items[cut]) and all(map(same_element, stacks[cut], items[cut]))
+    assert all(same_element(a, b) for a, b in zip(reversed(stacks), items[::-1], strict=True))
+    for k in (space.n_e, -space.n_e - 1):
+        with pytest.raises(IndexError):
+            stacks[k]
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        pytest.param(lambda w, P: (w[:-1], P), id="weights_short"),
+        pytest.param(lambda w, P: (w, P[:-1]), id="points_short"),
+        pytest.param(lambda w, P: (np.append(w, 1.0), P), id="weights_long"),
+        pytest.param(lambda w, P: (np.where(np.arange(len(w)) == 7, np.nan, w), P), id="nan_weight"),
+        pytest.param(lambda w, P: (w, np.where(np.arange(P.size).reshape(P.shape) == 5, np.inf, P)), id="inf_point"),
+    ],
+)
+def test_extract_all_refuses_bad_geometry(spoil):
+    """One finite weight and one finite point per level-1 function, or a
+    ``MeshStructureError`` from extraction, before any arithmetic warns."""
+    space = tensor_space(4, 2)
+    w, P = spoil(*default_geometry(space))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshStructureError, match="one finite weight and one finite point per level-1 function"):
+            extract_all(space, w, P)
 
 
 def test_extraction_does_not_depend_on_call_order(monkeypatch):

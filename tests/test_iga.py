@@ -8,6 +8,7 @@ checked bit for bit against the one-element-at-a-time oracles in conftest.
 """
 
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from math import cos, cosh, pi, sin, sinh, sqrt
 
@@ -36,7 +37,7 @@ from hasts.benchmarks import (
     skew45_rect_layer_distance,
     tensor_space,
 )
-from hasts.extraction import default_geometry
+from hasts.extraction import ElementData, default_geometry
 from hasts.iga import (
     Discretization,
     Problem,
@@ -230,6 +231,43 @@ def test_grouped_fe_matches_per_element_oracle(make):
     for space in make():
         for problem in (mixed_problem(), skew45_problem(), manufactured_problem()[0]):
             assert_fe_bit_identical(space, problem)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: extract_solve_space(1, 8), id="extract_solve"),
+        pytest.param(lambda: thirds_space(3), id="thirds"),
+        pytest.param(lambda: tensor_space(4, 2, 3), id="tensor"),
+    ],
+)
+def test_grouped_fe_matches_per_element_oracle_on_weighted_affine_geometry(make):
+    """Constant weight 2 and the level-1 Greville points under x -> A x + b:
+    weights and points that are not the identity map's reach every stack."""
+    space = make()
+    w, P = default_geometry(space)
+    A, b = np.array([[1.3, -0.4], [0.5, 0.9]]), np.array([0.25, -3.0])
+    for problem in (mixed_problem(), manufactured_problem()[0]):
+        assert_fe_bit_identical(space, replace(problem, weights=np.full(len(w), 2.0), points=P @ A.T + b))
+
+
+def test_fe_numerics_make_no_element_data(monkeypatch):
+    """Discretization, solve and the estimator read the extraction's stacks;
+    only the per-element view makes ``ElementData``."""
+    made = []
+    init = ElementData.__init__
+
+    def counted(self, *args):
+        made.append(args[:2])
+        init(self, *args)
+
+    monkeypatch.setattr(ElementData, "__init__", counted)
+    problem = mixed_problem()
+    disc = Discretization(extract_solve_space(2))
+    estimate_error(problem, disc, solve(problem, disc))
+    assert made == []
+    disc.elems[-1]
+    assert len(made) == 1
 
 
 def test_problem_rejects_nonpositive_diffusivity():
