@@ -14,18 +14,19 @@ of ``extract_all`` and computes the Gauss-point data of the whole stack at
 once (``ElementGroup``, element axis first), its chain rules and element
 matrices in place (``_less``).  Assembly, the estimator and the edge
 quadrature of the Dirichlet projection work on these stacks and make no
-``ElementData``.  Each element's numbers equal
-those of a one-element loop bit for bit: the basis products are one 2-D
-product per stack, every product with a vector stays one vector product per
-element (a stacked ``matmul`` of shape (1, n) or (n, 1)), and the entries
-of every group are laid out one element at a time in canonical element
-order (``_in_order``).  F and the boundary mass matrix sum in that order.
-K's duplicate COO triplets do not: scipy sums them after an unstable sort
-per row, so K's bits follow the triplet sequence, and equal a one-element
-loop's because both hand scipy the same sequence.  ``problem.source`` and
-``problem.dirichlet`` are called with Python floats; the source is
-evaluated once per ``Discretization`` and shared by assembly and the
-estimator.
+``ElementData``.  Each element's numbers equal those of a one-element loop
+bit for bit: the basis products are one 2-D product per stack, every
+product with a vector stays one vector product per element (a stacked
+``matmul`` of shape (1, n) or (n, 1)), and the entries of every group are
+laid out one element (boundary side) at a time in canonical order
+(``_in_order``).  F and the boundary load sum in that order.  K and the
+boundary mass matrix take one path: scipy sums their COO triplets after an
+unstable sort per row (so their bits follow the triplet sequence, a
+one-element loop's), and ``solve_linear`` factorises and checks both with
+SuperLU, so no result depends on the BLAS thread count.
+``problem.source`` and ``problem.dirichlet`` are called with Python floats;
+the source is evaluated once per ``Discretization`` and shared by assembly
+and the estimator.
 
 Second derivatives, which the strong residual needs, take the element map
 to be affine.  ``Discretization`` enforces that: it raises
@@ -381,13 +382,11 @@ def apply_dirichlet(K, F, problem, disc):
         g = _t(_at_points(problem.dirichlet, x))            # E x n_g x 1
         gi = bpos[disc.elems.ien[rows]]  # -1: not on the boundary
         blocks.append((sel, gi, (N * dw) @ _t(N), ((N * dw) @ g)[:, :, 0]))
-    # accumulate in canonical pair order, as one element side at a time;
-    # the entries of functions without a boundary trace drop out
+    # summed and solved as K is; entries of functions with no boundary trace drop out
     r, c, v, i, b = _in_order(n_loc, blocks)
     on = (r >= 0) & (c >= 0)
-    M = np.bincount(r[on] * nb + c[on], weights=v[on], minlength=nb * nb).reshape(nb, nb)
-    rhs = np.bincount(i[i >= 0], weights=b[i >= 0], minlength=nb)
-    gb = np.linalg.solve(M, rhs)
+    M = sp.coo_matrix((v[on], (r[on], c[on])), shape=(nb, nb)).tocsr()
+    gb = solve_linear(M, np.bincount(i[i >= 0], weights=b[i >= 0], minlength=nb))
     full = np.zeros(space.n_f)
     full[bidx] = gb
     interior = np.flatnonzero(bpos < 0)
@@ -451,7 +450,7 @@ def estimate_error(problem, disc, coeffs):
 
 def mark_elements(estimates, tol):
     """Elements whose estimate exceeds tol."""
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise MeshStructureError("tol must be positive")
     return [k for k, est in enumerate(estimates) if est > tol]
 
@@ -484,9 +483,10 @@ def adaptive_loop(problem, space, tol, max_levels=8, max_iterations=20,
                   keep_iterations=False):
     """solve -> estimate -> mark -> refine until nothing is marked or the
     level cap stops refinement."""
+    if max_iterations < 1:
+        raise MeshStructureError("iterations must be >= 1")
     history = []
     iterations = []
-    disc = coeffs = estimates = None
     for it in range(1, max_iterations + 1):
         disc = Discretization(space, problem.weights, problem.points)
         coeffs = solve(problem, disc)

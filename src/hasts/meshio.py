@@ -138,15 +138,19 @@ def _read_knots(r, kw, count, degree):
         raise ParseError(ln, str(exc)) from None
 
 
-def _kw_int(r, kw):
+def _kw_int(r, kw, least=0):
+    """The line ``kw <count>``, a count of at least ``least``."""
     ln, s = r.next()
     toks = s.split()
     if len(toks) != 2 or toks[0] != kw:
         raise ParseError(ln, f"expected '{kw} <count>' line")
     try:
-        return ln, [int(toks[1])]
+        count = int(toks[1])
     except ValueError:
         raise ParseError(ln, f"bad count in {kw}") from None
+    if count < least:
+        raise ParseError(ln, f"{kw} count {count} is below {least}")
+    return ln, [count]
 
 
 # -- hierarchy serialization --------------------------------------------------
@@ -193,7 +197,7 @@ def parse_hierarchy(text):
     ln, s = r.next()
     if s != HIER_MAGIC:
         raise ParseError(ln, f"bad header {s!r}, expected {HIER_MAGIC!r}")
-    _, (nlev,) = _kw_int(r, "levels")
+    _, (nlev,) = _kw_int(r, "levels", 1)
     levels = []
     for k in range(nlev):
         ln, s = r.next()

@@ -120,7 +120,7 @@ class TMesh:
     Arrays are 1-indexed with shape (m+1, n+1); out-of-range slots stay False.
     """
 
-    def __init__(self, m, n, p, q, hseg, vseg, declared_vertices=None):
+    def __init__(self, m, n, p, q, hseg, vseg, declared=None):
         if p < 1 or q < 1:
             raise MeshStructureError(f"degrees must be >= 1, got p={p}, q={q}")
         if m < p + 2 or n < q + 2:
@@ -136,13 +136,12 @@ class TMesh:
             raise MeshStructureError("horizontal segment out of index range")
         if vseg[0, :].any() or vseg[:, 0].any() or vseg[:, n:].any():
             raise MeshStructureError("vertical segment out of index range")
-        hseg.flags.writeable = False
-        vseg.flags.writeable = False
+        for a in (hseg, vseg, declared):
+            if a is not None:
+                a.flags.writeable = False
         self.hseg = hseg
         self.vseg = vseg
-        self.declared_vertices = (
-            frozenset(declared_vertices) if declared_vertices is not None else None
-        )
+        self.declared = declared  # points given as vertices, an (m+1, n+1) mask
 
     # -- construction helpers -------------------------------------------------
 
@@ -174,7 +173,7 @@ class TMesh:
         x, y = np.sort(x, axis=1), np.sort(y, axis=1)
         hseg = runs_mask((n + 1, m + 1), y[along, 0], x[along, 0], x[along, 1]).T
         vseg = runs_mask((m + 1, n + 1), x[~along, 0], y[~along, 0], y[~along, 1])
-        return cls(m, n, p, q, hseg, vseg, declared_vertices=map(tuple, v.tolist()))
+        return cls(m, n, p, q, hseg, vseg, declared[: m + 1, : n + 1])
 
     @classmethod
     def tensor_grid(cls, m, n, p, q):
@@ -235,8 +234,8 @@ class TMesh:
         left, right, down, up, valence = self.incidence
         mask = (valence > 0) & ~((valence == 2) & ((left & right) | (down & up)))
         mask[[1, 1, self.m, self.m], [1, self.n, 1, self.n]] = True
-        if self.declared_vertices:
-            mask[tuple(zip(*self.declared_vertices))] = True
+        if self.declared is not None:
+            mask |= self.declared
         mask.flags.writeable = False
         return mask
 
@@ -347,10 +346,9 @@ class TMesh:
         for (x, y) in self._interior(self.vertex_mask & (valence != 3) & (valence != 4)):
             report.append(Violation("valence", (x, y), f"interior vertex has valence {valence[x, y]}"))
         # declared vertices must lie on the skeleton
-        if self.declared_vertices:
-            for (x, y) in sorted(self.declared_vertices):
-                if valence[x, y] == 0:
-                    report.append(Violation("off-skeleton-vertex", (x, y), "declared vertex not on any edge"))
+        if self.declared is not None:
+            for (x, y) in _points(self.declared & (valence == 0)):
+                report.append(Violation("off-skeleton-vertex", (x, y), "declared vertex not on any edge"))
         # admissibility: no T-junction strictly inside the frame region, and
         # the frame-region skeleton, the domain boundary among it, is a full
         # tensor-product grid

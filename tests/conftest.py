@@ -31,7 +31,9 @@ The FE oracles are the finite-element loop the library ran before it
 evaluated elements in groups: quadrature, assembly, the Dirichlet projection
 and the estimator, one element at a time.  The Dirichlet oracle selects the
 boundary functions and element sides by comparing exact knot values, as the
-library did before it compared grid lines.
+library did before it compared grid lines; like the library, it sums its
+boundary mass matrix by scipy from one element side's triplets at a time
+and factorises it with SuperLU.
 """
 
 import os
@@ -45,6 +47,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import splu
 
 from hasts import meshio, samples
 from hasts.benchmarks import tensor_space
@@ -257,11 +260,19 @@ def h_line_covers(mesh, y, xlo, xhi):
     return bool(mesh.hseg[xlo:xhi, y].all())
 
 
+def declared_vertices(mesh):
+    """The points of a mesh's declared-vertex mask as a set of (x, y)."""
+    if mesh.declared is None:
+        return set()
+    xs, ys = np.nonzero(mesh.declared)
+    return set(zip(xs.tolist(), ys.tolist()))
+
+
 def canonical_vertices(mesh):
     """Points where the skeleton branches, crosses, turns or terminates, the
     domain corners and the declared vertices, one point at a time."""
     verts = {(1, 1), (1, mesh.n), (mesh.m, 1), (mesh.m, mesh.n)}
-    verts |= mesh.declared_vertices or set()
+    verts |= declared_vertices(mesh)
     for x in range(1, mesh.m + 1):
         for y in range(1, mesh.n + 1):
             left, right, down, up = directions(mesh, x, y)
@@ -350,7 +361,7 @@ def vertex_findings(mesh):
         v = valence(mesh, x, y)
         if is_interior(mesh, x, y) and v not in (3, 4):
             report.append(Violation("valence", (x, y), f"interior vertex has valence {v}"))
-    for (x, y) in sorted(mesh.declared_vertices or ()):
+    for (x, y) in sorted(declared_vertices(mesh)):
         if valence(mesh, x, y) == 0:
             report.append(Violation("off-skeleton-vertex", (x, y), "declared vertex not on any edge"))
     dp, dq = (mesh.p + 1) // 2, (mesh.q + 1) // 2
@@ -930,7 +941,7 @@ def apply_dirichlet(K, F, problem, disc):
     bidx = boundary_functions(space)
     bpos = {a: k for k, a in enumerate(bidx)}
     nb = len(bidx)
-    M = np.zeros((nb, nb))
+    rows, cols, vals = [], [], []
     rhs = np.zeros(nb)
     ng = max(disc.p, disc.q) + 2
     for ed in disc.elems:
@@ -952,9 +963,14 @@ def apply_dirichlet(K, F, problem, disc):
             gi = [bpos[ed.ien[k]] for k in loc]
             Nl = N[loc]
             g = np.array([problem.dirichlet(px, py) for px, py in x.T])
-            M[np.ix_(gi, gi)] += (Nl * dw) @ Nl.T
+            rows.append(np.repeat(gi, len(gi)))
+            cols.append(np.tile(gi, len(gi)))
+            vals.append(((Nl * dw) @ Nl.T).ravel())
             rhs[gi] += (Nl * dw) @ g
-    gb = np.linalg.solve(M, rhs)
+    M = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(nb, nb)
+    ).tocsr()
+    gb = splu(M.tocsc()).solve(rhs)
     full = np.zeros(space.n_f)
     full[bidx] = gb
     interior = np.array([a for a in range(space.n_f) if a not in bpos], dtype=int)

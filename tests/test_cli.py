@@ -3,6 +3,8 @@ config-file handling."""
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -172,6 +174,29 @@ def test_solve_deterministic_across_runs(tmp_path, capsys):
         assert main(solve_args(out)) == 0
     for name in os.listdir(out1):
         assert read(out1 / name) == read(out2 / name)
+
+
+def test_solve_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """The skew run with p = 3 from 16 x 16 elements, in two interpreters
+    with OpenBLAS on 1 and on 2 threads, writes the same bytes.  Its third
+    iteration projects onto 140 boundary functions, where a threaded dense
+    solve of the boundary projection rounded differently.  On one core, or
+    with a numpy not built on OpenBLAS, both runs take the same path and the
+    test cannot fail."""
+    src = os.path.dirname(os.path.dirname(hasts.cli.__file__))
+    argv = ["solve", "--benchmark", "skew45", "--p", "3", "--elements", "16", "--iterations", "3", "--tol", "2e-3"]
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        subprocess.run([sys.executable, "-m", "hasts.cli", *argv, "--out", str(out)], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+        outs.append(out)
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1])) and len(names) == 10
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 GOLDEN_SOLVES = {

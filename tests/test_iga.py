@@ -395,6 +395,20 @@ def test_solve_linear_refuses_singular_system():
         solve_linear(sp.csr_matrix(np.ones((3, 3))), np.ones(3))
 
 
+def test_boundary_projection_is_solved_by_solve_linear(monkeypatch):
+    """The boundary mass matrix takes K's checked sparse path: a function
+    without a trace among the boundary functions leaves it singular, which is
+    the library's error, not a LAPACK one."""
+    disc = Discretization(tensor_space(4, 2))
+    prob = skew45_problem()
+    K, F = assemble(prob, disc)
+    on = boundary_functions(disc.space)
+    inner = min(set(range(disc.space.n_f)) - set(on))
+    monkeypatch.setattr(hasts.iga, "boundary_functions", lambda space: sorted(on + [inner]))
+    with pytest.raises(MeshStructureError, match="^linear solve failed: "):
+        apply_dirichlet(K, F, prob, disc)
+
+
 # -- convergence ---------------------------------------------------------------
 
 
@@ -434,6 +448,13 @@ def test_mark_elements_threshold():
     assert mark_elements(est, tol=1e-2) == []
     with pytest.raises(MeshStructureError):
         mark_elements(est, tol=0.0)
+
+
+def test_mark_elements_refuses_nan_tolerance():
+    """No estimate exceeds NaN, so a NaN tolerance would mark nothing and
+    stop the adaptive loop after one iteration without a word."""
+    with pytest.raises(MeshStructureError, match="tol must be positive"):
+        mark_elements([5e-4, 2e-3], tol=float("nan"))
 
 
 def test_total_estimate_is_root_sum_of_squares():
@@ -491,6 +512,13 @@ def test_adaptive_loop_respects_level_cap():
     res = adaptive_loop(prob, tensor_space(4, 2), tol=1e-4,
                         max_levels=2, max_iterations=4)
     assert max(he.level for he in res.disc.space.elements) <= 2
+
+
+def test_adaptive_loop_needs_an_iteration():
+    """With no iteration there is no solution to return."""
+    for cap in (0, -1):
+        with pytest.raises(MeshStructureError, match="iterations must be >= 1"):
+            adaptive_loop(skew45_problem(), tensor_space(4, 2), tol=5e-3, max_iterations=cap)
 
 
 def test_adaptive_records_keep_iterations():

@@ -130,7 +130,7 @@ def test_vertex_and_edge_blocks_read_as_lines():
         (ei + 3, [lines[ei + 3], "   ", "# another"]),
     )
     again, _, _ = parse_mesh(noisy)
-    assert again == mesh and again.declared_vertices == parse_mesh("\n".join(lines))[0].declared_vertices
+    assert again == mesh and np.array_equal(again.declared, parse_mesh("\n".join(lines))[0].declared)
     cases = [
         (edit((vi + 3, ["1 2 3"])), vi + 4, "expected 2 integers for vertex, got 3"),
         (edit((ei + 5, ["1 2 x 4"])), ei + 6, "non-integer token in edge"),
@@ -202,6 +202,25 @@ def test_hierarchy_parse_errors():
     with pytest.raises(ParseError, match="bad dimensions m=1 n=8") as e:
         parse_hierarchy("\n".join(lines))
     assert e.value.line == 5
+
+
+@pytest.mark.parametrize(
+    "kw, count, least", [("vertices", -1, 0), ("edges", -1, 0), ("domain", -1, 0), ("levels", 0, 1), ("levels", -2, 1)]
+)
+def test_negative_counts_are_parse_errors(kw, count, least, tmp_path, capsys):
+    """A section count below zero, or a hierarchy of fewer than one level, is
+    unreadable input at its line (exit 2), not an empty section."""
+    with open(os.path.join(SAMPLES_DIR, "two_level_p2.hier")) as f:
+        lines = f.read().splitlines()
+    at = [k for k, s in enumerate(lines) if s.startswith(kw + " ")][-1]  # level 2's, where there are two
+    lines[at] = f"{kw} {count}"
+    with pytest.raises(ParseError) as e:
+        parse_hierarchy("\n".join(lines))
+    assert str(e.value) == f"line {at + 1}: {kw} count {count} is below {least}"
+    path = tmp_path / "bad.hier"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["extract", "--mesh", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"parse error: {e.value}"]
 
 
 def test_level_one_takes_no_domain_rectangles(tmp_path, capsys):
