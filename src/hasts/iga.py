@@ -17,13 +17,13 @@ quadrature of the Dirichlet projection work on these stacks and make no
 ``ElementData``.  Each element's numbers equal those of a one-element loop
 bit for bit: the basis products are one 2-D product per stack, every
 product with a vector stays one vector product per element (a stacked
-``matmul`` of shape (1, n) or (n, 1)), and the entries of every group are
-laid out one element (boundary side) at a time in canonical order
-(``_in_order``).  F and the boundary load sum in that order.  K and the
-boundary mass matrix take one path: scipy sums their COO triplets after an
-unstable sort per row (so their bits follow the triplet sequence, a
-one-element loop's), and ``solve_linear`` factorises and checks both with
-SuperLU, so no result depends on the BLAS thread count.
+``matmul`` of shape (1, n) or (n, 1)), and K, F, the boundary mass matrix
+and the boundary load sum every entry in canonical order (``_summed``): by
+element (boundary side), local row and local column, the order of a loop
+that adds one element's matrix at a time, through two stable passes that
+never reorder equal entries.  ``solve_linear`` factorises and checks K and
+the boundary mass matrix with SuperLU, so no result depends on the BLAS
+thread count.
 ``problem.source`` and ``problem.dirichlet`` are called with Python floats;
 the source is evaluated once per ``Discretization`` and shared by assembly
 and the estimator.
@@ -69,12 +69,11 @@ class Problem:
             raise MeshStructureError("diffusivity must be positive")
         if not isfinite(self.kappa):
             raise MeshStructureError(f"diffusivity must be finite, not {self.kappa}")
+        if not all(isfinite(u) for u in self.velocity):
+            raise MeshStructureError(f"velocity must be finite, not {self.velocity}")
 
 
-@lru_cache(maxsize=None)
-def _gauss(n):
-    x, w = npleg.leggauss(n)
-    return x, w
+_gauss = lru_cache(maxsize=None)(npleg.leggauss)
 
 
 @lru_cache(maxsize=None)
@@ -263,7 +262,6 @@ def assemble(problem: Problem, disc: Discretization, supg=True):
     ux, uy = problem.velocity
     unorm = sqrt(ux * ux + uy * uy)
     kappa = problem.kappa
-    n = disc.space.n_f
     blocks = []  # per group: positions, ien, K^e, F^e
     source = [None] * len(disc.groups)
     if problem.source is not None:
@@ -285,29 +283,34 @@ def assemble(problem: Problem, disc: Discretization, supg=True):
             if fg is not None:
                 Fe += (t @ f)[:, :, 0]                      # t holds tau adv dvol
         blocks.append((g.pos, g.ien, Ke, Fe))
-    # scipy sums K's duplicates after an unstable sort per row, so K's bits
-    # follow this triplet sequence, a one-element loop's; F sums in its order
-    r, c, v, i, f = _in_order(disc.elems.n_loc, blocks)
-    K = sp.coo_matrix((v, (r, c)), shape=(n, n)).tocsr()
-    return K, np.bincount(i, weights=f, minlength=n)
+    return _summed(disc.space.n_f, disc.elems.n_loc, blocks)
 
 
-def _in_order(n_loc, blocks):
-    """Triplets (rows, columns, entries) of the (E, n, n) matrices and pairs
-    (rows, entries) of the (E, n) vectors of per-group stacks, laid out one
-    item at a time in canonical order; a block holds its items' positions,
-    (E, n) function numbers, matrices and vectors, ``n_loc`` each item's n."""
-    n_loc = np.asarray(n_loc, dtype=np.int64)
-    sq, ln = (np.concatenate([[0], np.cumsum(a)]) for a in (n_loc * n_loc, n_loc))  # item offsets
-    r, c, i = (np.empty(m, dtype=np.int64) for m in (sq[-1], sq[-1], ln[-1]))
-    v, f = np.empty(sq[-1]), np.empty(ln[-1])
-    for pos, ien, M, vec in blocks:
-        n = ien.shape[1]
-        at = sq[pos, None] + np.arange(n * n)
-        r[at], c[at], v[at] = np.repeat(ien, n, axis=1), np.tile(ien, (1, n)), M.reshape(len(M), -1)
-        at = ln[pos, None] + np.arange(n)
-        i[at], f[at] = ien, vec
-    return r, c, v, i, f
+def _summed(n, n_loc, blocks):
+    """The n x n matrix (CSC) and n-vector summed from per-item stacks, each
+    entry in canonical order: by item, local row, local column, as
+    ``K[ix_(ien, ien)] += K^e; F[ien] += F^e`` one item at a time.  A block
+    holds its items' positions, (E, m) function numbers, m x m matrices and
+    m-vectors; ``n_loc`` each item's m.  Local rows are CSR row segments
+    placed by a stable sort of the flat function numbers; ``tocsc``, a
+    stable counting pass, keeps equal entries adjacent in that order, and
+    ``sum_duplicates`` adds them left to right."""
+    start = np.concatenate([[0], np.cumsum(n_loc)])
+    rows = [start[pos, None] + np.arange(ids.shape[1]) for pos, ids, _, _ in blocks]  # flat, E x m
+    ien, vec = np.empty(start[-1], dtype=np.int64), np.empty(start[-1])
+    for r, (_, ids, _, v) in zip(rows, blocks):
+        ien[r], vec[r] = ids, v
+    order = np.argsort(ien, kind="stable")
+    ends = np.concatenate([[0], np.cumsum(np.repeat(n_loc, n_loc)[order])])  # CSR offsets, in sorted order
+    at = np.empty_like(order)
+    at[order] = ends[:-1]
+    data, cols = np.empty(ends[-1]), np.empty(ends[-1], dtype=np.int32)
+    for r, (_, ids, M, _) in zip(rows, blocks):
+        slots = at[r][:, :, None] + np.arange(r.shape[1])  # E x m x m, row-major
+        data[slots], cols[slots] = M, ids[:, None, :]
+    K = sp.csr_matrix((data, cols, ends[np.searchsorted(ien[order], np.arange(n + 1))]), shape=(n, n)).tocsc()
+    K.sum_duplicates()
+    return K, np.bincount(ien, weights=vec, minlength=n)
 
 
 # -- Dirichlet conditions -----------------------------------------------------
@@ -366,7 +369,7 @@ def apply_dirichlet(K, F, problem, disc):
     space = disc.space
     bidx = boundary_functions(space)
     nb = len(bidx)
-    bpos = np.full(space.n_f, -1)
+    bpos = np.full(space.n_f, nb)  # nb: not on the boundary, a row and column cut off below
     bpos[bidx] = np.arange(nb)
     # every (element, side) pair on the domain boundary, in canonical order:
     # the sides s0, s1, t0, t1 of an element's grid box on the first or last
@@ -380,17 +383,12 @@ def apply_dirichlet(K, F, problem, disc):
         rows = disc.elems.rows(pos[sel], n)
         x, dw, N = _edge_quadrature(disc, pos[sel], side[sel], rows)
         g = _t(_at_points(problem.dirichlet, x))            # E x n_g x 1
-        gi = bpos[disc.elems.ien[rows]]  # -1: not on the boundary
-        blocks.append((sel, gi, (N * dw) @ _t(N), ((N * dw) @ g)[:, :, 0]))
-    # summed and solved as K is; entries of functions with no boundary trace drop out
-    r, c, v, i, b = _in_order(n_loc, blocks)
-    on = (r >= 0) & (c >= 0)
-    M = sp.coo_matrix((v[on], (r[on], c[on])), shape=(nb, nb)).tocsr()
-    gb = solve_linear(M, np.bincount(i[i >= 0], weights=b[i >= 0], minlength=nb))
+        blocks.append((sel, bpos[disc.elems.ien[rows]], (N * dw) @ _t(N), ((N * dw) @ g)[:, :, 0]))
+    M, b = _summed(nb + 1, n_loc, blocks)
+    gb = solve_linear(M[:nb, :nb], b[:nb])
     full = np.zeros(space.n_f)
     full[bidx] = gb
-    interior = np.flatnonzero(bpos < 0)
-    K = K.tocsc()
+    interior = np.flatnonzero(bpos == nb)
     Fi = F[interior] - K[:, bidx][interior, :] @ gb
     Kii = K[interior, :][:, interior]
     return Kii, Fi, interior, full
@@ -485,6 +483,8 @@ def adaptive_loop(problem, space, tol, max_levels=8, max_iterations=20,
     level cap stops refinement."""
     if max_iterations < 1:
         raise MeshStructureError("iterations must be >= 1")
+    if not tol > 0:  # NaN too
+        raise MeshStructureError("tol must be positive")
     history = []
     iterations = []
     for it in range(1, max_iterations + 1):

@@ -861,13 +861,25 @@ def element_quadrature(disc, ed):
     return x, dvol, R, Rx, Ry, lap
 
 
+def canonical_sum(n, blocks):
+    """The n x n sum of item blocks (indices, matrix) taken densely one item
+    at a time, in the order given, as ``A[ix_(idx, idx)] += A^e``; as a CSR
+    matrix that stores every entry some item reaches, zeros too."""
+    A, hit = np.zeros((n, n)), np.zeros((n, n), dtype=bool)
+    for idx, Ae in blocks:
+        A[np.ix_(idx, idx)] += Ae
+        hit[np.ix_(idx, idx)] = True
+    indptr = np.concatenate([[0], np.cumsum(hit.sum(axis=1))])
+    return sp.csr_matrix((A[hit], np.nonzero(hit)[1], indptr), shape=A.shape)
+
+
 def assemble(problem, disc, supg=True):
     """Global (K, F) with Galerkin + SUPG terms, before boundary conditions."""
     ux, uy = problem.velocity
     unorm = sqrt(ux * ux + uy * uy)
     kappa = problem.kappa
     n = disc.space.n_f
-    rows, cols, vals = [], [], []
+    blocks = []
     F = np.zeros(n)
     for ed in disc.elems:
         x, dvol, R, Rx, Ry, lap = element_quadrature(disc, ed)
@@ -885,14 +897,9 @@ def assemble(problem, disc, supg=True):
             if problem.source is not None:
                 Fe += tau * (adv * dvol) @ f
         idx = np.array(ed.ien)
-        rows.append(np.repeat(idx, len(idx)))
-        cols.append(np.tile(idx, len(idx)))
-        vals.append(Ke.ravel())
+        blocks.append((idx, Ke))
         F[idx] += Fe
-    K = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    ).tocsr()
-    return K, F
+    return canonical_sum(n, blocks), F
 
 
 def _edge_quadrature(disc, ed, side, ng):
@@ -933,16 +940,14 @@ def boundary_functions(space):
     return sorted(out)
 
 
-def apply_dirichlet(K, F, problem, disc):
-    """Boundary-wide L2 projection of g onto the trace space, then
-    elimination.  Returns (K_ii, F_i, interior index array, full-length
-    solution template with boundary values filled in)."""
+def boundary_mass(problem, disc):
+    """The boundary mass matrix, summed one element side at a time, and the
+    load of the L2 projection of g, over the boundary functions."""
     space = disc.space
     bidx = boundary_functions(space)
     bpos = {a: k for k, a in enumerate(bidx)}
-    nb = len(bidx)
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(nb)
+    blocks = []
+    rhs = np.zeros(len(bidx))
     ng = max(disc.p, disc.q) + 2
     for ed in disc.elems:
         s1, s2, t1, t2 = [float(v) for v in ed.param_rect]
@@ -963,17 +968,23 @@ def apply_dirichlet(K, F, problem, disc):
             gi = [bpos[ed.ien[k]] for k in loc]
             Nl = N[loc]
             g = np.array([problem.dirichlet(px, py) for px, py in x.T])
-            rows.append(np.repeat(gi, len(gi)))
-            cols.append(np.tile(gi, len(gi)))
-            vals.append(((Nl * dw) @ Nl.T).ravel())
+            blocks.append((gi, (Nl * dw) @ Nl.T))
             rhs[gi] += (Nl * dw) @ g
-    M = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(nb, nb)
-    ).tocsr()
+    return canonical_sum(len(bidx), blocks), rhs
+
+
+def apply_dirichlet(K, F, problem, disc):
+    """Boundary-wide L2 projection of g onto the trace space, then
+    elimination.  Returns (K_ii, F_i, interior index array, full-length
+    solution template with boundary values filled in)."""
+    space = disc.space
+    bidx = boundary_functions(space)
+    M, rhs = boundary_mass(problem, disc)
     gb = splu(M.tocsc()).solve(rhs)
     full = np.zeros(space.n_f)
     full[bidx] = gb
-    interior = np.array([a for a in range(space.n_f) if a not in bpos], dtype=int)
+    on = set(bidx)
+    interior = np.array([a for a in range(space.n_f) if a not in on], dtype=int)
     K = K.tocsc()
     Fi = F[interior] - K[:, bidx][interior, :] @ gb
     Kii = K[interior, :][:, interior]

@@ -251,6 +251,23 @@ def test_grouped_fe_matches_per_element_oracle_on_weighted_affine_geometry(make)
         assert_fe_bit_identical(space, replace(problem, weights=np.full(len(w), 2.0), points=P @ A.T + b))
 
 
+@pytest.mark.parametrize(
+    "make", [pytest.param(lambda: extract_solve_space(1, 8), id="extract_solve"), pytest.param(lambda: thirds_space(3), id="thirds")]
+)
+def test_global_matrices_sum_in_canonical_element_order(make, monkeypatch):
+    """K and the boundary mass matrix store, bit for bit, the oracle's dense
+    sums of their element (element side) matrices taken one item at a time
+    in canonical order, and come out in CSC."""
+    disc, problem = Discretization(make()), mixed_problem()
+    passed = []
+    monkeypatch.setattr(hasts.iga, "solve_linear", lambda A, b: passed.append(A) or np.zeros(len(b)))
+    K, F = assemble(problem, disc)
+    apply_dirichlet(K, F, problem, disc)
+    want = (oracle.assemble(problem, disc)[0], oracle.boundary_mass(problem, disc)[0])
+    for got, M in zip((K, passed[0]), want):
+        assert same_csr(got, M) and got.format == "csc"
+
+
 def test_fe_numerics_make_no_element_data(monkeypatch):
     """Discretization, solve and the estimator read the extraction's stacks;
     only the per-element view makes ``ElementData``."""
@@ -281,6 +298,12 @@ def test_problem_rejects_nonfinite_diffusivity():
     for kappa in (float("nan"), float("inf")):
         with pytest.raises(MeshStructureError, match="diffusivity must be finite"):
             Problem((1.0, 0.0), kappa, lambda x, y: 0.0)
+
+
+def test_problem_rejects_nonfinite_velocity():
+    for u in ((float("nan"), 0.0), (1.0, float("inf")), (-float("inf"), 1.0)):
+        with pytest.raises(MeshStructureError, match="velocity must be finite"):
+            Problem(u, 1e-2, lambda x, y: 0.0)
 
 
 # -- boundary handling ---------------------------------------------------------
@@ -519,6 +542,16 @@ def test_adaptive_loop_needs_an_iteration():
     for cap in (0, -1):
         with pytest.raises(MeshStructureError, match="iterations must be >= 1"):
             adaptive_loop(skew45_problem(), tensor_space(4, 2), tol=5e-3, max_iterations=cap)
+
+
+def test_adaptive_loop_refuses_tolerance_before_solving(monkeypatch):
+    def never(*args):
+        raise AssertionError("Discretization made")
+
+    monkeypatch.setattr(hasts.iga, "Discretization", never)
+    for tol in (float("nan"), 0.0, -1e-3):
+        with pytest.raises(MeshStructureError, match="tol must be positive"):
+            adaptive_loop(skew45_problem(), tensor_space(4, 2), tol)
 
 
 def test_adaptive_records_keep_iterations():
