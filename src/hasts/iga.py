@@ -11,28 +11,31 @@ Elements are evaluated in groups.  ``Discretization`` sorts the elements by
 their number of local functions n_loc, gathers by index the C^e, IEN,
 Bezier weights and points of the elements with one n_loc from the stacks
 of ``extract_all`` and computes the Gauss-point data of the whole stack at
-once (``ElementGroup``, element axis first), its chain rules and element
-matrices in place (``_less``).  Assembly, the estimator and the edge
-quadrature of the Dirichlet projection work on these stacks and make no
-``ElementData``.  Each element's numbers equal those of a one-element loop
-bit for bit: the basis products are one 2-D product per stack, every
-product with a vector stays one vector product per element (a stacked
-``matmul`` of shape (1, n) or (n, 1)), and K, F, the boundary mass matrix
-and the boundary load sum every entry in canonical order (``_summed``): by
-element (boundary side), local row and local column, the order of a loop
-that adds one element's matrix at a time, through two stable passes that
-never reorder equal entries.  ``solve_linear`` factorises and checks K and
-the boundary mass matrix with SuperLU, so no result depends on the BLAS
-thread count.
-``problem.source`` and ``problem.dirichlet`` are called with Python floats;
-the source is evaluated once per ``Discretization`` and shared by assembly
-and the estimator.
+once (``ElementGroup``, element axis first).
 
-Second derivatives, which the strong residual needs, take the element map
-to be affine.  ``Discretization`` enforces that: it raises
-``MeshStructureError`` for an element whose Bezier weights are not constant
-or whose Bezier points are not an affine image of the Bernstein control
-grid.
+Every element map must be affine with one constant weight c.
+``_check_affine`` refuses any other map, and a jacobian determinant that is
+not finite and positive, with ``MeshStructureError``; it returns each
+element's frame: c, the constant jacobian J read off three corner Bezier
+points, and det J.  The Gauss-point data follow from the frame with no
+quotient rule and no per-point jacobian: R = N/c, gradients J^{-T} grad N/c
+and the laplacian, the trace of J^{-T} H_N J^{-1} over c, where N is C^e
+times the six Bernstein tables, one product for all six.
+
+Assembly, the estimator and the edge quadrature of the Dirichlet projection
+work on these stacks and make no ``ElementData``; the per-element
+stabilization parameter is computed once per ``Discretization`` and shared
+by assembly and the estimator, as is the source at the Gauss points.  Each
+element's numbers equal those of a one-element loop bit for bit: the basis
+products are one 2-D product per stack, every product with a vector stays
+one vector product per element (a stacked ``matmul`` of shape (1, n) or
+(n, 1)), and K, F, the boundary mass matrix and the boundary load sum every
+entry in canonical order (``_summed``): by element (boundary side), local
+row and local column, the order of a loop that adds one element's matrix at
+a time, through two stable passes that never reorder equal entries.
+``solve_linear`` factorises and checks K and the boundary mass matrix with
+SuperLU, so no result depends on the BLAS thread count.
+``problem.source`` and ``problem.dirichlet`` are called with Python floats.
 """
 
 from __future__ import annotations
@@ -78,16 +81,14 @@ _gauss = lru_cache(maxsize=None)(npleg.leggauss)
 
 @lru_cache(maxsize=None)
 def _bern_tables(p, q):
-    """Quadrature weights and Bernstein value/derivative tables at the
-    (p+1) x (q+1) Gauss points, eta-major."""
+    """Quadrature weights, and the Bernstein values and derivatives d/dxi,
+    d/deta, d2/dxi2, d2/dxideta, d2/deta2 at the (p+1) x (q+1) Gauss points,
+    eta-major, side by side in one n_b x 6 n_g table."""
     gx, wx = _gauss(p + 1)
     gy, wy = _gauss(q + 1)
     wts = np.array([a * b for b in wy for a in wx])
-    tabs = {
-        key: bernstein_grid(p, q, gx, gy, *key)
-        for key in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
-    }
-    return wts, tabs
+    keys = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+    return wts, np.concatenate([bernstein_grid(p, q, gx, gy, *key).T for key in keys], axis=1)
 
 
 def tau_element(h, unorm, kappa):
@@ -136,21 +137,24 @@ def _times(out, *factors):
     return out
 
 
-def _less(a, t, *terms, over=None):
-    """a - term - ... [/ over] in place in ``a``, each term a tuple of factors
-    multiplied in the scratch ``t``: the roundings of the plain expression."""
-    for f in terms:
-        a -= _times(t, *f)
-    if over is not None:
-        a /= over
-    return a
+def _combination(t, c, *terms):
+    """(X1 a1 + X2 a2 + ...) / c for terms (X, a), summed left to right; each
+    product after the first goes through the scratch ``t``."""
+    out = np.multiply(*terms[0])
+    for X, a in terms[1:]:
+        out += np.multiply(X, a, out=t)
+    out /= c
+    return out
 
 
 def _check_affine(elements, wb, Qb, p, q):
-    """Constant Bezier weights to 1e-12 relative, and Bezier points on the
-    affine image of the Bernstein control grid fixed by three corners, to
-    1e-12 of the element size plus 1e-13 of the coordinates (the roundoff
-    of extracted points far from the origin)."""
+    """Each element's affine frame: its constant weight c, the constant
+    jacobian J (E x 2 x 2) of the map from [-1,1]^2 and det J.  Refuses an
+    element whose weights are not constant to 1e-12 relative, whose Bezier
+    points are off the affine image of the Bernstein control grid fixed by
+    three corners by more than 1e-12 of the element size plus 1e-13 of the
+    coordinates (the roundoff of extracted points far from the origin), or
+    whose det J is not finite and positive."""
     u = np.tile(np.arange(p + 1) / p, q + 1)[:, None]  # i/p per Bernstein index
     v = np.repeat(np.arange(q + 1) / q, p + 1)[:, None]
     E = len(Qb)
@@ -167,6 +171,15 @@ def _check_affine(elements, wb, Qb, p, q):
             f"element {elements[bad.argmax()].param_rect}: the element map is not affine "
             "(second derivatives assume constant Bezier weights and affine Bezier points)"
         )
+    J = np.stack([eu[:, 0], ev[:, 0]], axis=-1) / 2  # columns dx/dxi, dx/deta
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    bad = ~(np.isfinite(det) & (det > 0))
+    if bad.any():
+        k = bad.argmax()
+        what = "singular element jacobian" if det[k] <= 0 else f"element jacobian determinant {det[k]} is not finite"
+        raise MeshStructureError(f"{what} on element {elements[k].param_rect}")
+    return wb[:, 0], J, det
 
 
 class Discretization:
@@ -178,75 +191,56 @@ class Discretization:
         self.p = space.levels[0].mesh.p
         self.q = space.levels[0].mesh.q
         self.elems = el = extract_all(space, weights, points)
-        _check_affine(space.elements, el.weights, el.points, self.p, self.q)
-        self.groups = [self._quadrature(np.flatnonzero(el.n_loc == n), n) for n in np.unique(el.n_loc).tolist()]
-        self._at_gauss = {}
+        frame = _check_affine(space.elements, el.weights, el.points, self.p, self.q)
+        self.groups = [self._quadrature(frame, np.flatnonzero(el.n_loc == n), n) for n in np.unique(el.n_loc).tolist()]
+        self._kept = {}
 
-    def _quadrature(self, pos, n_loc):
+    def _quadrature(self, frame, pos, n_loc):
         """Per Gauss point of every element in ``pos``, each with ``n_loc``
         functions: physical coords, jacobian factors, basis values, physical
-        gradients and laplacians."""
-        wts, tabs = _bern_tables(self.p, self.q)
-        T = {key: tab.T for key, tab in tabs.items()}  # n_b x n_g
+        gradients and laplacians, from the elements' affine ``frame`` (c, J,
+        det J per element, from ``_check_affine``)."""
+        wts, T = _bern_tables(self.p, self.q)
         rows = self.elems.rows(pos, n_loc)
-        wb, Qb = self.elems.weights[pos], self.elems.points[pos]
+        c, J, det = (a[pos] for a in frame)
         # one 2-D product for the whole stack of C^e rows computes the same
         # dot products, bit for bit, as one product per element
-        C2 = self.elems.C[rows.ravel()]                     # E*n_loc x n_b
-        N, Nxi, Neta, Nxixi, Nxieta, Netaeta = (
-            (C2 @ T[key]).reshape(len(pos), n_loc, -1)      # E x n_loc x n_g
-            for key in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
-        )
-        # (E, 1, n_b) rows: a vector-matrix product per element, like the
-        # one-element loop's (a 2-D (E, n_b) product rounds differently)
-        wrow = wb[:, None, :]
-        w = wrow @ T[(0, 0)]                                # E x 1 x n_g
-        wxi = wrow @ T[(1, 0)]
-        weta = wrow @ T[(0, 1)]
-        wxixi = wrow @ T[(2, 0)]
-        wxieta = wrow @ T[(1, 1)]
-        wetaeta = wrow @ T[(0, 2)]
-        # rational basis R = N / w by the quotient rule, in place: N becomes R, ...
-        t = np.empty_like(N)  # scratch of each product
-        R = _less(N, t, over=w)
-        Rxi = _less(Nxi, t, (R, wxi), over=w)
-        Reta = _less(Neta, t, (R, weta), over=w)
-        Rxixi = _less(Nxixi, t, (2, Rxi, wxi), (R, wxixi), over=w)
-        Rxieta = _less(Nxieta, t, (Rxi, weta), (Reta, wxi), (R, wxieta), over=w)
-        Retaeta = _less(Netaeta, t, (2, Reta, weta), (R, wetaeta), over=w)
-        # geometry map x = (Qb * wb) B / w
-        Pt = _t(Qb * wb[:, :, None])                        # E x d x n_b
-        x = (Pt @ T[(0, 0)]) / w                            # E x d x n_g
-        x_xi = (Pt @ T[(1, 0)] - x * wxi) / w
-        x_eta = (Pt @ T[(0, 1)] - x * weta) / w
-        # 2x2 jacobian per point, inverse-transpose applied to gradients
-        xs, ys = slice(0, 1), slice(1, 2)  # keep the (E, 1, n_g) shape
-        det = x_xi[:, xs] * x_eta[:, ys] - x_xi[:, ys] * x_eta[:, xs]
-        if (det <= 0).any():
-            k = pos[(det <= 0).any(axis=(1, 2)).argmax()]
-            raise MeshStructureError(f"singular element jacobian on element {self.space.elements[k].param_rect}")
-        # grad_x = J^{-T} grad_xi with J columns (x_xi, x_eta); b - c is -c + b
-        Rx = _less(x_eta[:, ys] * Rxi, t, (x_xi[:, ys], Reta), over=det)
-        Ry = _less(x_xi[:, xs] * Reta, t, (x_eta[:, xs], Rxi), over=det)
-        # second derivatives under an affine map, H_x = J^{-T} H_xi J^{-1}, with
-        # Rxx = a11 (a11 Rxixi + a12 Rxieta) + a12 (a11 Rxieta + a12 Retaeta), Ryy
-        # alike; a12 = -b12 and a21 = -b21 turn each sum into form's differences
-        a11, b12, b21, a22 = (v / det for v in (x_eta[:, ys], x_xi[:, ys], x_eta[:, xs], x_xi[:, xs]))
-        form = lambda a, b, X, Y, Z: _less(a * _less(a * X, t, (b, Y)), t, (b, _less(a * Y, t, (b, Z))))
-        lap = form(a11, b12, Rxixi, Rxieta, Retaeta)
-        lap += form(a22, b21, Retaeta, Rxieta, Rxixi)
-        dvol = wts * det
+        tabs = (self.elems.C[rows.ravel()] @ T).reshape(len(pos), n_loc, 6, -1)
+        N, Nxi, Neta, Nxixi, Nxieta, Netaeta = (tabs[:, :, k] for k in range(6))  # E x n_loc x n_g
+        c, det = c[:, None, None], det[:, None, None]
+        J00, J01, J10, J11 = (J[:, i, j, None, None] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+        xix, xiy, etax, etay = J11 / det, -J01 / det, -J10 / det, J00 / det  # rows of J^{-1}
+        t = np.empty(N.shape)  # scratch of each product
+        R = N / c
+        Rx = _combination(t, c, (Nxi, xix), (Neta, etax))
+        Ry = _combination(t, c, (Nxi, xiy), (Neta, etay))
+        # the laplacian under an affine map, the trace of J^{-T} H_N J^{-1}
+        lap = _combination(t, c, (Nxixi, xix * xix + xiy * xiy), (Nxieta, 2 * (xix * etax + xiy * etay)),
+                           (Netaeta, etax * etax + etay * etay))
+        x = _t(self.elems.points[pos]) @ T[:, :len(wts)]   # E x d x n_g
+        dvol = wts * det                                    # E x 1 x n_g
         h = np.sqrt(dvol[:, 0].sum(axis=1))
         return ElementGroup(pos, self.elems.ien[rows], x, dvol, h, R, Rx, Ry, lap)
+
+    def _kept_per_group(self, key, make):
+        """[make(g) for each group], made once per key."""
+        vals = self._kept.get(key)
+        if vals is None:
+            vals = self._kept[key] = [make(g) for g in self.groups]
+        return vals
 
     def at_gauss_points(self, fn):
         """fn(x, y) at the Gauss points of each group, (E, 1, n_g) per group.
         Kept per function object: assembly and the estimator both need the
         source there."""
-        vals = self._at_gauss.get(fn)
-        if vals is None:
-            vals = self._at_gauss[fn] = [_at_points(fn, g.x) for g in self.groups]
-        return vals
+        return self._kept_per_group(fn, lambda g: _at_points(fn, g.x))
+
+    def tau(self, unorm, kappa):
+        """``tau_element`` of each element of each group, (E,) per group.
+        Kept per (unorm, kappa): assembly and the estimator both need it."""
+        return self._kept_per_group(
+            (unorm, kappa), lambda g: np.array([tau_element(h, unorm, kappa) for h in g.h.tolist()])
+        )
 
 
 def _at_points(fn, x):
@@ -266,7 +260,8 @@ def assemble(problem: Problem, disc: Discretization, supg=True):
     source = [None] * len(disc.groups)
     if problem.source is not None:
         source = disc.at_gauss_points(problem.source)
-    for g, fg in zip(disc.groups, source):
+    taus = disc.tau(unorm, kappa) if supg and unorm > 0 else [None] * len(disc.groups)
+    for g, fg, tau in zip(disc.groups, source, taus):
         adv = ux * g.Rx + uy * g.Ry
         t = np.empty_like(g.R)  # scratch of each product; K^e sums in place
         Ke = _times(t, g.Rx, g.dvol, kappa) @ _t(g.Rx)
@@ -277,9 +272,8 @@ def assemble(problem: Problem, disc: Discretization, supg=True):
         if fg is not None:
             f = _t(fg)                                      # E x n_g x 1
             Fe += (t @ f)[:, :, 0]                          # t holds R dvol
-        if supg and unorm > 0:
-            tau = np.array([tau_element(h, unorm, kappa) for h in g.h.tolist()])[:, None, None]
-            Ke += np.matmul(_times(t, adv, g.dvol, tau), _t(adv - kappa * g.lap), out=m)
+        if tau is not None:
+            Ke += np.matmul(_times(t, adv, g.dvol, tau[:, None, None]), _t(adv - kappa * g.lap), out=m)
             if fg is not None:
                 Fe += (t @ f)[:, :, 0]                      # t holds tau adv dvol
         blocks.append((g.pos, g.ien, Ke, Fe))
@@ -432,12 +426,11 @@ def estimate_error(problem, disc, coeffs):
     source = [None] * len(disc.groups)
     if problem.source is not None:
         source = disc.at_gauss_points(problem.source)
-    for g, fg in zip(disc.groups, source):
+    for g, fg, tau in zip(disc.groups, source, disc.tau(unorm, problem.kappa)):
         c = coeffs[g.ien][:, None, :]                       # E x 1 x n_loc
         resid = ux * (c @ g.Rx) + uy * (c @ g.Ry) - problem.kappa * (c @ g.lap)
         if fg is not None:
             resid = resid - fg
-        tau = np.array([tau_element(h, unorm, problem.kappa) for h in g.h.tolist()])
         out[g.pos] = tau * np.sqrt((resid**2 * g.dvol)[:, 0].sum(axis=1))
     bad = np.flatnonzero(~np.isfinite(out))
     if len(bad):

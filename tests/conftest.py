@@ -29,7 +29,11 @@ as ``Space`` did before it made them on demand.
 
 The FE oracles are the finite-element loop the library ran before it
 evaluated elements in groups: quadrature, assembly, the Dirichlet projection
-and the estimator, one element at a time.  The Dirichlet oracle selects the
+and the estimator, one element at a time.  Their quadrature computes each
+element's Gauss-point data from its affine frame, as the library does;
+``rational_element_quadrature`` keeps the general rational map the library
+used before (the quotient rule and a jacobian at every Gauss point), as an
+independent check of the frame to rounding.  The Dirichlet oracle selects the
 boundary functions and element sides by comparing exact knot values, as the
 library did before it compared grid lines; like the library, it sums its
 boundary mass matrix by scipy from one element side's triplets at a time
@@ -41,7 +45,7 @@ import random
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, sqrt
+from math import comb, isfinite, lcm, sqrt
 
 import numpy as np
 import pytest
@@ -813,8 +817,39 @@ def local_linear_independence(edata, tol=1e-10):
 
 def element_quadrature(disc, ed):
     """Per Gauss point: physical coords, jacobian factors, basis values,
-    physical gradients and second derivatives of the element's functions."""
-    wts, tabs = _bern_tables(disc.p, disc.q)
+    physical gradients and laplacians of the element's functions, from its
+    affine frame: the constant weight c, the constant jacobian J read off
+    three corner Bezier points, and det J."""
+    wts, T = _bern_tables(disc.p, disc.q)
+    p, q, ng = disc.p, disc.q, len(wts)
+    c, Qb = ed.weights[0], ed.points
+    o = Qb[0]
+    (J00, J01), (J10, J11) = np.column_stack([(Qb[p] - o) / 2, (Qb[(p + 1) * q] - o) / 2])
+    det = J00 * J11 - J01 * J10
+    if not (isfinite(det) and det > 0):
+        raise MeshStructureError(f"singular element jacobian on element {ed.param_rect}")
+    N, Nxi, Neta, Nxixi, Nxieta, Netaeta = (ed.C @ T).reshape(len(ed.C), 6, ng).swapaxes(0, 1)
+    # rows of J^{-1}
+    xix, etax, xiy, etay = J11 / det, -J10 / det, -J01 / det, J00 / det
+    R = N / c
+    Rx = (Nxi * xix + Neta * etax) / c
+    Ry = (Nxi * xiy + Neta * etay) / c
+    lap = (Nxixi * (xix * xix + xiy * xiy) + Nxieta * (2 * (xix * etax + xiy * etay))
+           + Netaeta * (etax * etax + etay * etay)) / c
+    x = Qb.T @ T[:, :ng]
+    dvol = wts * det
+    return x, dvol, R, Rx, Ry, lap
+
+
+def rational_element_quadrature(disc, ed):
+    """Per Gauss point: physical coords, jacobian factors, basis values,
+    physical gradients and second derivatives of the element's functions,
+    from the general rational map: the quotient rule and a 2x2 jacobian at
+    every point (the second derivatives still take the map to be affine)."""
+    wts, _ = _bern_tables(disc.p, disc.q)
+    gx, _ = _gauss(disc.p + 1)
+    gy, _ = _gauss(disc.q + 1)
+    tabs = {key: bernstein_grid(disc.p, disc.q, gx, gy, *key) for key in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
     C = ed.C
     wb = ed.weights
     Qb = ed.points

@@ -153,17 +153,38 @@ def test_nonaffine_geometry_is_rejected():
         Discretization(space, w2, P)
 
 
+def rotated(P, scale=1.0):
+    """P under the rotation by 0.3 scaled by 1.7 * scale."""
+    A = 1.7 * scale * np.array([[cos(0.3), -sin(0.3)], [sin(0.3), cos(0.3)]])
+    return P @ A.T
+
+
 @pytest.mark.parametrize("shift", [(0.4, -2.0), (1e3, -1e4)])
 def test_rotated_scaled_affine_geometry_is_accepted(shift):
     space = sample_hierarchies()[1]  # four levels, elements down to 1/32
     w, P = default_geometry(space)
-    A = 1.7 * np.array([[cos(0.3), -sin(0.3)], [sin(0.3), cos(0.3)]])
-    disc = Discretization(space, w, P @ A.T + np.array(shift))
+    disc = Discretization(space, w, rotated(P) + np.array(shift))
     area = sum(float(g.dvol.sum()) for g in disc.groups)
     assert area == pytest.approx(1.7**2, rel=1e-9)
     prob = Problem((1.0, 0.5), 1e-2, lambda x, y: 1.0)
     coeffs = solve(prob, disc)
     assert np.max(estimate_error(prob, disc, coeffs)) < 1e-9
+
+
+def test_reflected_geometry_is_refused_as_singular():
+    space = tensor_space(4, 2)
+    w, P = default_geometry(space)
+    with pytest.raises(MeshStructureError, match=r"singular element jacobian on element \("):
+        Discretization(space, w, rotated(P) * [-1.0, 1.0])
+
+
+def test_overflowing_jacobian_is_refused():
+    """det J of a map scaled by 1e200 overflows; it is refused by name, with
+    no overflow warning and before any solve."""
+    space = tensor_space(4, 2)
+    w, P = default_geometry(space)
+    with pytest.raises(MeshStructureError, match=r"element jacobian determinant (nan|inf) is not finite on element \("):
+        Discretization(space, w, rotated(P, 1e200))
 
 
 # -- grouped FE evaluation against the per-element oracle ----------------------
@@ -217,16 +238,22 @@ def skew_space(p, start):
     return res.disc.space
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        pytest.param(lambda: sample_hierarchies(), id="sample_hierarchies"),
-        pytest.param(lambda: [extract_solve_space(seed, 8) for seed in (1, 2, 3)], id="extract_solve"),
-        pytest.param(lambda: [skew_space(2, 8), skew_space(3, 4)], id="skew45"),
-        pytest.param(lambda: [tensor_space(1, 1), tensor_space(4, 2, 3)], id="tensor"),
-        pytest.param(lambda: [thirds_space(2), thirds_space(3)], id="thirds"),
-    ],
-)
+ORACLE_SPACES = [
+    pytest.param(lambda: sample_hierarchies(), id="sample_hierarchies"),
+    pytest.param(lambda: [extract_solve_space(seed, 8) for seed in (1, 2, 3)], id="extract_solve"),
+    pytest.param(lambda: [skew_space(2, 8), skew_space(3, 4)], id="skew45"),
+    pytest.param(lambda: [tensor_space(1, 1), tensor_space(4, 2, 3)], id="tensor"),
+    pytest.param(lambda: [thirds_space(2), thirds_space(3)], id="thirds"),
+]
+
+
+def weighted_affine(P):
+    """Constant weight 2 and the points under x -> A x + b."""
+    A, b = np.array([[1.3, -0.4], [0.5, 0.9]]), np.array([0.25, -3.0])
+    return np.full(len(P), 2.0), P @ A.T + b
+
+
+@pytest.mark.parametrize("make", ORACLE_SPACES)
 def test_grouped_fe_matches_per_element_oracle(make):
     for space in make():
         for problem in (mixed_problem(), skew45_problem(), manufactured_problem()[0]):
@@ -245,10 +272,30 @@ def test_grouped_fe_matches_per_element_oracle_on_weighted_affine_geometry(make)
     """Constant weight 2 and the level-1 Greville points under x -> A x + b:
     weights and points that are not the identity map's reach every stack."""
     space = make()
-    w, P = default_geometry(space)
-    A, b = np.array([[1.3, -0.4], [0.5, 0.9]]), np.array([0.25, -3.0])
+    w, P = weighted_affine(default_geometry(space)[1])
     for problem in (mixed_problem(), manufactured_problem()[0]):
-        assert_fe_bit_identical(space, replace(problem, weights=np.full(len(w), 2.0), points=P @ A.T + b))
+        assert_fe_bit_identical(space, replace(problem, weights=w, points=P))
+
+
+@pytest.mark.parametrize("make", ORACLE_SPACES)
+def test_affine_frame_matches_rational_quadrature(make):
+    """The Gauss-point data from each element's affine frame agree with the
+    general rational map's quotient rule and per-point jacobian to rounding:
+    within 1e-12 of each array's largest entry, on the identity map, weight 2
+    under x -> A x + b, and a rotated, scaled and shifted map.  The laplacian,
+    zero on bilinear elements, is held at least to the scale of its squared
+    gradient over its values."""
+    for space in make():
+        w, P = default_geometry(space)
+        for geometry in ((w, P), weighted_affine(P), (w, rotated(P) + [0.4, -2.0])):
+            disc = Discretization(space, *geometry)
+            for ed in disc.elems:
+                got = oracle.element_quadrature(disc, ed)
+                want = oracle.rational_element_quadrature(disc, ed)
+                scale = [np.abs(b).max() for b in want]
+                scale[5] = max(scale[5], (scale[3] + scale[4]) ** 2 / scale[2])
+                for a, b, s in zip(got, want, scale):
+                    assert np.abs(a - b).max() <= 1e-12 * s, ed.param_rect
 
 
 @pytest.mark.parametrize(
@@ -266,6 +313,17 @@ def test_global_matrices_sum_in_canonical_element_order(make, monkeypatch):
     want = (oracle.assemble(problem, disc)[0], oracle.boundary_mass(problem, disc)[0])
     for got, M in zip((K, passed[0]), want):
         assert same_csr(got, M) and got.format == "csc"
+
+
+def test_tau_is_computed_once_per_element(monkeypatch):
+    """Assembly and the estimator share one tau per element."""
+    calls = []
+    tau = hasts.iga.tau_element
+    monkeypatch.setattr(hasts.iga, "tau_element", lambda *args: calls.append(args) or tau(*args))
+    problem = mixed_problem()
+    disc = Discretization(extract_solve_space(2))
+    estimate_error(problem, disc, solve(problem, disc))
+    assert len(calls) == disc.space.n_e
 
 
 def test_fe_numerics_make_no_element_data(monkeypatch):
