@@ -1,5 +1,5 @@
 """Bezier extraction: per-element extraction operators for hierarchical
-spline bases, element connectivity, weights, and Bezier control points.
+spline bases, and element connectivity.
 
 Each hierarchical function is a tensor product of two univariate
 B-splines, so each row of C^e is the product of two 1D Bezier rows.  A 1D
@@ -18,13 +18,15 @@ lines once, asks the row store once per distinct key, looks up all its pair
 codes with one search and gathers the element arrays with numpy.  Ids and
 codes are numbered in first-seen order, which no result depends on.
 
-Which functions meet an element (the IEN, and the level-1 functions that
-carry the geometry) is decided on the hierarchy's knot-span grid: a support
-meets an element when their open grid boxes overlap.  Grid lines number the
-distinct knot values in order, so this is the open overlap of the exact
-rational rectangles.  ``extract_all`` returns its stacks (``ElementStacks``),
-which ``iga`` reads by index and which, as a sequence, make each element's
-``ElementData`` when it is read.
+Which functions meet an element (the IEN) is decided on the hierarchy's
+knot-span grid: a support meets an element when their open grid boxes
+overlap.  Grid lines number the distinct knot values in order, so this is
+the open overlap of the exact rational rectangles.  ``extract_all`` returns
+its stacks (``ElementStacks``), which ``iga`` reads by index and which, as
+a sequence, make each element's ``ElementData`` when it is read.
+
+No geometry is extracted: the domain is one affine map (``iga``), so an
+element's map needs only its centre and half widths (``element_spans``).
 """
 
 from __future__ import annotations
@@ -34,34 +36,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import bezier_coeffs_1d, greville_rows, row_keys
+from .basis import bezier_coeffs_1d, row_keys
 from .hierarchy import HierarchicalSpace
-from .tmesh import MeshStructureError
 
 FMT = "%.17g"
 _CHUNK = 1 << 20  # most entries of one element-by-function overlap block
 
 
-def _overlaps(element_boxes, boxes):
-    """(element, function) positions of the pairs of an element grid box and
-    one of the (n, 4) grid boxes whose open interiors meet, by element, then
-    by ascending function."""
+def build_ien(space: HierarchicalSpace):
+    """Positions (into space.functions) of the functions nonzero on each element's
+    interior, element after element in canonical function order; n_loc per element.
+    A support meets an element when their open grid boxes meet."""
+    boxes = space.function_boxes
     rows = max(1, _CHUNK // max(1, len(boxes)))
     found = []
-    for s in range(0, len(element_boxes), rows):
-        eb = element_boxes[s : s + rows, None, :]
+    for s in range(0, space.n_e, rows):
+        eb = space.element_boxes[s : s + rows, None, :]
         e, f = np.nonzero(
             (boxes[:, 0] < eb[..., 1]) & (eb[..., 0] < boxes[:, 1])
             & (boxes[:, 2] < eb[..., 3]) & (eb[..., 2] < boxes[:, 3])
         )
         found.append((e + s, f))
-    return tuple(np.concatenate(a) for a in zip(*found))
-
-
-def build_ien(space: HierarchicalSpace):
-    """Positions (into space.functions) of the functions nonzero on each element's
-    interior, element after element in canonical function order; n_loc per element."""
-    e, f = _overlaps(space.element_boxes, space.function_boxes)
+    e, f = (np.concatenate(a) for a in zip(*found))
     return f, np.bincount(e, minlength=space.n_e)
 
 
@@ -71,18 +67,15 @@ class ElementData:
     param_rect: tuple
     ien: np.ndarray     # n_loc positions into space.functions
     C: np.ndarray       # n_loc x n_b
-    weights: np.ndarray  # n_b element Bezier weights
-    points: np.ndarray   # n_b x d element Bezier control points
 
 
 class ElementStacks(Sequence):
     """The element arrays of a space in canonical order as stacks: n_loc per
-    element, the IEN and C^e rows flat (element k's from ``start[k]``), weights
-    n_e x n_b, points n_e x n_b x d.  Item k is element k's ``ElementData``."""
+    element, the IEN and C^e rows flat (element k's from ``start[k]``).
+    Item k is element k's ``ElementData``."""
 
-    def __init__(self, elements, n_loc, ien, C, weights, points):
+    def __init__(self, elements, n_loc, ien, C):
         self.elements, self.n_loc, self.ien, self.C = elements, n_loc, ien, C
-        self.weights, self.points = weights, points
         self.start = np.concatenate([[0], np.cumsum(n_loc)])
 
     def rows(self, pos, n):
@@ -97,15 +90,16 @@ class ElementStacks(Sequence):
             return [self[i] for i in range(len(self))[k]]
         k = range(len(self))[k]
         at, he = slice(self.start[k], self.start[k + 1]), self.elements[k]
-        return ElementData(he.level, he.param_rect, self.ien[at], self.C[at], self.weights[k], self.points[k])
+        return ElementData(he.level, he.param_rect, self.ien[at], self.C[at])
 
 
-def default_geometry(space: HierarchicalSpace):
-    """Unit weights and level-1 Greville control points: the identity map of
-    the parametric square (linear parameterization)."""
-    mesh = space.levels[0].mesh
-    points = greville_rows(space.geometry_lines, space.grid_numerators, (mesh.p, mesh.q))
-    return np.ones(len(points)), points
+def element_spans(space: HierarchicalSpace):
+    """The centre and the half widths of each element, n_e x 2 each: the
+    exact values of its grid box, ints divided once."""
+    num = [np.asarray(n, dtype=object) for n in space.grid_numerators]
+    lo, hi = (np.column_stack([n[space.element_boxes[:, 2 * d + k]] for d, n in enumerate(num)]) for k in (0, 1))
+    den = np.array([2 * n[-1] for n in num], dtype=object)
+    return ((lo + hi) / den).astype(float), ((hi - lo) / den).astype(float)
 
 
 def _codes(columns, base):
@@ -142,7 +136,7 @@ class _ProductRows:
     exact rows: one growing float array, and the number of each row by the
     int64 code h id * 2^32 + v id of its pair of key ids, in an array kept
     sorted, so that a call looks up all its pairs with one search and
-    gathers C^e and the geometry rows straight from the array."""
+    gathers C^e straight from the array."""
 
     def __init__(self, width):
         self.codes = np.empty(0, dtype=np.int64)
@@ -171,57 +165,20 @@ _key_ids = {}  # normalised 1D row key -> its id, in first-seen order
 _products = {}  # row width -> _ProductRows
 
 
-def extract_all(space, weights=None, points=None):
-    """``ElementStacks`` of every element of the space, from one finite weight
-    and one finite point (a row) per level-1 function."""
+def extract_all(space):
+    """``ElementStacks`` of every element of the space."""
     p, q = space.levels[0].mesh.p, space.levels[0].mesh.q
-    if weights is None or points is None:
-        weights, points = default_geometry(space)
-    w, P, n1 = np.asarray(weights, dtype=float), np.asarray(points, dtype=float), len(space.geometry_boxes)
-    if w.shape != (n1,) or P.ndim != 2 or len(P) != n1 or not (np.isfinite(w).all() and np.isfinite(P).all()):
-        raise MeshStructureError(f"the geometry needs one finite weight and one finite point per level-1 function "
-                                 f"({n1}), not weights of shape {w.shape} and points of shape {P.shape}")
     fns, n_loc = build_ien(space)
-    ge, gf = _overlaps(space.element_boxes, space.geometry_boxes)
-    # every (function, element) pair: the IEN's, then the geometry's
-    elem = np.concatenate([np.repeat(np.arange(space.n_e), n_loc), ge])
-    fn = np.concatenate([fns, space.n_f + gf])  # rows of the lines below
+    elem = np.repeat(np.arange(space.n_e), n_loc)  # every (function, element) pair of the IEN
     (hid, hrows), (vid, vrows) = (
-        _row_keys(
-            np.concatenate([space.knot_lines[d], space.geometry_lines[d]]), fn,
-            space.element_boxes[:, 2 * d : 2 * d + 2], elem,
-            space.grid_numerators[d], deg,
-        )
-        for d, deg in ((0, p), (1, q))
+        _row_keys(space.knot_lines[d], fns, space.element_boxes[:, 2 * d : 2 * d + 2], elem, num, deg)
+        for d, (num, deg) in enumerate(zip(space.grid_numerators, (p, q)))
     )
     codes, at = np.unique((hid << 32) + vid, return_inverse=True)
     n_b = (p + 1) * (q + 1)
     store = _products.setdefault(n_b, _ProductRows(n_b))
-    numbers = store.numbers(codes, hrows | vrows)[at]
-    C, G = store.rows[numbers[: len(fns)]], store.rows[numbers[len(fns) :]]
-    # the geometry, stacked by the number k of level-1 functions per element
-    count = np.bincount(ge, minlength=space.n_e)
-    start = np.cumsum(count) - count
-    dim = P.shape[1]
-    wb, qb = np.empty((space.n_e, n_b)), np.empty((space.n_e, n_b, dim))
-    for k in np.unique(count).tolist():
-        es = np.flatnonzero(count == k)
-        at_k = start[es, None] + np.arange(k)
-        Gk, wk, Pk = G[at_k], w[gf[at_k]], P[gf[at_k]]
-        # sequential sums from 0.0 in function order: bit-identical to adding
-        # one overlapping function at a time
-        wsum, qsum = np.zeros((len(es), n_b)), np.zeros((len(es), n_b, dim))
-        for j in range(k):
-            wsum += Gk[:, j] * wk[:, j, None]
-            qsum += Gk[:, j, :, None] * Pk[:, j, None, :] * wk[:, j, None, None]
-        wb[es], qb[es] = wsum, qsum
-    bad = (wb <= 0).any(axis=1)
-    if bad.any():
-        raise MeshStructureError(
-            f"nonpositive element Bezier weight on element {space.elements[int(bad.argmax())]}"
-        )
-    qb /= wb[:, :, None]
-    return ElementStacks(space.elements, n_loc, fns, C, wb, qb)
+    numbers = store.numbers(codes, hrows | vrows)[at]  # makes rows not kept yet
+    return ElementStacks(space.elements, n_loc, fns, store.rows[numbers])
 
 
 # -- export -------------------------------------------------------------------
@@ -230,7 +187,14 @@ EXTRACT_MAGIC = "hasts-extraction 1"
 
 
 def dump_extraction(space, elems):
+    """The export: per element its level, rectangle, IEN, C^e rows, and identity-map Bezier weights and points."""
     p, q = space.levels[0].mesh.p, space.levels[0].mesh.q
+    # the Bezier points of an affine map are its images of the evenly spaced
+    # control grid of [-1,1]^2, xi fastest; its Bezier weights are its weight
+    xi, eta = np.linspace(-1.0, 1.0, p + 1), np.linspace(-1.0, 1.0, q + 1)
+    mid, half = element_spans(space)
+    Q = mid[:, None, :] + half[:, None, :] * np.column_stack([np.tile(xi, q + 1), np.repeat(eta, p + 1)])
+    w = "w " + " ".join([FMT % 1.0] * len(xi) * len(eta))
     out = [EXTRACT_MAGIC, f"degrees {p} {q}", f"n_f {space.n_f}", f"n_e {space.n_e}"]
     for k, ed in enumerate(elems):
         out.append(f"element {k}")
@@ -239,7 +203,7 @@ def dump_extraction(space, elems):
         out.append("ien " + " ".join(str(a) for a in ed.ien))
         for row in ed.C:
             out.append("C " + " ".join(FMT % v for v in row))
-        out.append("w " + " ".join(FMT % v for v in ed.weights))
-        for pt in ed.points:
+        out.append(w)
+        for pt in Q[k]:
             out.append("Q " + " ".join(FMT % v for v in pt))
     return "\n".join(out) + "\n"

@@ -448,8 +448,6 @@ class HierarchicalSpace:
         )
         self.function_boxes = np.concatenate([b[:n][o[:n]] for b, o, n in zip(boxes, on, nf)])
         self.element_boxes = np.concatenate([b[n:][o[n:]] for b, o, n in zip(boxes, on, nf)])
-        self.geometry_boxes = boxes[0][: nf[0]]
-        self.geometry_lines = fn_lines[0]
 
     def support(self, hf):
         return tuple(self.spaces[hf.level - 1].support(hf.fn))

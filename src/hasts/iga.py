@@ -1,26 +1,19 @@
 """SUPG-stabilized solver for steady advection-diffusion on hierarchical
 spline spaces, with residual-based error estimation and adaptive refinement.
 
-All evaluation runs on the extracted Bezier elements: basis values come from
-C^e times a Bernstein table (``basis.bernstein_grid``) on a tensor grid of
-[-1,1]^2 (the Gauss points, the Gauss points of an edge, or the output
-points inside one element), geometry from the element Bezier points and
-weights.
-
-Elements are evaluated in groups.  ``Discretization`` sorts the elements by
-their number of local functions n_loc, gathers by index the C^e, IEN,
-Bezier weights and points of the elements with one n_loc from the stacks
-of ``extract_all`` and computes the Gauss-point data of the whole stack at
-once (``ElementGroup``, element axis first).
-
-Every element map must be affine with one constant weight c.
-``_check_affine`` refuses any other map, and a jacobian determinant that is
-not finite and positive, with ``MeshStructureError``; it returns each
-element's frame: c, the constant jacobian J read off three corner Bezier
-points, and det J.  The Gauss-point data follow from the frame with no
-quotient rule and no per-point jacobian: R = N/c, gradients J^{-T} grad N/c
-and the laplacian, the trace of J^{-T} H_N J^{-1} over c, where N is C^e
-times the six Bernstein tables, one product for all six.
+The domain is one affine map x = A s + b of the parametric square with one
+constant weight c, given by one weight and one point (x, y) per level-1
+function (``Problem.weights``, ``points``; none for the identity) and read
+once per space (``_affine_map``).  Level-1 functions are C^1 for p, q >= 2,
+so this is every map affine with a constant weight on each element; for
+p = 1, or a level 1 with a repeated interior knot, a map affine on each
+element but not on the square is refused.  Element e maps [-1,1]^2 by its
+frame x = o + J xi, o the image of its centre and J = A diag(half widths),
+so with N = C^e times the Bernstein tables (``basis.bernstein_grid``),
+R = N/c, the gradients are J^{-T} grad N/c and the laplacian the trace of
+J^{-T} H_N J^{-1} over c: no quotient rule, no per-point jacobian.
+``Discretization`` computes the Gauss-point data of the elements with one
+number of local functions at once (``ElementGroup``, element axis first).
 
 Assembly, the estimator and the edge quadrature of the Dirichlet projection
 work on these stacks and make no ``ElementData``; the per-element
@@ -49,8 +42,8 @@ import numpy.polynomial.legendre as npleg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .basis import bernstein_grid
-from .extraction import extract_all
+from .basis import bernstein_grid, greville_rows
+from .extraction import element_spans, extract_all
 from .hierarchy import HierarchicalSpace, refine_by_elements
 from .tmesh import MeshStructureError
 
@@ -64,8 +57,8 @@ class Problem:
     kappa: float
     dirichlet: object  # g(x, y) -> float
     source: object = None  # f(x, y) -> float, None = 0
-    weights: object = None
-    points: object = None
+    weights: object = None  # one per level-1 function, all equal; None = 1
+    points: object = None   # one (x, y) per level-1 function, on one affine map; None = the identity
 
     def __post_init__(self):
         if self.kappa <= 0:
@@ -81,14 +74,16 @@ _gauss = lru_cache(maxsize=None)(npleg.leggauss)
 
 @lru_cache(maxsize=None)
 def _bern_tables(p, q):
-    """Quadrature weights, and the Bernstein values and derivatives d/dxi,
-    d/deta, d2/dxi2, d2/dxideta, d2/deta2 at the (p+1) x (q+1) Gauss points,
-    eta-major, side by side in one n_b x 6 n_g table."""
+    """Quadrature weights, the coordinates xi and eta, and the Bernstein
+    values and derivatives d/dxi, d/deta, d2/dxi2, d2/dxideta, d2/deta2 side
+    by side in one n_b x 6 n_g table, at the (p+1) x (q+1) Gauss points,
+    eta-major."""
     gx, wx = _gauss(p + 1)
     gy, wy = _gauss(q + 1)
     wts = np.array([a * b for b in wy for a in wx])
     keys = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
-    return wts, np.concatenate([bernstein_grid(p, q, gx, gy, *key).T for key in keys], axis=1)
+    T = np.concatenate([bernstein_grid(p, q, gx, gy, *key).T for key in keys], axis=1)
+    return wts, (np.tile(gx, q + 1), np.repeat(gy, p + 1)), T
 
 
 def tau_element(h, unorm, kappa):
@@ -115,7 +110,7 @@ class ElementGroup:
 
     pos: np.ndarray   # (E,) element numbers, in canonical order, into the stacks Discretization.elems
     ien: np.ndarray   # (E, n_loc) global function indices
-    x: np.ndarray     # (E, d, n_g) physical Gauss points
+    x: np.ndarray     # (E, 2, n_g) physical Gauss points
     dvol: np.ndarray  # (E, 1, n_g) quadrature weight times jacobian
     h: np.ndarray     # (E,) element size: square root of the physical area
     R: np.ndarray     # (E, n_loc, n_g) basis values
@@ -147,78 +142,94 @@ def _combination(t, c, *terms):
     return out
 
 
-def _check_affine(elements, wb, Qb, p, q):
-    """Each element's affine frame: its constant weight c, the constant
-    jacobian J (E x 2 x 2) of the map from [-1,1]^2 and det J.  Refuses an
-    element whose weights are not constant to 1e-12 relative, whose Bezier
-    points are off the affine image of the Bernstein control grid fixed by
-    three corners by more than 1e-12 of the element size plus 1e-13 of the
-    coordinates (the roundoff of extracted points far from the origin), or
-    whose det J is not finite and positive."""
-    u = np.tile(np.arange(p + 1) / p, q + 1)[:, None]  # i/p per Bernstein index
-    v = np.repeat(np.arange(q + 1) / q, p + 1)[:, None]
-    E = len(Qb)
-    o = Qb[:, :1]
-    eu = Qb[:, p:p + 1] - o
-    ev = Qb[:, (p + 1) * q:(p + 1) * q + 1] - o
-    off = np.abs(Qb - (o + u * eu + v * ev)).reshape(E, -1).max(axis=1)
-    size = (np.abs(eu) + np.abs(ev)).reshape(E, -1).max(axis=1)
-    tol = 1e-12 * size + 1e-13 * np.abs(Qb).reshape(E, -1).max(axis=1)
-    wdev = np.abs(wb - wb[:, :1]).max(axis=1)
-    bad = (off > tol) | (wdev > 1e-12 * np.abs(wb[:, 0]))
-    if bad.any():
+def _affine_map(space, weights, points):
+    """The weight c and the map x = A s + b of the square given by one weight
+    and one point per level-1 function (none: 1 and the identity), A and b
+    read off the functions with Greville points (0,0), (1,0) and (0,1).
+    Refuses unequal weights (1e-12 relative) or c <= 0, and points off
+    A (Greville point) + b by 1e-12 of A's size plus 1e-13 of theirs."""
+    if weights is None or points is None:
+        return 1.0, np.eye(2), np.zeros(2)
+    sp1 = space.spaces[0]
+    w, P, n1 = np.asarray(weights, dtype=float), np.asarray(points, dtype=float), len(sp1.functions)
+    if w.shape != (n1,) or P.shape != (n1, 2) or not (np.isfinite(w).all() and np.isfinite(P).all()):
         raise MeshStructureError(
-            f"element {elements[bad.argmax()].param_rect}: the element map is not affine "
-            "(second derivatives assume constant Bezier weights and affine Bezier points)"
+            f"the geometry needs one finite weight and one finite point per level-1 function ({n1}), each point "
+            f"(x, y), not weights of shape {w.shape} and points of shape {P.shape}"
         )
-    J = np.stack([eu[:, 0], ev[:, 0]], axis=-1) / 2  # columns dx/dxi, dx/deta
+    knots = sp1.hknots, sp1.vknots
+    g = greville_rows((sp1.h_indices, sp1.v_indices), [k.numerators for k in knots], [k.p for k in knots])
+    at = {pt: k for k, pt in enumerate(map(tuple, g.tolist()))}
+    b, e0, e1 = (P[at[corner]] for corner in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+    A = np.column_stack([e0 - b, e1 - b])
     with np.errstate(over="ignore", invalid="ignore"):
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    bad = ~(np.isfinite(det) & (det > 0))
+        off = np.abs(P - (g[:, :1] * A[:, 0] + g[:, 1:] * A[:, 1] + b)).max()
+        tol = 1e-12 * (np.abs(A[:, 0]) + np.abs(A[:, 1])).max() + 1e-13 * np.abs(P).max()
+    if off > tol or (np.abs(w - w[0]) > 1e-12 * np.abs(w[0])).any():
+        raise MeshStructureError(
+            "the geometry map is not affine: it must be one affine map of the whole parametric square with one "
+            "constant weight (second derivatives assume constant Bezier weights and affine Bezier points)"
+        )
+    if not w[0] > 0:
+        raise MeshStructureError(f"the geometry weight {w[0]} is not positive")
+    return float(w[0]), A, b
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _inverse_frames(elements, J):
+    """Per element (n_e x 8): det J, the rows of J^{-1} (xi_x, xi_y, eta_x,
+    eta_y) and the laplacian's three coefficients.  Refuses a det J that is
+    not finite and positive, or so small that the coefficients overflow when
+    squared, as the estimator squares the residual that holds them."""
+    J00, J01, J10, J11 = (J[:, i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    det = J00 * J11 - J01 * J10
+    xix, xiy, etax, etay = J11 / det, -J01 / det, -J10 / det, J00 / det
+    lap = xix * xix + xiy * xiy, 2 * (xix * etax + xiy * etay), etax * etax + etay * etay
+    bad = ~(np.isfinite(det) & (det > 0) & np.isfinite(np.square(lap)).all(axis=0))
     if bad.any():
         k = bad.argmax()
-        what = "singular element jacobian" if det[k] <= 0 else f"element jacobian determinant {det[k]} is not finite"
+        what = "not finite" if not np.isfinite(det[k]) else "too small"
+        what = "singular element jacobian" if det[k] <= 0 else f"element jacobian determinant {det[k]} is {what}"
         raise MeshStructureError(f"{what} on element {elements[k].param_rect}")
-    return wb[:, 0], J, det
+    return np.column_stack([det, xix, xiy, etax, etay, *lap])
 
 
 class Discretization:
-    """Extracted element arrays plus their Gauss-point data in
-    ``ElementGroup`` stacks; ``groups`` covers every element once."""
+    """Extracted element arrays, the map (``c``, ``A``, ``b``), each element's
+    ``half`` widths and frame (``origin``, ``jac``), and the Gauss-point data
+    in ``ElementGroup`` stacks; ``groups`` covers every element once."""
 
     def __init__(self, space: HierarchicalSpace, weights=None, points=None):
         self.space = space
         self.p = space.levels[0].mesh.p
         self.q = space.levels[0].mesh.q
-        self.elems = el = extract_all(space, weights, points)
-        frame = _check_affine(space.elements, el.weights, el.points, self.p, self.q)
+        self.c, self.A, self.b = _affine_map(space, weights, points)
+        mid, self.half = element_spans(space)
+        self.origin = mid[:, :1] * self.A[:, 0] + mid[:, 1:] * self.A[:, 1] + self.b
+        self.jac = self.A * self.half[:, None, :]
+        frame = _inverse_frames(space.elements, self.jac)
+        self.elems = el = extract_all(space)
         self.groups = [self._quadrature(frame, np.flatnonzero(el.n_loc == n), n) for n in np.unique(el.n_loc).tolist()]
         self._kept = {}
 
     def _quadrature(self, frame, pos, n_loc):
         """Per Gauss point of every element in ``pos``, each with ``n_loc``
         functions: physical coords, jacobian factors, basis values, physical
-        gradients and laplacians, from the elements' affine ``frame`` (c, J,
-        det J per element, from ``_check_affine``)."""
-        wts, T = _bern_tables(self.p, self.q)
+        gradients and laplacians, from the frames and ``_inverse_frames``."""
+        wts, points, T = _bern_tables(self.p, self.q)
         rows = self.elems.rows(pos, n_loc)
-        c, J, det = (a[pos] for a in frame)
+        det, xix, xiy, etax, etay, L0, L1, L2 = frame[pos].T[:, :, None, None]
         # one 2-D product for the whole stack of C^e rows computes the same
         # dot products, bit for bit, as one product per element
         tabs = (self.elems.C[rows.ravel()] @ T).reshape(len(pos), n_loc, 6, -1)
         N, Nxi, Neta, Nxixi, Nxieta, Netaeta = (tabs[:, :, k] for k in range(6))  # E x n_loc x n_g
-        c, det = c[:, None, None], det[:, None, None]
-        J00, J01, J10, J11 = (J[:, i, j, None, None] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-        xix, xiy, etax, etay = J11 / det, -J01 / det, -J10 / det, J00 / det  # rows of J^{-1}
-        t = np.empty(N.shape)  # scratch of each product
+        t, c = np.empty(N.shape), self.c  # t: scratch of each product
         R = N / c
         Rx = _combination(t, c, (Nxi, xix), (Neta, etax))
         Ry = _combination(t, c, (Nxi, xiy), (Neta, etay))
-        # the laplacian under an affine map, the trace of J^{-T} H_N J^{-1}
-        lap = _combination(t, c, (Nxixi, xix * xix + xiy * xiy), (Nxieta, 2 * (xix * etax + xiy * etay)),
-                           (Netaeta, etax * etax + etay * etay))
-        x = _t(self.elems.points[pos]) @ T[:, :len(wts)]   # E x d x n_g
-        dvol = wts * det                                    # E x 1 x n_g
+        lap = _combination(t, c, (Nxixi, L0), (Nxieta, L1), (Netaeta, L2))
+        x = self.origin[pos, :, None] + self.jac[pos, :, :1] * points[0] + self.jac[pos, :, 1:] * points[1]
+        dvol = wts * det  # E x 1 x n_g
         h = np.sqrt(dvol[:, 0].sum(axis=1))
         return ElementGroup(pos, self.elems.ien[rows], x, dvol, h, R, Rx, Ry, lap)
 
@@ -324,36 +335,28 @@ def boundary_functions(space: HierarchicalSpace):
 
 @lru_cache(maxsize=None)
 def _edge_tables(p, q, ng):
-    """Gauss weights, and for the sides s0, s1, t0, t1 of [-1,1]^2 the
-    Bernstein values and their derivatives along the side: 4 x n_g x n_b."""
+    """Gauss weights, and per side s0, s1, t0, t1 of [-1,1]^2 its Gauss points
+    (4 x 2 x n_g, xi and eta) and the Bernstein values there (4 x n_g x n_b)."""
     g, gw = _gauss(ng)
-    grids = [([end], g, (0, 1)) for end in (-1.0, 1.0)] + [(g, [end], (1, 0)) for end in (-1.0, 1.0)]
-    B = np.array([bernstein_grid(p, q, xs, etas) for xs, etas, _ in grids])
-    Bd = np.array([bernstein_grid(p, q, xs, etas, *along) for xs, etas, along in grids])
-    return gw, B, Bd
+    grids = [([end], g) for end in (-1.0, 1.0)] + [(g, [end]) for end in (-1.0, 1.0)]
+    pts = np.array([np.broadcast_arrays(xs, etas) for xs, etas in grids])
+    return gw, pts, np.array([bernstein_grid(p, q, xs, etas) for xs, etas in grids])
 
 
 def _edge_quadrature(disc, pos, sides, rows):
     """Gauss points along one boundary side (0..3 for s0, s1, t0, t1) of each
-    element at ``pos`` (C^e ``rows``): physical points (E x d x n_g), arc
-    weights (E x 1 x n_g) and local basis values (E x n_loc x n_g)."""
-    gw, B4, Bd4 = _edge_tables(disc.p, disc.q, max(disc.p, disc.q) + 2)
-    B, Bd = B4[sides], Bd4[sides]                              # E x n_g x n_b
-    # an s side runs along t, a t side along s; int division rounds as float(Fraction)
-    num, box = disc.space.grid_numerators, disc.space.element_boxes[pos].tolist()
-    ends = [(num[1], b[2:]) if s < 2 else (num[0], b[:2]) for b, s in zip(box, sides.tolist())]
-    jac = (np.array([n[b] / n[-1] - n[a] / n[-1] for n, (a, b) in ends]) / 2)[:, None, None]
-    C = disc.elems.C[rows]
-    wb = disc.elems.weights[pos][:, :, None]                   # E x n_b x 1
-    # matrix-vector products per element, as (n_g, n_b) @ (n_b, 1)
-    w = _t(B @ wb)                                             # E x 1 x n_g
-    N = C @ _t(B) / w
-    Pt = _t(disc.elems.points[pos] * wb)
-    x = (Pt @ _t(B)) / w
-    # physical arc length element along the edge
-    dxd = (Pt @ _t(Bd) - x * _t(Bd @ wb)) / w
-    arc = np.sqrt(dxd[:, :1] ** 2 + dxd[:, 1:2] ** 2) * jac
-    return x, gw * arc, N
+    element at ``pos`` (C^e ``rows``): physical points (E x 2 x n_g), arc
+    weights (E x 1 x n_g) and local basis values (E x n_loc x n_g).  The arc
+    weight is the Gauss weight times the arc length element |A e_side| h,
+    h the element's half width along the side, times h once more, so the
+    projection is the L2 one weighted by h, which the golden solves pin."""
+    gw, pts, B = _edge_tables(disc.p, disc.q, max(disc.p, disc.q) + 2)
+    pts, B, J = pts[sides, :, None], B[sides], disc.jac[pos]   # E x 2 x 1 x n_g, E x n_g x n_b
+    x = disc.origin[pos, :, None] + J[:, :, :1] * pts[:, 0] + J[:, :, 1:] * pts[:, 1]
+    d = 1 - sides // 2                                          # an s side runs along eta, a t side along xi
+    arc = np.sqrt(np.square(disc.A).sum(axis=0))[d] * disc.half[pos, d] * disc.half[pos, d]
+    # matrix products per element, as (n_loc, n_b) @ (n_b, n_g)
+    return x, gw * arc[:, None, None], disc.elems.C[rows] @ _t(B) / disc.c
 
 
 def apply_dirichlet(K, F, problem, disc):
@@ -504,7 +507,8 @@ def adaptive_loop(problem, space, tol, max_levels=8, max_iterations=20,
 
 
 def sample_field(disc, coeffs, nx=65, ny=65):
-    """phi on an nx x ny uniform parametric grid; returns (x, y, phi) arrays.
+    """phi on an nx x ny uniform parametric grid; returns (x, y, phi) arrays,
+    x = A s + b of the domain's map at the grid points.
 
     Each element evaluates the grid points of its closed rectangle in one
     batch.  Elements whose grid points sit alike in them share one
@@ -515,8 +519,7 @@ def sample_field(disc, coeffs, nx=65, ny=65):
     edge keeps the value of the first element that contains it."""
     ss = np.linspace(0.0, 1.0, nx)
     tt = np.linspace(0.0, 1.0, ny)
-    X = np.zeros((ny, nx))
-    Y = np.zeros((ny, nx))
+    X, Y = disc.A[:, :1, None] * ss + disc.A[:, 1:, None] * tt[:, None] + disc.b[:, None, None]
     PHI = np.zeros((ny, nx))
     covered = np.zeros((ny, nx), dtype=bool)
     tables = {}  # (xi, eta) bytes -> Bernstein table
@@ -529,14 +532,8 @@ def sample_field(disc, coeffs, nx=65, ny=65):
         key = (xi.tobytes(), eta.tobytes())
         if key not in tables:
             tables[key] = bernstein_grid(disc.p, disc.q, xi, eta)
-        B = tables[key]
-        w = B @ ed.weights
-        x = (ed.points * ed.weights[:, None]).T @ B.T / w
-        phi = coeffs[ed.ien] @ (ed.C @ B.T) / w
-        shape = (len(eta), len(xi))
-        X[iy, ix] = x[0].reshape(shape)
-        Y[iy, ix] = x[1].reshape(shape)
-        PHI[iy, ix] = phi.reshape(shape)
+        phi = coeffs[ed.ien] @ (ed.C @ tables[key].T) / disc.c
+        PHI[iy, ix] = phi.reshape(len(eta), len(xi))
         covered[iy, ix] = True
     if not covered.all():
         jy, jx = np.argwhere(~covered)[0]

@@ -721,6 +721,12 @@ def greville_oracle(knots, p):
     return float(sum(Fraction(k) for k in knots[1 : p + 1]) / p)
 
 
+def identity_geometry(space):
+    """The identity map of the parametric square as one weight and one point
+    per level-1 function: unit weights and the Greville points."""
+    return np.ones(len(space.spaces[0].functions)), greville_points(space.spaces[0])
+
+
 def greville_points(space, fns=None):
     """Greville points of functions of a single-level ``Space`` (all of
     them by default), one function at a time from its knot values."""
@@ -767,7 +773,7 @@ def bernstein_row(p, q, xi, eta, dxi=0, deta=0):
 
 def sample_field(disc, coeffs, nx=65, ny=65):
     """phi on an nx x ny uniform parametric grid, one point at a time: each
-    point takes the first element that contains it."""
+    point takes the first element that contains it, and x = A s + b."""
     ss = np.linspace(0.0, 1.0, nx)
     tt = np.linspace(0.0, 1.0, ny)
     rects = [tuple(float(v) for v in ed.param_rect) for ed in disc.elems]
@@ -782,10 +788,8 @@ def sample_field(disc, coeffs, nx=65, ny=65):
             xi = (2 * s - s1 - s2) / (s2 - s1)
             eta = (2 * t - t1 - t2) / (t2 - t1)
             B = bernstein_row(disc.p, disc.q, xi, eta)
-            w = float(B @ ed.weights)
-            x = (ed.points * ed.weights[:, None]).T @ B / w
-            PHI[jy, jx] = float(coeffs[np.array(ed.ien)] @ (ed.C @ B)) / w
-            X[jy, jx], Y[jy, jx] = x
+            PHI[jy, jx] = float(coeffs[np.array(ed.ien)] @ (ed.C @ B)) / disc.c
+            X[jy, jx], Y[jy, jx] = disc.A[:, 0] * s + disc.A[:, 1] * t + disc.b
     return X, Y, PHI
 
 
@@ -815,16 +819,29 @@ def local_linear_independence(edata, tol=1e-10):
 # -- per-element FE oracles -------------------------------------------------------
 
 
+def element_frame(disc, ed):
+    """The element's frame under the discretization's map x = A s + b: the
+    image o of its centre and J = A diag(half widths), from the exact
+    rational rectangle rounded once."""
+    s1, s2, t1, t2 = ed.param_rect
+    ms, mt = float((s1 + s2) / 2), float((t1 + t2) / 2)
+    return ms * disc.A[:, 0] + mt * disc.A[:, 1] + disc.b, disc.A * [float((s2 - s1) / 2), float((t2 - t1) / 2)]
+
+
+def frame_points(o, J, xi, eta):
+    """o + J (xi, eta) at each point, 2 x n."""
+    return o[:, None] + J[:, :1] * xi + J[:, 1:] * eta
+
+
 def element_quadrature(disc, ed):
     """Per Gauss point: physical coords, jacobian factors, basis values,
-    physical gradients and laplacians of the element's functions, from its
-    affine frame: the constant weight c, the constant jacobian J read off
-    three corner Bezier points, and det J."""
-    wts, T = _bern_tables(disc.p, disc.q)
-    p, q, ng = disc.p, disc.q, len(wts)
-    c, Qb = ed.weights[0], ed.points
-    o = Qb[0]
-    (J00, J01), (J10, J11) = np.column_stack([(Qb[p] - o) / 2, (Qb[(p + 1) * q] - o) / 2])
+    physical gradients and laplacians of the element's functions, from the
+    map's constant weight c and the element's frame: x = o + J xi with
+    J = A diag(half widths), and det J."""
+    wts, _, T = _bern_tables(disc.p, disc.q)
+    ng, c = len(wts), disc.c
+    o, J = element_frame(disc, ed)
+    (J00, J01), (J10, J11) = J
     det = J00 * J11 - J01 * J10
     if not (isfinite(det) and det > 0):
         raise MeshStructureError(f"singular element jacobian on element {ed.param_rect}")
@@ -836,23 +853,23 @@ def element_quadrature(disc, ed):
     Ry = (Nxi * xiy + Neta * etay) / c
     lap = (Nxixi * (xix * xix + xiy * xiy) + Nxieta * (2 * (xix * etax + xiy * etay))
            + Netaeta * (etax * etax + etay * etay)) / c
-    x = Qb.T @ T[:, :ng]
+    gx, gy = _gauss(disc.p + 1)[0], _gauss(disc.q + 1)[0]
+    x = frame_points(o, J, np.tile(gx, disc.q + 1), np.repeat(gy, disc.p + 1))
     dvol = wts * det
     return x, dvol, R, Rx, Ry, lap
 
 
-def rational_element_quadrature(disc, ed):
+def rational_element_quadrature(disc, ed, wb, Qb):
     """Per Gauss point: physical coords, jacobian factors, basis values,
     physical gradients and second derivatives of the element's functions,
-    from the general rational map: the quotient rule and a 2x2 jacobian at
-    every point (the second derivatives still take the map to be affine)."""
-    wts, _ = _bern_tables(disc.p, disc.q)
+    from the general rational map of the element Bezier weights ``wb`` and
+    points ``Qb``: the quotient rule and a 2x2 jacobian at every point (the
+    second derivatives still take the map to be affine)."""
+    wts, _, _ = _bern_tables(disc.p, disc.q)
     gx, _ = _gauss(disc.p + 1)
     gy, _ = _gauss(disc.q + 1)
     tabs = {key: bernstein_grid(disc.p, disc.q, gx, gy, *key) for key in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
     C = ed.C
-    wb = ed.weights
-    Qb = ed.points
     N = C @ tabs[(0, 0)].T        # n_loc x n_g
     Nxi = C @ tabs[(1, 0)].T
     Neta = C @ tabs[(0, 1)].T
@@ -941,24 +958,18 @@ def _edge_quadrature(disc, ed, side, ng):
     """Gauss points along one element edge on the domain boundary: returns
     physical points, arc weights, and local basis values."""
     g, gw = _gauss(ng)
-    p, q = disc.p, disc.q
-    s1, s2, t1, t2 = [float(v) for v in ed.param_rect]
-    if side in ("s0", "s1"):
-        xs, etas, along = [-1.0 if side == "s0" else 1.0], g, (0, 1)
-        jac = (t2 - t1) / 2
+    s1, s2, t1, t2 = ed.param_rect
+    end = -1.0 if side in ("s0", "t0") else 1.0
+    if side in ("s0", "s1"):  # along eta
+        xs, etas, d, h = [end], g, 1, float((t2 - t1) / 2)
     else:
-        xs, etas, along = g, [-1.0 if side == "t0" else 1.0], (1, 0)
-        jac = (s2 - s1) / 2
-    B = bernstein_grid(p, q, xs, etas)
-    Bd = bernstein_grid(p, q, xs, etas, *along)
-    w = B @ ed.weights
-    N = ed.C @ B.T / w
-    P = ed.points * ed.weights[:, None]
-    x = (P.T @ B.T) / w
-    # physical arc length element along the edge
-    dxd = (P.T @ Bd.T - x * (Bd @ ed.weights)) / w
-    arc = np.sqrt(dxd[0] ** 2 + dxd[1] ** 2) * jac
-    return x, gw * arc, N
+        xs, etas, d, h = g, [end], 0, float((s2 - s1) / 2)
+    B = bernstein_grid(disc.p, disc.q, xs, etas)
+    # the arc length element |A e_side| h along the edge, times the half
+    # width h once more
+    a0, a1 = disc.A[:, d]
+    arc = sqrt(a0 * a0 + a1 * a1) * h * h
+    return frame_points(*element_frame(disc, ed), *np.broadcast_arrays(xs, etas)), gw * arc, ed.C @ B.T / disc.c
 
 
 def boundary_functions(space):

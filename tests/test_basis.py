@@ -33,7 +33,7 @@ from hasts.basis import (
     minimal_edges,
 )
 from hasts.benchmarks import tensor_space
-from hasts.extraction import default_geometry
+from hasts.iga import _affine_map
 from hasts.hierarchy import refine_by_elements, refine_knots
 from hasts.tmesh import MeshStructureError
 
@@ -364,15 +364,15 @@ def test_greville_linear_precision():
 
 
 def test_greville_points_match_per_function(hierarchies):
-    """The Greville points of a hierarchy and of its default geometry, read
-    from index arrays and integer knots, equal the per-function oracle bit
-    for bit."""
+    """The Greville points of a hierarchy, read from index arrays and
+    integer knots, equal the per-function oracle bit for bit, and unit
+    weights with the level-1 oracle points are the identity map bit for
+    bit."""
     for space in hierarchies + [oracle.thirds_space(2), oracle.thirds_space(3)]:
         want = [greville_points(space.spaces[hf.level - 1], [hf.fn])[0].tolist() for hf in space.functions]
         assert space.greville_points().tolist() == want
-        weights, points = default_geometry(space)
-        assert points.tolist() == greville_points(space.spaces[0]).tolist()
-        assert weights.tolist() == [1.0] * len(space.spaces[0].functions)
+        c, A, b = _affine_map(space, *oracle.identity_geometry(space))
+        assert (c, A.tolist(), b.tolist()) == (1.0, [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
 
 
 def test_functions_sequence_matches_eager_oracle(hierarchies):

@@ -9,7 +9,6 @@ oracle ``conftest.bezier_coeffs_oracle``.
 """
 
 import random
-import warnings
 from fractions import Fraction
 from math import comb
 
@@ -36,11 +35,11 @@ from hasts.benchmarks import tensor_space
 from hasts.extraction import (
     bezier_coeffs_1d,
     build_ien,
-    default_geometry,
     dump_extraction,
     extract_all,
 )
 from hasts.hierarchy import refine_by_elements
+from hasts.iga import Discretization
 from hasts.tmesh import MeshStructureError
 
 
@@ -319,19 +318,23 @@ def test_ien_matches_pointwise_support(hierarchies):
 
 
 def test_default_geometry_is_identity_map():
+    """With no weights or points the domain is the identity map of weight 1:
+    the export's element Bezier weights and points, and the Gauss points of
+    ``Discretization``, map [-1,1]^2 onto each element's rectangle."""
     space = tensor_space(3, 2)
-    space_ref = space
-    elems = extract_all(space_ref)
+    lines = dump_extraction(space, extract_all(space)).splitlines()
+    assert [ln for ln in lines if ln.startswith("w ")] == ["w " + " ".join(["1"] * 9)] * space.n_e
+    points = np.array([ln.split()[1:] for ln in lines if ln.startswith("Q ")], dtype=float).reshape(space.n_e, 9, 2)
+    disc = Discretization(space)
+    assert (disc.c, disc.A.tolist(), disc.b.tolist()) == (1.0, [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
+    x = np.concatenate([g.x for g in disc.groups])[np.argsort(np.concatenate([g.pos for g in disc.groups]))]
     xi, _ = gauss_points(3)
-    for ed in elems:
-        s1, s2, t1, t2 = (float(v) for v in ed.param_rect)
-        assert np.allclose(ed.weights, 1.0)
-        for gx in xi:
-            for gy in xi:
-                B = bernstein_row(2, 2, gx, gy)
-                x, y = B @ ed.points
-                assert x == pytest.approx((s1 + s2) / 2 + gx * (s2 - s1) / 2, abs=1e-13)
-                assert y == pytest.approx((t1 + t2) / 2 + gy * (t2 - t1) / 2, abs=1e-13)
+    for he, Q, xk in zip(space.elements, points, x, strict=True):
+        s1, s2, t1, t2 = (float(v) for v in he.param_rect)
+        for n, (gx, gy) in enumerate((gx, gy) for gy in xi for gx in xi):
+            want = ((s1 + s2) / 2 + gx * (s2 - s1) / 2, (t1 + t2) / 2 + gy * (t2 - t1) / 2)
+            assert bernstein_row(2, 2, gx, gy) @ Q == pytest.approx(want, abs=1e-13)
+            assert xk[:, n] == pytest.approx(want, abs=1e-13)
 
 
 def test_dump_extraction_deterministic(hierarchies):
@@ -351,36 +354,49 @@ def _overlaps(support, rect):
     return s1 < e2 and e1 < s2 and t1 < f2 and f1 < t2
 
 
-def reference_extract(space, weights, points):
+def float_row(sp, fn, rect):
+    """The exact 2D Bezier row of a function of the single-level space
+    ``sp`` on a rectangle, converted entry by entry with float."""
+    p, q = sp.mesh.p, sp.mesh.q
+    return np.array([float(v) for v in bezier_coeffs_2d(sp.h_values(fn), sp.v_values(fn), p, q, rect)])
+
+
+def reference_extract(space):
     """Extraction one element at a time: the exact 2D product of every
-    (function, element) pair converted entry by entry with float, and the
-    geometry summed one overlapping level-1 function at a time.  Returns
-    (ien, C, weights, points) per element."""
+    (function, element) pair converted entry by entry with float.  Returns
+    (ien, C) per element."""
     p, q = space.levels[0].mesh.p, space.levels[0].mesh.q
-    n_b = (p + 1) * (q + 1)
-    sp1 = space.spaces[0]
-
-    def row(sp, fn, rect):
-        c = bezier_coeffs_2d(sp.h_values(fn), sp.v_values(fn), p, q, rect)
-        return np.array([float(v) for v in c])
-
     out = []
     for he in space.elements:
         rect = he.param_rect
         ien = [a for a, hf in enumerate(space.functions) if _overlaps(space.support(hf), rect)]
         C = np.array(
-            [row(space.spaces[space.functions[a].level - 1], space.functions[a].fn, rect) for a in ien]
-        ).reshape(-1, n_b)
-        wbf = np.zeros(n_b)
-        qb = np.zeros((n_b, points.shape[1]))
-        for g, fn in enumerate(sp1.functions):
-            if _overlaps(sp1.support(fn), rect):
-                cof = row(sp1, fn, rect)
+            [float_row(space.spaces[space.functions[a].level - 1], space.functions[a].fn, rect) for a in ien]
+        ).reshape(-1, (p + 1) * (q + 1))
+        out.append((ien, C))
+    return out
+
+
+def reference_geometry(space, geometries):
+    """The element Bezier weights and points of each element under each
+    geometry (one weight and one point per level-1 function), summed one
+    overlapping level-1 function at a time from its exact Bezier row: per
+    geometry, (weights, points) per element."""
+    sp1 = space.spaces[0]
+    rows = [
+        [(g, float_row(sp1, fn, he.param_rect)) for g, fn in enumerate(sp1.functions) if _overlaps(sp1.support(fn), he.param_rect)]
+        for he in space.elements
+    ]
+    out = []
+    for weights, points in geometries:
+        out.append([])
+        for element in rows:
+            wbf, qb = 0.0, 0.0
+            for g, cof in element:
                 wg = float(weights[g])
                 wbf += wg * cof
                 qb += np.outer(cof, points[g]) * wg
-        qb /= wbf[:, None]
-        out.append((ien, C, wbf, qb))
+            out[-1].append((wbf, qb / wbf[:, None]))
     return out
 
 
@@ -388,17 +404,13 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def assert_bit_identical(space, weights=None, points=None):
-    if weights is None or points is None:
-        weights, points = default_geometry(space)
-    got = extract_all(space, weights, points)
-    want = reference_extract(space, weights, points)
+def assert_bit_identical(space):
+    got = extract_all(space)
+    want = reference_extract(space)
     assert len(got) == len(want) == space.n_e
-    for ed, (ien, C, w, Q) in zip(got, want):
+    for ed, (ien, C) in zip(got, want):
         assert [int(a) for a in ed.ien] == ien
         assert same_bits(ed.C, C)
-        assert same_bits(ed.weights, w)
-        assert same_bits(ed.points, Q)
 
 
 def test_extract_all_bit_identical_on_corpus():
@@ -415,13 +427,6 @@ def test_extract_all_bit_identical_on_hierarchies():
         assert_bit_identical(thirds_space(p))
 
 
-def test_extract_all_bit_identical_with_weights_and_3d_points():
-    space = sample_hierarchies()[1]
-    rng = np.random.default_rng(5)
-    n = len(space.spaces[0].functions)
-    assert_bit_identical(space, rng.uniform(0.5, 2.0, n), rng.normal(size=(n, 3)))
-
-
 def test_extract_all_bit_identical_past_int64():
     """Four levels over knots of denominator 2^62: the grid knots as
     integers leave int64, and the row keys stay exact in Python ints."""
@@ -432,7 +437,7 @@ def test_extract_all_bit_identical_past_int64():
 
 def same_element(a, b):
     return (a.level, a.param_rect) == (b.level, b.param_rect) and all(
-        same_bits(getattr(a, name), getattr(b, name)) for name in ("ien", "C", "weights", "points")
+        same_bits(getattr(a, name), getattr(b, name)) for name in ("ien", "C")
     )
 
 
@@ -446,7 +451,6 @@ def test_extract_all_items_are_views_of_its_stacks():
         at = slice(stacks.n_loc[:k].sum(), stacks.n_loc[: k + 1].sum())
         assert (ed.level, ed.param_rect) == (he.level, he.param_rect)
         assert same_bits(ed.ien, stacks.ien[at]) and same_bits(ed.C, stacks.C[at])
-        assert same_bits(ed.weights, stacks.weights[k]) and same_bits(ed.points, stacks.points[k])
     assert same_element(stacks[-1], items[-1]) and same_element(stacks[-space.n_e], items[0])
     for cut in (slice(3, 40, 7), slice(None, None, -1), slice(-5, None)):
         assert len(stacks[cut]) == len(items[cut]) and all(map(same_element, stacks[cut], items[cut]))
@@ -454,27 +458,6 @@ def test_extract_all_items_are_views_of_its_stacks():
     for k in (space.n_e, -space.n_e - 1):
         with pytest.raises(IndexError):
             stacks[k]
-
-
-@pytest.mark.parametrize(
-    "spoil",
-    [
-        pytest.param(lambda w, P: (w[:-1], P), id="weights_short"),
-        pytest.param(lambda w, P: (w, P[:-1]), id="points_short"),
-        pytest.param(lambda w, P: (np.append(w, 1.0), P), id="weights_long"),
-        pytest.param(lambda w, P: (np.where(np.arange(len(w)) == 7, np.nan, w), P), id="nan_weight"),
-        pytest.param(lambda w, P: (w, np.where(np.arange(P.size).reshape(P.shape) == 5, np.inf, P)), id="inf_point"),
-    ],
-)
-def test_extract_all_refuses_bad_geometry(spoil):
-    """One finite weight and one finite point per level-1 function, or a
-    ``MeshStructureError`` from extraction, before any arithmetic warns."""
-    space = tensor_space(4, 2)
-    w, P = spoil(*default_geometry(space))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(MeshStructureError, match="one finite weight and one finite point per level-1 function"):
-            extract_all(space, w, P)
 
 
 def test_extraction_does_not_depend_on_call_order(monkeypatch):
@@ -492,5 +475,5 @@ def test_extraction_does_not_depend_on_call_order(monkeypatch):
     for space in spaces:
         for a, b in zip(got[0][id(space)], got[1][id(space)], strict=True):
             assert (a.level, a.param_rect) == (b.level, b.param_rect)
-            for name in ("ien", "C", "weights", "points"):
+            for name in ("ien", "C"):
                 assert same_bits(getattr(a, name), getattr(b, name))

@@ -27,6 +27,7 @@ from conftest import (
     float_knot_mesh,
     float_knot_space,
     greville_points,
+    identity_geometry,
     includes,
     insert_knot,
     one_level,
@@ -40,7 +41,7 @@ from hasts import benchmarks, hierarchy, meshio, samples
 from hasts.basis import GlobalKnots, Space
 from hasts.benchmarks import tensor_space
 from hasts.cli import main
-from hasts.extraction import default_geometry
+from hasts.iga import _affine_map
 from hasts.hierarchy import (
     HElement,
     HFunction,
@@ -403,7 +404,8 @@ def test_subdivision_of_parsed_float_knots_is_exact():
             ]
     want = [greville_points(space.spaces[hf.level - 1], [hf.fn])[0].tolist() for hf in space.functions]
     assert space.greville_points().tolist() == want
-    assert default_geometry(space)[1].tolist() == greville_points(space.spaces[0]).tolist()
+    c, A, b = _affine_map(space, *identity_geometry(space))
+    assert (c, A.tolist(), b.tolist()) == (1.0, [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
     knots = list(FLOAT_KNOTS)
     knots[4] += 2**-60
     mesh, hk, vk = float_knot_mesh(knots)
@@ -578,7 +580,7 @@ def assert_same_build(got, want):
     assert [e.sort_key() for e in got.elements] == [e.sort_key() for e in want.elements]
     assert got.elements == want.elements
     arrays = lambda sp: [
-        sp.function_boxes, sp.element_boxes, sp.geometry_boxes, *sp.knot_lines, *sp.geometry_lines
+        sp.function_boxes, sp.element_boxes, *sp.knot_lines
     ]
     for a, b in zip(arrays(got), arrays(want), strict=True):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())

@@ -21,12 +21,14 @@ from conftest import (
     eval_all,
     eval_function,
     extract_solve_space,
+    identity_geometry,
     one_level,
     sample_hierarchies,
     thirds_space,
     two_level_space,
 )
 from conftest import sample_field as reference_sample_field
+from test_extraction import reference_geometry
 import hasts.iga
 from hasts import samples
 from hasts.basis import GlobalKnots
@@ -37,7 +39,7 @@ from hasts.benchmarks import (
     skew45_rect_layer_distance,
     tensor_space,
 )
-from hasts.extraction import ElementData, default_geometry
+from hasts.extraction import ElementData
 from hasts.iga import (
     Discretization,
     Problem,
@@ -138,7 +140,7 @@ def test_element_size_is_sqrt_area():
 
 def test_nonaffine_geometry_is_rejected():
     space = tensor_space(4, 2)
-    w, P = default_geometry(space)
+    w, P = identity_geometry(space)
     # the bilinear map (s, t) -> (s + 0.2 s t, t) is not affine on any element
     warped = P + 0.2 * np.column_stack([P[:, 0] * P[:, 1], np.zeros(len(P))])
     with pytest.raises(MeshStructureError, match="not affine"):
@@ -162,7 +164,7 @@ def rotated(P, scale=1.0):
 @pytest.mark.parametrize("shift", [(0.4, -2.0), (1e3, -1e4)])
 def test_rotated_scaled_affine_geometry_is_accepted(shift):
     space = sample_hierarchies()[1]  # four levels, elements down to 1/32
-    w, P = default_geometry(space)
+    w, P = identity_geometry(space)
     disc = Discretization(space, w, rotated(P) + np.array(shift))
     area = sum(float(g.dvol.sum()) for g in disc.groups)
     assert area == pytest.approx(1.7**2, rel=1e-9)
@@ -173,7 +175,7 @@ def test_rotated_scaled_affine_geometry_is_accepted(shift):
 
 def test_reflected_geometry_is_refused_as_singular():
     space = tensor_space(4, 2)
-    w, P = default_geometry(space)
+    w, P = identity_geometry(space)
     with pytest.raises(MeshStructureError, match=r"singular element jacobian on element \("):
         Discretization(space, w, rotated(P) * [-1.0, 1.0])
 
@@ -182,9 +184,71 @@ def test_overflowing_jacobian_is_refused():
     """det J of a map scaled by 1e200 overflows; it is refused by name, with
     no overflow warning and before any solve."""
     space = tensor_space(4, 2)
-    w, P = default_geometry(space)
+    w, P = identity_geometry(space)
     with pytest.raises(MeshStructureError, match=r"element jacobian determinant (nan|inf) is not finite on element \("):
         Discretization(space, w, rotated(P, 1e200))
+
+
+def test_tiny_jacobian_is_refused_up_front():
+    """A map scaled by 1e-160 has a subnormal det J and overflows the
+    laplacian's coefficients; at 1e-150 they overflow once the estimator
+    squares the residual.  Both are refused by name when the space is
+    discretized, with no warning; a map scaled by 1e-60 still solves."""
+    space = tensor_space(4, 2)
+    w, P = identity_geometry(space)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e-160, 1e-150):
+            with pytest.raises(MeshStructureError, match=r"element jacobian determinant .* is too small on element \("):
+                Discretization(space, w, P * scale)
+        disc = Discretization(space, w, P * 1e-60)
+        prob = skew45_problem()
+        assert np.isfinite(estimate_error(prob, disc, solve(prob, disc))).all()
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        pytest.param(lambda w, P: (w[:-1], P), id="weights_short"),
+        pytest.param(lambda w, P: (w, P[:-1]), id="points_short"),
+        pytest.param(lambda w, P: (np.append(w, 1.0), P), id="weights_long"),
+        pytest.param(lambda w, P: (np.where(np.arange(len(w)) == 7, np.nan, w), P), id="nan_weight"),
+        pytest.param(lambda w, P: (w, np.where(np.arange(P.size).reshape(P.shape) == 5, np.inf, P)), id="inf_point"),
+        pytest.param(lambda w, P: (w, np.column_stack([P, 5 * P[:, 0]])), id="points_3d"),
+        pytest.param(lambda w, P: (w, P[:, :1]), id="points_1d"),
+    ],
+)
+def test_discretization_refuses_bad_geometry(spoil):
+    """One finite weight and one finite point (x, y) per level-1 function, or
+    a ``MeshStructureError`` before any arithmetic warns: a tilted plane in
+    3-D, whose surface area is sqrt(26), is not read as a map of the plane."""
+    space = tensor_space(4, 2)
+    w, P = spoil(*identity_geometry(space))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshStructureError, match="one finite weight and one finite point per level-1 function"):
+            Discretization(space, w, P)
+
+
+def test_nonpositive_weight_is_refused():
+    space = tensor_space(4, 2)
+    w, P = identity_geometry(space)
+    for c in (0.0, -2.0):
+        with pytest.raises(MeshStructureError, match="the geometry weight .* is not positive"):
+            Discretization(space, c * w, P)
+
+
+def test_piecewise_affine_map_is_refused_for_p1():
+    """For p = 1 the level-1 functions are only C^0, so points can make a map
+    that is affine on every element but not on the whole square: here
+    x = s + 0.1 |s - 1/2|, with its kink on an element side.  The library
+    takes one affine map of the square only, and refuses it by name."""
+    space = tensor_space(4, 1)
+    w, P = identity_geometry(space)
+    kinked = P + np.column_stack([0.1 * np.abs(P[:, 0] - 0.5), np.zeros(len(P))])
+    with pytest.raises(MeshStructureError, match="not affine: it must be one affine map of the whole parametric square"):
+        Discretization(space, w, kinked)
+    Discretization(space, w, rotated(P) + [0.4, -2.0])
 
 
 # -- grouped FE evaluation against the per-element oracle ----------------------
@@ -272,26 +336,29 @@ def test_grouped_fe_matches_per_element_oracle_on_weighted_affine_geometry(make)
     """Constant weight 2 and the level-1 Greville points under x -> A x + b:
     weights and points that are not the identity map's reach every stack."""
     space = make()
-    w, P = weighted_affine(default_geometry(space)[1])
+    w, P = weighted_affine(identity_geometry(space)[1])
     for problem in (mixed_problem(), manufactured_problem()[0]):
         assert_fe_bit_identical(space, replace(problem, weights=w, points=P))
 
 
 @pytest.mark.parametrize("make", ORACLE_SPACES)
 def test_affine_frame_matches_rational_quadrature(make):
-    """The Gauss-point data from each element's affine frame agree with the
-    general rational map's quotient rule and per-point jacobian to rounding:
+    """The Gauss-point data from each element's frame under the one affine
+    map agree with the general rational map's quotient rule and per-point
+    jacobian, on element Bezier weights and points summed from the level-1
+    geometry by the test-side reference extraction, to rounding:
     within 1e-12 of each array's largest entry, on the identity map, weight 2
     under x -> A x + b, and a rotated, scaled and shifted map.  The laplacian,
     zero on bilinear elements, is held at least to the scale of its squared
     gradient over its values."""
     for space in make():
-        w, P = default_geometry(space)
-        for geometry in ((w, P), weighted_affine(P), (w, rotated(P) + [0.4, -2.0])):
+        w, P = identity_geometry(space)
+        geometries = ((w, P), weighted_affine(P), (w, rotated(P) + [0.4, -2.0]))
+        for geometry, bezier in zip(geometries, reference_geometry(space, geometries), strict=True):
             disc = Discretization(space, *geometry)
-            for ed in disc.elems:
+            for ed, (wb, Qb) in zip(disc.elems, bezier, strict=True):
                 got = oracle.element_quadrature(disc, ed)
-                want = oracle.rational_element_quadrature(disc, ed)
+                want = oracle.rational_element_quadrature(disc, ed, wb, Qb)
                 scale = [np.abs(b).max() for b in want]
                 scale[5] = max(scale[5], (scale[3] + scale[4]) ** 2 / scale[2])
                 for a, b, s in zip(got, want, scale):
