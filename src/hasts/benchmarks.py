@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from math import cos, hypot, pi, sin
 
+import numpy as np
+
 from .basis import GlobalKnots
 from .hierarchy import HierarchicalSpace, LevelMesh, check_level_points
 from .samples import tensor_mesh
@@ -47,11 +49,7 @@ def skew45_problem(kappa=1e-6):
     s = sin(SKEW_ANGLE)
 
     def g(x, y):
-        if y <= 1e-12:
-            return 1.0
-        if x <= 1e-12 and y <= SKEW_SPLIT:
-            return 1.0
-        return 0.0
+        return np.where((y <= 1e-12) | ((x <= 1e-12) & (y <= SKEW_SPLIT)), 1.0, 0.0)
 
     return Problem((c, s), kappa, g)
 
@@ -101,13 +99,13 @@ def manufactured_problem(kappa=1.0):
     c = cos(SKEW_ANGLE)
 
     def exact(x, y):
-        return sin(pi * x) * sin(pi * y)
+        return np.sin(pi * x) * np.sin(pi * y)
 
     def source(x, y):
         return (
-            c * pi * cos(pi * x) * sin(pi * y)
-            + c * pi * sin(pi * x) * cos(pi * y)
-            + kappa * 2 * pi * pi * sin(pi * x) * sin(pi * y)
+            c * pi * np.cos(pi * x) * np.sin(pi * y)
+            + c * pi * np.sin(pi * x) * np.cos(pi * y)
+            + kappa * 2 * pi * pi * np.sin(pi * x) * np.sin(pi * y)
         )
 
     return Problem((c, c), kappa, lambda x, y: 0.0, source=source), exact

@@ -28,7 +28,10 @@ row and local column, the order of a loop that adds one element's matrix at
 a time, through two stable passes that never reorder equal entries.
 ``solve_linear`` factorises and checks K and the boundary mass matrix with
 SuperLU, so no result depends on the BLAS thread count.
-``problem.source`` and ``problem.dirichlet`` are called with Python floats.
+``problem.source`` and ``problem.dirichlet`` take arrays x, y of one shape
+and return an array of that shape or a scalar, called once per stack on its
+(E, 1, n_g) points; a result that does not broadcast, or is not finite, is
+refused with ``MeshStructureError``.
 """
 
 from __future__ import annotations
@@ -55,8 +58,8 @@ class Problem:
 
     velocity: tuple  # constant (ux, uy)
     kappa: float
-    dirichlet: object  # g(x, y) -> float
-    source: object = None  # f(x, y) -> float, None = 0
+    dirichlet: object  # g(x, y) on arrays of one shape -> that shape, or a scalar
+    source: object = None  # f(x, y) likewise, None = 0
     weights: object = None  # one per level-1 function, all equal; None = 1
     points: object = None   # one (x, y) per level-1 function, on one affine map; None = the identity
 
@@ -244,7 +247,7 @@ class Discretization:
         """fn(x, y) at the Gauss points of each group, (E, 1, n_g) per group.
         Kept per function object: assembly and the estimator both need the
         source there."""
-        return self._kept_per_group(fn, lambda g: _at_points(fn, g.x))
+        return self._kept_per_group(fn, lambda g: _at_points(fn, g.x, "source"))
 
     def tau(self, unorm, kappa):
         """``tau_element`` of each element of each group, (E,) per group.
@@ -254,11 +257,20 @@ class Discretization:
         )
 
 
-def _at_points(fn, x):
-    """fn(x, y) at every point of a stack x (E, d, n_g), called with Python
-    floats; returns (E, 1, n_g)."""
-    pts = zip(x[:, 0].ravel().tolist(), x[:, 1].ravel().tolist())
-    return np.array([fn(px, py) for px, py in pts]).reshape(len(x), 1, -1)
+def _at_points(fn, x, what):
+    """fn(x, y) at every point of a stack x (E, 2, n_g), one call on the
+    (E, 1, n_g) arrays of its coordinates; returns (E, 1, n_g).  Refuses a
+    result that does not broadcast to that shape or is not finite."""
+    X, Y = x[:, :1], x[:, 1:]
+    out, v = np.empty(X.shape), fn(X, Y)
+    try:
+        out[...] = v
+    except ValueError:
+        raise MeshStructureError(f"{what} of shape {np.shape(v)} does not broadcast to the points' {X.shape}") from None
+    if not np.isfinite(out).all():
+        k = np.unravel_index(np.isfinite(out).argmin(), X.shape)
+        raise MeshStructureError(f"{what} is {out[k]} at ({X[k]}, {Y[k]}), not finite")
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -379,15 +391,15 @@ def apply_dirichlet(K, F, problem, disc):
         sel = np.flatnonzero(n_loc == n)
         rows = disc.elems.rows(pos[sel], n)
         x, dw, N = _edge_quadrature(disc, pos[sel], side[sel], rows)
-        g = _t(_at_points(problem.dirichlet, x))            # E x n_g x 1
+        g = _t(_at_points(problem.dirichlet, x, "Dirichlet data"))  # E x n_g x 1
         blocks.append((sel, bpos[disc.elems.ien[rows]], (N * dw) @ _t(N), ((N * dw) @ g)[:, :, 0]))
     M, b = _summed(nb + 1, n_loc, blocks)
     gb = solve_linear(M[:nb, :nb], b[:nb])
     full = np.zeros(space.n_f)
     full[bidx] = gb
     interior = np.flatnonzero(bpos == nb)
-    Fi = F[interior] - K[:, bidx][interior, :] @ gb
-    Kii = K[interior, :][:, interior]
+    Fi = F[interior] - (K[:, bidx] @ gb)[interior]
+    Kii = K[:, interior][interior, :]
     return Kii, Fi, interior, full
 
 

@@ -291,7 +291,7 @@ def mixed_problem():
     """Oblique advection, a source and curved Dirichlet data: every term of
     assembly, the projection and the estimator is nonzero."""
     return Problem(
-        (0.7, -0.3), 1e-2, lambda x, y: x * x - 2 * y + 1, source=lambda x, y: sin(3 * x) * cos(2 * y)
+        (0.7, -0.3), 1e-2, lambda x, y: x * x - 2 * y + 1, source=lambda x, y: np.sin(3 * x) * np.cos(2 * y)
     )
 
 
@@ -429,6 +429,84 @@ def test_problem_rejects_nonfinite_velocity():
     for u in ((float("nan"), 0.0), (1.0, float("inf")), (-float("inf"), 1.0)):
         with pytest.raises(MeshStructureError, match="velocity must be finite"):
             Problem(u, 1e-2, lambda x, y: 0.0)
+
+
+# -- problem data on arrays ----------------------------------------------------
+
+
+def refused(prob, match):
+    """solve(prob) on tensor_space(4, 2) raises MeshStructureError matching
+    ``match`` before any solve, with no warning."""
+    disc = Discretization(tensor_space(4, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshStructureError, match=match):
+            solve(prob, disc)
+    return disc
+
+
+@pytest.mark.parametrize(
+    "g, match",
+    [
+        pytest.param(lambda x, y: np.where(y > 0.5, np.inf, 0.0), r"^Dirichlet data is inf at \(", id="inf"),
+        pytest.param(
+            lambda x, y: (x, y),
+            r"^Dirichlet data of shape \(2, \d+, 1, \d+\) does not broadcast to the points' \(\d+, 1, \d+\)$",
+            id="pair",
+        ),
+    ],
+)
+def test_bad_dirichlet_data_is_refused_by_name(g, match):
+    refused(Problem((1.0, 0.5), 1e-2, g), match)
+
+
+def test_nan_source_is_refused_at_its_first_point():
+    """A non-finite value names the first such Gauss point in canonical
+    element order."""
+    prob = Problem((1.0, 0.5), 1e-2, lambda x, y: 0.0, source=lambda x, y: np.where(x > 0.5, np.nan, 1.0))
+    disc = refused(prob, r"^source is nan at \(")
+    (g,) = disc.groups
+    px, py = g.x[:, 0].ravel(), g.x[:, 1].ravel()
+    k = np.argmax(px > 0.5)
+    with pytest.raises(MeshStructureError) as err:
+        solve(prob, disc)
+    assert str(err.value) == f"source is nan at ({px[k]}, {py[k]}), not finite"
+
+
+def test_scalar_problem_data_equals_array_data():
+    """A scalar g and a constant source broadcast over the points: the same
+    solution and estimates, bit for bit, as data returning full arrays."""
+    space = extract_solve_space(1)
+    scalar = Problem((0.7, -0.3), 1e-2, lambda x, y: 0.0, source=lambda x, y: 2.0)
+    full = Problem((0.7, -0.3), 1e-2, lambda x, y: np.zeros_like(x), source=lambda x, y: np.full_like(x, 2.0))
+    got = []
+    for prob in (scalar, full):
+        disc = Discretization(space)
+        coeffs = solve(prob, disc)
+        got.append((coeffs, estimate_error(prob, disc, coeffs)))
+    assert np.abs(got[0][0]).max() > 0
+    assert all(same_bits(a, b) for a, b in zip(*got))
+
+
+def test_problem_data_is_called_once_per_stack():
+    """On an extract-solve space, the source is called once per group of
+    elements with one n_loc, on that group's (E, 1, n_g) points, for both
+    assembly and the estimator; g once per n_loc of the boundary sides."""
+    calls = {"source": [], "g": []}
+
+    def counted(name, fn):
+        return lambda x, y: calls[name].append((x.shape, y.shape)) or fn(x, y)
+
+    problem = mixed_problem()
+    problem = replace(problem, source=counted("source", problem.source), dirichlet=counted("g", problem.dirichlet))
+    disc = Discretization(extract_solve_space(1, 8))
+    estimate_error(problem, disc, solve(problem, disc))
+    assert len(disc.groups) > 1
+    assert calls["source"] == [(g.x[:, :1].shape,) * 2 for g in disc.groups]
+    gh, gv = disc.space.grid_shape
+    pos, _ = np.nonzero(disc.space.element_boxes == [0, gh - 1, 0, gv - 1])
+    assert len(calls["g"]) == len(np.unique(disc.elems.n_loc[pos]))
+    assert sum(shape[0] for shape, _ in calls["g"]) == len(pos)
 
 
 # -- boundary handling ---------------------------------------------------------
